@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import WallmanLabError
@@ -27,7 +26,7 @@ from .lattice import (
     satisfies_dim_le1,
     validate,
 )
-from .spaces import make_space, mask_of, points_of
+from .spaces import is_T1, make_space, mask_of, points_of
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -54,17 +53,26 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _index(value, bound, what):
+    """value if it is an int in 0..bound-1 (any non-negative int when bound is None)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InputError(f"{what} must be a non-negative integer, not {value!r}")
+    if bound is not None and value >= bound:
+        raise InputError(f"{what} {value} is out of range 0..{bound - 1}")
+    return value
+
+
 def load_lattice(path):
     data = _read_json(path)
     try:
         if "poset" in data:
             p = data["poset"]
-            size = p["size"]
+            size = _index(p["size"], None, "poset size")
             le = [[False] * size for _ in range(size)]
             for i in range(size):
                 le[i][i] = True
             for i, j in p["le"]:
-                le[i][j] = True
+                le[_index(i, size, "poset index")][_index(j, size, "poset index")] = True
             # reflexive-transitive closure of the listed relations
             for k in range(size):
                 for i in range(size):
@@ -81,7 +89,7 @@ def load_lattice(path):
             data["bottom"],
             data["top"],
         )
-    except (KeyError, TypeError, IndexError) as err:
+    except (KeyError, TypeError, IndexError, ValueError) as err:
         raise InputError(f"{path}: malformed lattice JSON ({err})")
     except WallmanLabError as err:
         raise InputError(f"{path}: {err}")
@@ -90,8 +98,9 @@ def load_lattice(path):
 def load_space(path):
     data = _read_json(path)
     try:
-        return make_space(data["points"], [mask_of(s) for s in data["closed"]])
-    except (KeyError, TypeError) as err:
+        points = _index(data["points"], None, "points")
+        return make_space(points, [mask_of(s) for s in data["closed"]])
+    except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"{path}: malformed space JSON ({err})")
     except WallmanLabError as err:
         raise InputError(f"{path}: {err}")
@@ -194,16 +203,10 @@ def cmd_check(args):
         if nm not in _PREDICATES:
             raise InputError(f"unknown predicate {nm!r}")
 
-    def run_one(nm):
+    outcome = {}
+    for nm in names:
         verdict, witness = _PREDICATES[nm](L)
-        return nm, {"holds": verdict, "witness": _witness_json(witness)}
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(nm) for nm in names]
-    outcome = {nm: payload for nm, payload in results}
+        outcome[nm] = {"holds": verdict, "witness": _witness_json(witness)}
     _emit(_report(sys.argv[1:], {args.lattice: _digest(args.lattice)}, outcome, started))
     if args.assert_ and not all(p["holds"] for p in outcome.values()):
         return EXIT_ASSERT
@@ -237,6 +240,8 @@ def cmd_eval(args):
     interp = {}
     for item in args.let:
         name, _, value = item.partition("=")
+        if not (value.isdigit() and int(value) < L.n):
+            raise InputError(f"--let {item}: the value must be an element index in 0..{L.n - 1}")
         interp[name] = int(value)
     formula = bind_constants(formula, interp)
     value = eval_formula(L, formula, interp)
@@ -303,6 +308,9 @@ def cmd_surject(args):
     started = time.monotonic()
     X = load_space(args.x)
     Y = load_space(args.y)
+    if not is_T1(Y):
+        # the point map of a morphism is defined only when every point of Y is closed
+        raise InputError(f"{args.y}: surject needs a T1 target space (every point closed)")
     morphism = find_L_morphism(Y, Y.closed_sorted(), X)
     if morphism is None:
         outcome = {"found": False}
@@ -352,7 +360,7 @@ def build_parser():
         prog="wallman-lab",
         description="finite lattices, their ultrafilter spaces, and the first-order lattice language",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted; reports never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="evaluate lattice predicates")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import FiniteLattice, Poset, validate
+from .lattice import Poset, validate
 
 
 def _popcount(x):

@@ -38,10 +38,6 @@ class NotApplicable(WallmanLabError):
     pass
 
 
-class LatticeNotDistributive(WallmanLabError):
-    pass
-
-
 class NotBoolean(WallmanLabError):
     pass
 
@@ -85,14 +81,4 @@ class NotContinuous(WallmanLabError):
 
 
 class NotSurjective(WallmanLabError):
-    pass
-
-
-class NonSingletonIntersection(WallmanLabError):
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"intersection at point {point} is not a singleton")
-
-
-class FiberNotSingleton(WallmanLabError):
     pass

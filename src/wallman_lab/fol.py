@@ -303,14 +303,6 @@ def parse(text):
     return out
 
 
-def parse_term(text):
-    p = _Parser(text)
-    out = p.term()
-    tok, pos = p.tokens[p.i]
-    if tok is not None:
-        raise FormulaSyntaxError(f"trailing input: {tok!r}", pos)
-    return out
-
 # ---------------------------------------------------------------- printer
 
 
@@ -373,8 +365,6 @@ def free_variables(f):
     if isinstance(f, (Const, Bottom, Top)):
         return frozenset()
     if isinstance(f, (Meet, Join, Eq, Leq, JPred, And, Or, Implies)):
-        if isinstance(f, JPred):
-            return free_variables(f.left) | free_variables(f.right)
         return free_variables(f.left) | free_variables(f.right)
     if isinstance(f, MPred):
         out = frozenset()

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    FiberNotSingleton,
-    NonSingletonIntersection,
-    NotABase,
-)
+from .errors import NotABase
+from .lattice import _by_size
 from .spaces import (
-    image_mask,
+    _fiber_point,
+    _is_lattice_family,
+    _meet_above,
+    _preimage_mask,
     is_continuous,
     is_surjective,
+    mask_of,
     points_of,
 )
 from .wallman import ultrafilters
@@ -98,30 +99,15 @@ def surjection_from_embedding(base_sets, phi, L, X):
     Returns (f, report) with f indexed by ultrafilter position.
     """
     points = ultrafilters(L)
-    f = []
-    for p in points:
-        inter = X.full
-        for i, c in enumerate(base_sets):
-            if phi[i] in p.members:
-                inter &= c
-        if bin(inter).count("1") != 1:
-            raise FiberNotSingleton(
-                f"intersection {points_of(inter)} for ultrafilter {sorted(p.members)}"
-            )
-        f.append(inter.bit_length() - 1)
+    f = [
+        _fiber_point(X.full, (c for i, c in enumerate(base_sets) if phi[i] in p.members))
+        for p in points
+    ]
     onto = set(f) == set(range(X.point_count))
-    preimage_identity = True
-    for i, c in enumerate(base_sets):
-        pre = 0
-        for k in range(len(points)):
-            if c >> f[k] & 1:
-                pre |= 1 << k
-        c_of_phi = 0
-        for k, p in enumerate(points):
-            if phi[i] in p.members:
-                c_of_phi |= 1 << k
-        if pre != c_of_phi:
-            preimage_identity = False
+    preimage_identity = all(
+        _preimage_mask(f, c) == mask_of(k for k, p in enumerate(points) if phi[i] in p.members)
+        for i, c in enumerate(base_sets)
+    )
     report = {"onto": onto, "preimage_identity": preimage_identity}
     return f, report
 
@@ -130,48 +116,18 @@ def surjection_from_embedding(base_sets, phi, L, X):
 
 
 def _check_base(Y, base):
-    base = sorted(set(base), key=lambda m: (bin(m).count("1"), m))
-    full = Y.full
-    if 0 not in base or full not in base:
-        raise NotABase("base must contain the empty and full sets")
     sset = set(base)
+    base = _by_size(sset)
+    if 0 not in sset or Y.full not in sset:
+        raise NotABase("base must contain the empty and full sets")
     for a in base:
         if a not in Y.closed:
             raise NotABase(f"{points_of(a)} is not closed")
-        for b in base:
-            if a | b not in sset or a & b not in sset:
-                raise NotABase("base must be closed under union and intersection")
-    for c in Y.closed:
-        acc = full
-        for b in base:
-            if c & ~b == 0:
-                acc &= b
-        if acc != c:
-            raise NotABase("family does not generate all closed sets by intersection")
+    if not _is_lattice_family(sset):
+        raise NotABase("base must be closed under union and intersection")
+    if any(_meet_above(base, c, Y.full) != c for c in Y.closed):
+        raise NotABase("family does not generate all closed sets by intersection")
     return base
-
-
-def _min_empty_families(base):
-    """Inclusion-minimal subfamilies of the base with empty intersection."""
-    n = len(base)
-    empties = []
-    for mask in range(1, 1 << n):
-        inter = ~0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                inter &= base[i]
-            m >>= 1
-            i += 1
-        if inter == 0:
-            empties.append(mask)
-    minimal = []
-    empties.sort(key=lambda m: bin(m).count("1"))
-    for m in empties:
-        if not any(p & m == p for p in minimal):
-            minimal.append(m)
-    return minimal
 
 
 def find_L_morphism(Y, base, X):
@@ -181,6 +137,11 @@ def find_L_morphism(Y, base, X):
     F union G = Y forces phi(F) union phi(G) = X; every subfamily with empty
     intersection keeps an empty intersection.  Assignments are explored in
     lexicographic target order and the first solution wins.
+
+    The last condition is checked point by point: for each point x of X the
+    base sets whose image holds x must still meet.  A subfamily with empty
+    intersection whose images share a point x lies inside that point's
+    family, so the two checks prune the same partial assignments.
     """
     base = _check_base(Y, base)
     n = len(base)
@@ -188,7 +149,6 @@ def find_L_morphism(Y, base, X):
     cover_pairs = [
         (i, j) for i in range(n) for j in range(i, n) if base[i] | base[j] == full_y
     ]
-    min_empty = _min_empty_families(base)
     targets = X.closed_sorted()
     full_x = X.full
     assignment = [None] * n
@@ -209,37 +169,22 @@ def find_L_morphism(Y, base, X):
                     return False
             elif assignment[other] is not None and t | assignment[other] != full_x:
                 return False
-        for fam in min_empty:
-            if not (fam >> i & 1):
-                continue
-            inter = t
-            complete = True
-            m = fam
-            k = 0
-            while m:
-                if m & 1 and k != i:
-                    if assignment[k] is None:
-                        complete = False
-                        break
-                    inter &= assignment[k]
-                m >>= 1
-                k += 1
-            if complete and inter != 0:
-                return False
         return True
 
-    def extend(i):
+    def extend(i, meet_at):
+        # meet_at[x]: the meet of the base sets assigned so far whose image holds x
         if i == n:
             return True
+        b = base[i]
         for t in targets:
-            if ok(i, t):
+            if ok(i, t) and all(m & b for x, m in enumerate(meet_at) if t >> x & 1):
                 assignment[i] = t
-                if extend(i + 1):
+                if extend(i + 1, [m & b if t >> x & 1 else m for x, m in enumerate(meet_at)]):
                     return True
                 assignment[i] = None
         return False
 
-    if extend(0):
+    if extend(0, [full_y] * X.point_count):
         return LMorphism(tuple(base), dict(zip(base, assignment)))
     return None
 
@@ -253,28 +198,19 @@ def surjection_from_morphism(Y, phi, X):
     f^{-1}[F] = intersection of {phi(G) : F inside Int G} for closed F.
     """
     base = list(phi.base)
-    f = []
-    for x in range(X.point_count):
-        inter = Y.full
-        for b in base:
-            if phi.assignment[b] >> x & 1:
-                inter &= b
-        if bin(inter).count("1") != 1:
-            raise NonSingletonIntersection(x)
-        f.append(inter.bit_length() - 1)
+    f = [
+        _fiber_point(Y.full, (b for b in base if phi.assignment[b] >> x & 1))
+        for x in range(X.point_count)
+    ]
     continuous = is_continuous(f, X, Y)
     onto = is_surjective(f, X, Y)
     identity_ok = True
     for c in Y.closed:
-        pre = 0
-        for x in range(X.point_count):
-            if c >> f[x] & 1:
-                pre |= 1 << x
         rhs = X.full
         for b in base:
             if c & ~Y.interior(b) == 0:
                 rhs &= phi.assignment[b]
-        if pre != rhs:
+        if _preimage_mask(f, c) != rhs:
             identity_ok = False
     report = {
         "continuous": continuous,
@@ -289,14 +225,7 @@ def preimage_morphism(f, X, Y, base=None):
     if base is None:
         base = Y.closed_sorted()
     base = _check_base(Y, base)
-    assignment = {}
-    for b in base:
-        pre = 0
-        for x in range(X.point_count):
-            if b >> f[x] & 1:
-                pre |= 1 << x
-        assignment[b] = pre
-    return LMorphism(tuple(base), assignment)
+    return LMorphism(tuple(base), {b: _preimage_mask(f, b) for b in base})
 
 
 def oracle_surjection_equivalence(X, Y, base=None):

@@ -114,12 +114,8 @@ def difference_pieces(a, b):
                     continue
                 if slo < blo:
                     nxt.append((slo, so, blo, True))
-                elif slo == blo and not so:
-                    pass
                 if bhi < shi:
                     nxt.append((bhi, True, shi, sh))
-                elif bhi == shi and not sh:
-                    pass
             segments = nxt
         pieces.extend(s for s in segments if s[0] < s[2] or (s[0] == s[2] and not s[1] and not s[3]))
     return pieces

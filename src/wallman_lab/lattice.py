@@ -134,6 +134,30 @@ def validate(names, meet, join, bottom, top):
     return FiniteLattice(names, meet, join, bottom, top)
 
 
+def _by_size(masks):
+    """Masks in (popcount, mask) order, the element order of every lattice of sets."""
+    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
+
+
+def _mask_lattice(family, prefix=""):
+    """The lattice of a union/intersection-closed family of masks holding 0
+    and the full set, validated, with the family in element order.
+
+    Elements are in (popcount, mask) order; each is named by its bits, each
+    bit after `prefix`: "{0,2}", or "{p0,p2}" with prefix "p".
+    """
+    members = _by_size(family)
+    idx = {m: i for i, m in enumerate(members)}
+    k = len(members)
+    names = tuple(
+        "{" + ",".join(f"{prefix}{b}" for b in range(m.bit_length()) if m >> b & 1) + "}"
+        for m in members
+    )
+    meet = tuple(tuple(idx[members[i] & members[j]] for j in range(k)) for i in range(k))
+    join = tuple(tuple(idx[members[i] | members[j]] for j in range(k)) for i in range(k))
+    return validate(names, meet, join, 0, k - 1), members
+
+
 def chain(k):
     """The k-element chain 0 < 1 < ... < k-1."""
     names = tuple(f"c{i}" for i in range(k))
@@ -375,13 +399,7 @@ def downset_lattice(P):
                 break
         if ok:
             down.append(mask)
-    down.sort(key=lambda m: (bin(m).count("1"), m))
-    idx = {m: i for i, m in enumerate(down)}
-    k = len(down)
-    names = tuple("{" + ",".join(f"p{a}" for a in range(n) if m >> a & 1) + "}" for m in down)
-    meet = tuple(tuple(idx[down[i] & down[j]] for j in range(k)) for i in range(k))
-    join = tuple(tuple(idx[down[i] | down[j]] for j in range(k)) for i in range(k))
-    return validate(names, meet, join, 0, k - 1)
+    return _mask_lattice(down, "p")[0]
 
 
 def join_irreducibles(L):

@@ -8,18 +8,22 @@ mentions are assigned.  Outcomes are values, never exceptions.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
 from .enumeration import all_labeled_lattices, lattices_of_size
-from .errors import LatticeNotDistributive
+from .errors import NotDistributive
 from .fol import (
     BOT,
+    And,
     Const,
     Eq,
+    Exists,
+    Forall,
+    Implies,
     Meet,
     Not,
+    Or,
     Theory,
     builtin_HI,
     builtin_conn,
@@ -80,15 +84,11 @@ class _OutOfBudget(Exception):
 
 
 def _quantifier_count(f):
-    from .fol import And, Exists, Forall, Implies, Or
-
     if isinstance(f, (Forall, Exists)):
         return 1 + _quantifier_count(f.body)
     if isinstance(f, (And, Or, Implies)):
         return _quantifier_count(f.left) + _quantifier_count(f.right)
-    from .fol import Not as FNot
-
-    if isinstance(f, FNot):
+    if isinstance(f, Not):
         return _quantifier_count(f.body)
     return 0
 
@@ -244,7 +244,7 @@ def build_preimage(X, budget=SearchBudget(), theory=None):
     try:
         W = wallman_space(result.lattice)
         report["wallman"] = {"points": len(W.points)}
-    except LatticeNotDistributive as err:
+    except NotDistributive as err:
         report["wallman"] = {"error": str(err)}
         return report
     base_sets = X.closed_sorted()

@@ -12,13 +12,14 @@ from functools import lru_cache
 
 from .errors import (
     MalformedTables,
+    NonSingletonFiber,
     NotABase,
     NotClosed,
     NotContinuous,
     NotSurjective,
     PreconditionViolated,
 )
-from .lattice import PliandFoursome, validate as validate_lattice
+from .lattice import _by_size, _mask_lattice
 
 CONTINUA_POINT_CAP = 12
 
@@ -34,6 +35,62 @@ def points_of(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _is_lattice_family(fam):
+    """Is the set of masks closed under pairwise union and intersection?"""
+    for a in fam:
+        for b in fam:
+            if a | b not in fam or a & b not in fam:
+                return False
+    return True
+
+
+def _lattice_closure(full, masks):
+    """The least union/intersection-closed family holding 0, full and the masks (cut to full)."""
+    fam = {0, full}
+    fam.update(m & full for m in masks)
+    todo = list(fam)
+    while todo:
+        a = todo.pop()
+        for b in list(fam):
+            for c in (a | b, a & b):
+                if c not in fam:
+                    fam.add(c)
+                    todo.append(c)
+    return frozenset(fam)
+
+
+def _meet_above(family, mask, full):
+    """Intersection of the members of the family that contain mask (full if none do)."""
+    acc = full
+    for c in family:
+        if mask & ~c == 0:
+            acc &= c
+    return acc
+
+
+def _preimage_mask(f, mask):
+    """The points p whose image f[p] lies in mask."""
+    pre = 0
+    for p, y in enumerate(f):
+        if mask >> y & 1:
+            pre |= 1 << p
+    return pre
+
+
+def _fiber_point(full, masks):
+    """The unique point of the intersection of the masks within full.
+
+    Raises NonSingletonFiber when that intersection is empty or holds more
+    than one point.
+    """
+    inter = full
+    for m in masks:
+        inter &= m
+    if inter == 0 or inter & (inter - 1):
+        raise NonSingletonFiber(f"intersection {points_of(inter)} is not a singleton")
+    return inter.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     point_count: int
@@ -44,17 +101,13 @@ class FiniteSpace:
         return (1 << self.point_count) - 1
 
     def closed_sorted(self):
-        return sorted(self.closed, key=lambda m: (bin(m).count("1"), m))
+        return _by_size(self.closed)
 
     def is_closed(self, mask):
         return mask in self.closed
 
     def closure(self, mask):
-        acc = self.full
-        for c in self.closed:
-            if mask & ~c == 0:
-                acc &= c
-        return acc
+        return _meet_above(self.closed, mask, self.full)
 
     def interior(self, mask):
         return self.full & ~self.closure(self.full & ~mask)
@@ -69,10 +122,8 @@ def make_space(point_count, closed_masks):
             raise MalformedTables(f"closed set {c:b} mentions unknown points")
     if 0 not in fam or full not in fam:
         raise MalformedTables("closed family must contain the empty and full sets")
-    for a in fam:
-        for b in fam:
-            if a | b not in fam or a & b not in fam:
-                raise MalformedTables("closed family must be closed under union and intersection")
+    if not _is_lattice_family(fam):
+        raise MalformedTables("closed family must be closed under union and intersection")
     return FiniteSpace(point_count, fam)
 
 
@@ -86,20 +137,7 @@ def discrete_space(n):
 
 def generate_space(point_count, generators):
     """Smallest closed-set family containing the generators."""
-    full = (1 << point_count) - 1
-    fam = {0, full}
-    fam.update(m & full for m in generators)
-    changed = True
-    while changed:
-        changed = False
-        items = list(fam)
-        for a in items:
-            for b in items:
-                for c in (a | b, a & b):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    return FiniteSpace(point_count, frozenset(fam))
+    return FiniteSpace(point_count, _lattice_closure((1 << point_count) - 1, generators))
 
 
 def closed_set_lattice(X):
@@ -107,13 +145,7 @@ def closed_set_lattice(X):
 
     Element order is (popcount, mask); always distributive.
     """
-    fam = X.closed_sorted()
-    idx = {m: i for i, m in enumerate(fam)}
-    k = len(fam)
-    names = tuple("{" + ",".join(str(p) for p in points_of(m)) + "}" for m in fam)
-    meet = tuple(tuple(idx[fam[i] & fam[j]] for j in range(k)) for i in range(k))
-    join = tuple(tuple(idx[fam[i] | fam[j]] for j in range(k)) for i in range(k))
-    return validate_lattice(names, meet, join, 0, k - 1)
+    return _mask_lattice(X.closed)[0]
 
 
 def is_connected(X, mask):
@@ -193,22 +225,28 @@ def is_crooked_between(X, c, d):
     return ok, table
 
 
-def chicane_condition(X):
-    """Every pliand foursome of closed sets has a chicane (space-level search)."""
+def _pliand_chicanes(X, family):
+    """(True, None) if every pliand foursome drawn from the family has a
+    chicane, else (False, the first foursome without one)."""
     fam = X.closed_sorted()
-    for c in fam:
-        for d in fam:
+    for c in family:
+        for d in family:
             if c & d:
                 continue
-            for f in fam:
+            for f in family:
                 if c & f:
                     continue
-                for g in fam:
+                for g in family:
                     if d & g:
                         continue
                     if space_chicane(X, c, d, f, g, fam) is None:
                         return False, (c, d, f, g)
     return True, None
+
+
+def chicane_condition(X):
+    """Every pliand foursome of closed sets has a chicane (space-level search)."""
+    return _pliand_chicanes(X, X.closed_sorted())
 
 
 def is_base(X, family):
@@ -216,39 +254,19 @@ def is_base(X, family):
     fam = set(family)
     if any(b not in X.closed for b in fam):
         return False
-    for c in X.closed:
-        acc = X.full
-        for b in fam:
-            if c & ~b == 0:
-                acc &= b
-        if acc != c:
-            return False
-    return True
+    return all(_meet_above(fam, c, X.full) == c for c in X.closed)
 
 
 def base_restricted_HI(X, base):
     """Chicane condition with foursomes drawn from a meet-closed base only."""
-    base = sorted(set(base), key=lambda m: (bin(m).count("1"), m))
+    base = _by_size(set(base))
     for a in base:
         for b in base:
             if a & b not in base:
                 raise NotABase("base must be closed under intersection")
     if not is_base(X, base):
         raise NotABase("family does not generate all closed sets by intersection")
-    fam = X.closed_sorted()
-    for c in base:
-        for d in base:
-            if c & d:
-                continue
-            for f in base:
-                if c & f:
-                    continue
-                for g in base:
-                    if d & g:
-                        continue
-                    if space_chicane(X, c, d, f, g, fam) is None:
-                        return False, (c, d, f, g)
-    return True, None
+    return _pliand_chicanes(X, base)
 
 
 def is_T1(X):
@@ -262,11 +280,7 @@ def is_discrete(X):
 def is_continuous(f, X, Y):
     """Preimage of every closed set of Y is closed in X."""
     for c in Y.closed:
-        pre = 0
-        for p in range(X.point_count):
-            if c >> f[p] & 1:
-                pre |= 1 << p
-        if pre not in X.closed:
+        if _preimage_mask(f, c) not in X.closed:
             return False
     return True
 
@@ -304,19 +318,6 @@ def all_spaces(n):
     for pick in range(1 << len(others)):
         fam = {0, full}
         fam.update(others[i] for i in range(len(others)) if pick >> i & 1)
-        ok = True
-        for a in fam:
-            for b in fam:
-                if a | b not in fam or a & b not in fam:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _is_lattice_family(fam):
             out.append(FiniteSpace(n, frozenset(fam)))
     return tuple(out)
-
-
-def pliand_foursome_of_sets(L, fam_index, c, d, f, g):
-    """Lift closed-set masks to a PliandFoursome of closed-set-lattice indices."""
-    return PliandFoursome(fam_index[c], fam_index[d], fam_index[f], fam_index[g])

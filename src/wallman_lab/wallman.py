@@ -9,9 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LatticeNotDistributive, NotABase, NotBoolean, NonSingletonFiber
-from .lattice import FiniteLattice, is_distributive, validate as validate_lattice
-from .spaces import FiniteSpace, closed_set_lattice, is_connected, is_discrete, make_space, points_of
+from .errors import NonSingletonFiber, NotABase, NotBoolean, NotDistributive
+from .lattice import FiniteLattice, _mask_lattice, is_distributive
+from .spaces import (
+    _fiber_point,
+    _lattice_closure,
+    _meet_above,
+    closed_set_lattice,
+    is_connected,
+    is_continuous,
+    is_discrete,
+    is_surjective,
+    make_space,
+)
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ def wallman_space(L):
     """The represented space: ultrafilter points with closed base c(a)."""
     ok, _ = is_distributive(L)
     if not ok:
-        raise LatticeNotDistributive("Wallman construction needs a distributive lattice")
+        raise NotDistributive("Wallman construction needs a distributive lattice")
     points = tuple(ultrafilters(L))
     base = []
     for a in L.elements():
@@ -129,15 +139,11 @@ def self_representation_check(X):
     fam = X.closed_sorted()
     L = closed_set_lattice(X)
     W = wallman_space(L)
-    point_map = []
-    for u in W.points:
-        inter = X.full
-        for a in u.members:
-            inter &= fam[a]
-        if bin(inter).count("1") != 1:
-            return False, f"ultrafilter intersection {points_of(inter)} is not a singleton"
     # map u -> its point; check bijectivity and that base sets mirror closed sets
-        point_map.append(inter.bit_length() - 1)
+    try:
+        point_map = [_fiber_point(X.full, (fam[a] for a in u.members)) for u in W.points]
+    except NonSingletonFiber as err:
+        return False, f"ultrafilter {err}"
     if sorted(point_map) != list(range(X.point_count)):
         return False, "ultrafilter-to-point map is not a bijection"
     image_closed = set()
@@ -152,16 +158,18 @@ def self_representation_check(X):
     return True, None
 
 
+def _complement(L, a):
+    """The first b with a ^ b = 0 and a v b = 1, or None."""
+    return next(
+        (b for b in L.elements() if L.meet[a][b] == L.bottom and L.join[a][b] == L.top), None
+    )
+
+
 def is_boolean(L):
     ok, _ = is_distributive(L)
     if not ok:
         return False
-    for a in L.elements():
-        if not any(
-            L.meet[a][b] == L.bottom and L.join[a][b] == L.top for b in L.elements()
-        ):
-            return False
-    return True
+    return all(_complement(L, a) is not None for a in L.elements())
 
 
 def atoms(L):
@@ -181,10 +189,7 @@ def stone_space(B):
     npts = len(W.points)
     full = (1 << npts) - 1
     for a in B.elements():
-        comp = next(
-            b for b in B.elements() if B.meet[a][b] == B.bottom and B.join[a][b] == B.top
-        )
-        assert W.base[comp] == full & ~W.base[a]
+        assert W.base[_complement(B, a)] == full & ~W.base[a]
     assert npts == len(atoms(B))
     return W
 
@@ -192,28 +197,10 @@ def stone_space(B):
 def boolean_subalgebra_generated(universe_size, family):
     """Least subalgebra of the power set containing the family, as a lattice."""
     full = (1 << universe_size) - 1
-    fam = {0, full}
-    fam.update(m & full for m in family)
-    changed = True
-    while changed:
-        changed = False
-        items = list(fam)
-        for a in items:
-            if full & ~a not in fam:
-                fam.add(full & ~a)
-                changed = True
-            for b in items:
-                for c in (a | b, a & b):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    members = sorted(fam, key=lambda m: (bin(m).count("1"), m))
-    idx = {m: i for i, m in enumerate(members)}
-    k = len(members)
-    names = tuple("{" + ",".join(str(p) for p in points_of(m)) + "}" for m in members)
-    meet = tuple(tuple(idx[members[i] & members[j]] for j in range(k)) for i in range(k))
-    join = tuple(tuple(idx[members[i] | members[j]] for j in range(k)) for i in range(k))
-    return validate_lattice(names, meet, join, 0, k - 1), members
+    gens = [m & full for m in family]
+    # by De Morgan the union/intersection closure of the generators and their
+    # complements is already closed under complement
+    return _mask_lattice(_lattice_closure(full, gens + [full & ~m for m in gens]))
 
 
 def alexandroff_preimage(X, family):
@@ -223,39 +210,12 @@ def alexandroff_preimage(X, family):
     unique one in the intersection of the closures of u's members.
     """
     algebra, members = boolean_subalgebra_generated(X.point_count, family)
-    closed_in_algebra = all(c in members for c in X.closed)
-    if not closed_in_algebra:
-        # the generated algebra must still present every closed set
-        fam = set(members)
-        for c in X.closed:
-            acc = X.full
-            for b in fam:
-                if c & ~b == 0:
-                    acc &= b
-            if acc != c:
-                raise NotABase("generated algebra cannot present every closed set")
-    W = stone_space(algebra)
+    # the generated algebra must still present every closed set
+    if any(_meet_above(members, c, X.full) != c for c in X.closed):
+        raise NotABase("generated algebra cannot present every closed set")
+    W = stone_space(algebra)  # also verifies that the base sets are clopen
     Y = W.space()
-    f = []
-    for u in W.points:
-        inter = X.full
-        for a in u.members:
-            inter &= X.closure(members[a])
-        if bin(inter).count("1") != 1:
-            raise NonSingletonFiber(
-                f"intersection {points_of(inter)} for ultrafilter {sorted(u.members)}"
-            )
-        f.append(inter.bit_length() - 1)
-    from .spaces import is_continuous, is_surjective
-
+    f = [_fiber_point(X.full, (X.closure(members[a]) for a in u.members)) for u in W.points]
     assert is_continuous(f, Y, X)
     assert is_surjective(f, Y, X)
-    full_y = (1 << Y.point_count) - 1
-    for a in algebra.elements():
-        comp_elem = next(
-            b
-            for b in algebra.elements()
-            if algebra.meet[a][b] == algebra.bottom and algebra.join[a][b] == algebra.top
-        )
-        assert W.base[comp_elem] == full_y & ~W.base[a]  # base sets are clopen
     return Y, f

@@ -158,6 +158,20 @@ class TestInputHandling:
         proc = run_cli("eval", fixtures["ba4"], "x ^ = 0")
         assert proc.returncode == 2
 
+    def test_negative_point_count_is_input_error(self, fixtures):
+        path = fixtures["tmp"] / "negative.json"
+        path.write_text(json.dumps({"points": -1, "closed": []}))
+        proc = run_cli("surject", str(path), fixtures["y2"])
+        assert proc.returncode == 2
+        assert "points must be a non-negative integer" in proc.stderr
+
+    def test_poset_index_out_of_range_is_input_error(self, fixtures):
+        path = fixtures["tmp"] / "bad_poset.json"
+        path.write_text(json.dumps({"poset": {"size": 2, "le": [[-1, 0]]}}))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert "poset index" in proc.stderr
+
 
 class TestWallmanAndStone:
     def test_wallman_points_of_boolean_four(self, fixtures):
@@ -202,6 +216,13 @@ class TestEval:
     def test_unbound_name_is_input_error(self, fixtures):
         proc = run_cli("eval", fixtures["ba4"], "a = 0")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "4"])
+    def test_let_value_must_be_an_element_index(self, fixtures, value):
+        # ba4 has the elements 0..3; -1 must not reach the top through negative indexing
+        proc = run_cli("eval", fixtures["ba4"], "a = 1", "--let", f"a={value}")
+        assert proc.returncode == 2
+        assert "element index in 0..3" in proc.stderr
 
 
 class TestEf:
@@ -269,6 +290,13 @@ class TestSurject:
     def test_assert_flag(self, fixtures):
         proc = run_cli("surject", fixtures["y2"], fixtures["x3"], "--assert")
         assert proc.returncode == 1
+
+    def test_non_T1_target_is_input_error(self, fixtures):
+        sierpinski = fixtures["tmp"] / "sierpinski.json"
+        sierpinski.write_text(json.dumps({"points": 2, "closed": [[], [1], [0, 1]]}))
+        proc = run_cli("surject", str(sierpinski), str(sierpinski))
+        assert proc.returncode == 2
+        assert "T1" in proc.stderr
 
 
 class TestEmbed:

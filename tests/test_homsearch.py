@@ -1,7 +1,8 @@
 import pytest
 
-from wallman_lab.errors import NonSingletonIntersection, NotABase
+from wallman_lab.errors import NonSingletonFiber, NotABase
 from wallman_lab.homsearch import (
+    LMorphism,
     find_L_morphism,
     find_lattice_embedding,
     oracle_surjection_equivalence,
@@ -11,6 +12,7 @@ from wallman_lab.homsearch import (
 )
 from wallman_lab.lattice import chain, powerset_lattice
 from wallman_lab.spaces import (
+    all_spaces,
     discrete_space,
     generate_space,
     is_continuous,
@@ -105,14 +107,109 @@ class TestLMorphism:
             find_L_morphism(Y, [0, Y.full], Y)
 
     def test_non_singleton_intersection_diagnosed(self):
-        from wallman_lab.homsearch import LMorphism
-
         # a deliberately bad morphism on the Sierpinski-type space
         Y = space_from_sets(2, [[], [1], [0, 1]])
         X = discrete_space(2)
         phi = LMorphism((0, 0b10, 0b11), {0: 0, 0b10: 0, 0b11: 0b11})
-        with pytest.raises(NonSingletonIntersection):
+        with pytest.raises(NonSingletonFiber):
             surjection_from_morphism(Y, phi, X)
+
+
+def _min_empty_families(base):
+    """Inclusion-minimal subfamilies of the base with empty intersection."""
+    n = len(base)
+    empties = []
+    for mask in range(1, 1 << n):
+        inter = ~0
+        m = mask
+        i = 0
+        while m:
+            if m & 1:
+                inter &= base[i]
+            m >>= 1
+            i += 1
+        if inter == 0:
+            empties.append(mask)
+    minimal = []
+    empties.sort(key=lambda m: bin(m).count("1"))
+    for m in empties:
+        if not any(p & m == p for p in minimal):
+            minimal.append(m)
+    return minimal
+
+
+def reference_L_morphism(Y, base, X):
+    """find_L_morphism as it was before the per-point check: every
+    inclusion-minimal empty subfamily of the base is listed up front and
+    checked once all of its members are assigned."""
+    base = sorted(set(base), key=lambda m: (bin(m).count("1"), m))
+    n = len(base)
+    full_y = Y.full
+    cover_pairs = [
+        (i, j) for i in range(n) for j in range(i, n) if base[i] | base[j] == full_y
+    ]
+    min_empty = _min_empty_families(base)
+    targets = X.closed_sorted()
+    full_x = X.full
+    assignment = [None] * n
+
+    def ok(i, t):
+        if base[i] == 0:
+            return t == 0
+        if t == 0:
+            return False
+        if base[i] == full_y and t != full_x:
+            return False
+        for a, b in cover_pairs:
+            if a != i and b != i:
+                continue
+            other = a + b - i
+            if other == i:
+                if t != full_x:
+                    return False
+            elif assignment[other] is not None and t | assignment[other] != full_x:
+                return False
+        for fam in min_empty:
+            if not (fam >> i & 1):
+                continue
+            inter = t
+            complete = True
+            m = fam
+            k = 0
+            while m:
+                if m & 1 and k != i:
+                    if assignment[k] is None:
+                        complete = False
+                        break
+                    inter &= assignment[k]
+                m >>= 1
+                k += 1
+            if complete and inter != 0:
+                return False
+        return True
+
+    def extend(i):
+        if i == n:
+            return True
+        for t in targets:
+            if ok(i, t):
+                assignment[i] = t
+                if extend(i + 1):
+                    return True
+                assignment[i] = None
+        return False
+
+    if extend(0):
+        return LMorphism(tuple(base), dict(zip(base, assignment)))
+    return None
+
+
+def test_matches_reference_search_on_all_small_spaces():
+    spaces = [X for n in (1, 2, 3) for X in all_spaces(n)]
+    for Y in spaces:
+        base = Y.closed_sorted()
+        for X in spaces:
+            assert find_L_morphism(Y, base, X) == reference_L_morphism(Y, base, X), (Y, X)
 
 
 class TestRoundTrip:

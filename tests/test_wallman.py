@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallman_lab.errors import (
-    LatticeNotDistributive,
     NonSingletonFiber,
     NotBoolean,
+    NotDistributive,
 )
 from wallman_lab.lattice import (
     chain,
@@ -16,6 +18,7 @@ from wallman_lab.spaces import (
     discrete_space,
     generate_space,
     is_discrete,
+    points_of,
     space_from_sets,
 )
 from wallman_lab.wallman import (
@@ -81,7 +84,7 @@ class TestWallmanSpace:
         assert len(W.points) == 1
 
     def test_rejects_m3(self):
-        with pytest.raises(LatticeNotDistributive):
+        with pytest.raises(NotDistributive):
             wallman_space(diamond_m3())
 
     def test_base_is_homomorphic_image(self):
@@ -170,6 +173,30 @@ class TestBooleanSubalgebra:
     def test_generator_and_complement(self):
         alg, members = boolean_subalgebra_generated(3, [0b011])
         assert sorted(members) == [0, 0b011, 0b100, 0b111]
+
+
+def brute_force_boolean_closure(universe_size, family):
+    """Close {0, full} and the family under union, intersection and complement."""
+    full = (1 << universe_size) - 1
+    fam = {0, full} | {m & full for m in family}
+    while True:
+        new = {full & ~a for a in fam}
+        new |= {a | b for a in fam for b in fam} | {a & b for a in fam for b in fam}
+        if new <= fam:
+            return fam
+        fam |= new
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.lists(st.integers(min_value=0, max_value=63), max_size=4))
+def test_boolean_subalgebra_is_the_brute_force_closure(universe_size, family):
+    alg, members = boolean_subalgebra_generated(universe_size, family)
+    expected = brute_force_boolean_closure(universe_size, family)
+    assert members == sorted(expected, key=lambda m: (bin(m).count("1"), m))
+    assert alg.names == tuple("{" + ",".join(map(str, points_of(m))) + "}" for m in members)
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            assert members[alg.meet[i][j]] == a & b and members[alg.join[i][j]] == a | b
 
 
 class TestAlexandroffPreimage:
