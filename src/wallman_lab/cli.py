@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import WallmanLabError
+from .errors import PostconditionFailed, WallmanLabError
 from .lattice import (
     Poset,
     conn,
@@ -99,7 +99,8 @@ def load_space(path):
     data = _read_json(path)
     try:
         points = _index(data["points"], None, "points")
-        return make_space(points, [mask_of(s) for s in data["closed"]])
+        closed = [[_index(p, points, "closed-set point") for p in s] for s in data["closed"]]
+        return make_space(points, [mask_of(s) for s in closed])
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"{path}: malformed space JSON ({err})")
     except WallmanLabError as err:
@@ -259,6 +260,8 @@ def cmd_ef(args):
     from .fol import print_formula
 
     started = time.monotonic()
+    if args.rounds < 0:
+        raise InputError(f"--rounds must be non-negative, not {args.rounds}")
     A = load_lattice(args.a)
     B = load_lattice(args.b)
     equivalent, strategy = ef_equivalent(A, B, args.rounds)
@@ -422,6 +425,8 @@ def main(argv=None):
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except PostconditionFailed:
+        raise  # a failed self-check is a bug, not bad input
     except WallmanLabError as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import PostconditionFailed
 from .fol import (
     And,
     BOT,
@@ -55,6 +56,8 @@ def _consistent(A, B, pairs):
 def ef_equivalent(A, B, rounds):
     """(True, None) if the matcher survives `rounds` rounds, else
     (False, SpoilerStrategy)."""
+    if rounds < 0:
+        raise ValueError(f"rounds must be non-negative, not {rounds}")
     memo = {}
 
     def matcher_wins(pairs, k):
@@ -150,8 +153,10 @@ def strategy_to_sentence(A, B, strategy):
         return Forall(var, body)
 
     sentence = build(strategy, [], [])
-    assert eval_formula(A, sentence) is True
-    assert eval_formula(B, sentence) is False
+    if eval_formula(A, sentence) is not True:
+        raise PostconditionFailed("separating sentence is false in A")
+    if eval_formula(B, sentence) is not False:
+        raise PostconditionFailed("separating sentence is true in B")
     return sentence
 
 
@@ -164,5 +169,6 @@ def elementarily_equivalent_finite(A, B):
     k = A.n + B.n
     equivalent, _ = ef_equivalent(A, B, k)
     isomorphic = lattice_isomorphism(A, B) is not None
-    assert equivalent == isomorphic
+    if equivalent != isomorphic:
+        raise PostconditionFailed("pebble-game verdict disagrees with the isomorphism search")
     return equivalent

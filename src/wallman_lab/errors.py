@@ -82,3 +82,7 @@ class NotContinuous(WallmanLabError):
 
 class NotSurjective(WallmanLabError):
     pass
+
+
+class PostconditionFailed(WallmanLabError):
+    """A result failed the package's own check of it: a bug, not bad input."""

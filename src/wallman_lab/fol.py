@@ -1,5 +1,13 @@
 """First-order lattice language: AST, parser, printer, evaluator, builtins.
 
+The evaluator compiles a sentence once and then only runs closures:
+`compile_sentence` resolves every constant and variable to a slot of one
+list, puts the sentence in negation normal form, pushes each quantifier as
+far in as it goes (miniscoping, so an atom is tested at the outermost
+quantifier that binds all its variables), and returns a `Compiled` whose
+`bind(L)` gives nested closures over L's tables.  `eval_formula` is compile
+and run; the model finder binds each compiled sentence once per lattice.
+
 Grammar (meet `^` binds tighter than join `v`; `&`, `|`, `!`, `->` are the
 logical connectives; `A x.` / `E x.` quantify)::
 
@@ -26,6 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     DuplicateName,
@@ -436,160 +446,321 @@ def bind_constants(f, names):
     return go(f, frozenset())
 
 # ---------------------------------------------------------------- evaluator
+#
+# A sentence is compiled once against a list of names, in three steps.
+#
+# 1. Resolve.  Each name gets a slot of one flat list: the listed names
+#    first, in order, then a fresh slot per binder, so a binder that reuses
+#    a constant's or an outer variable's name shadows nothing but that
+#    variable.  Leq, J and M become equations; the bounds fold away where
+#    they absorb or vanish (x ^ 0 = 0, x v 0 = x), and an equation between
+#    identical terms, or between 0 and 1, becomes a truth value.
+# 2. Normalize.  Negations move onto the atoms (negation normal form),
+#    an implication A -> C becomes !A | C (which curries a conjunctive
+#    antecedent), and chains of & and | flatten.  Each quantifier is then
+#    pushed in as far as it goes (miniscoping): out of its scope go the
+#    conjuncts or disjuncts that do not mention its variable, an A
+#    distributes over &, an E over |.  Lattices are nonempty, so all these
+#    steps keep the truth value.  Every atom is thereby tested at the
+#    outermost quantifier where all its variables are bound, and the
+#    quantifier-free parts of a conjunction or disjunction are tested first.
+# 3. Bind.  `Compiled.bind(L)` turns the normal form into nested closures
+#    over L's meet and join tables, its bounds and its size, which read and
+#    write the slot list.
 
 
-@dataclass(frozen=True)
-class _Lit:
-    """Internal term node: an already-resolved lattice element."""
-
-    value: int
-
-
-def _sub_term(t, L, env):
-    """Substitute env into a term; returns an int when fully resolved."""
-    if isinstance(t, _Lit):
-        return t.value
-    if isinstance(t, Bottom):
-        return L.bottom
-    if isinstance(t, Top):
-        return L.top
-    if isinstance(t, (Var, Const)):
-        return env[t.name] if t.name in env else t
-    if isinstance(t, Meet):
-        a = _sub_term(t.left, L, env)
-        b = _sub_term(t.right, L, env)
-        if isinstance(a, int) and isinstance(b, int):
-            return L.meet[a][b]
-        return Meet(a if isinstance(a, (Meet, Join, Var, Const, _Lit)) else _Lit(a),
-                    b if isinstance(b, (Meet, Join, Var, Const, _Lit)) else _Lit(b))
-    if isinstance(t, Join):
-        a = _sub_term(t.left, L, env)
-        b = _sub_term(t.right, L, env)
-        if isinstance(a, int) and isinstance(b, int):
-            return L.join[a][b]
-        return Join(a if isinstance(a, (Meet, Join, Var, Const, _Lit)) else _Lit(a),
-                    b if isinstance(b, (Meet, Join, Var, Const, _Lit)) else _Lit(b))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _wrap(v):
-    return _Lit(v) if isinstance(v, int) else v
-
-
-def _partial(f, L, env):
-    """Substitute env and constant-fold; returns a bool or a residual formula.
-
-    Quantifiers are left in place (their bound variables are still open);
-    every atom that became ground is decided, and connectives collapse, so a
-    single failed conjunct or antecedent prunes all inner quantifier loops.
+class _Node(NamedTuple):
+    """Normal-form formula.  kind "eq"/"ne": args = (term, term), the bound,
+    if any, on the right; "and"/"or": args = the parts; "all"/"ex": args =
+    (slot, body).  fv: the slots it reads.  A term is "0", "1", a slot
+    number, or (op, term, term) with op "meet" or "join" and no bound inside.
     """
-    if isinstance(f, Eq):
-        a = _sub_term(f.left, L, env)
-        b = _sub_term(f.right, L, env)
-        if isinstance(a, int) and isinstance(b, int):
-            return a == b
-        return Eq(_wrap(a), _wrap(b))
-    if isinstance(f, Leq):
-        a = _sub_term(f.left, L, env)
-        b = _sub_term(f.right, L, env)
-        if isinstance(a, int) and isinstance(b, int):
-            return L.meet[a][b] == a
-        return Leq(_wrap(a), _wrap(b))
-    if isinstance(f, JPred):
-        a = _sub_term(f.left, L, env)
-        b = _sub_term(f.right, L, env)
-        if isinstance(a, int) and isinstance(b, int):
-            return L.join[a][b] == L.top
-        return JPred(_wrap(a), _wrap(b))
-    if isinstance(f, MPred):
-        vals = [_sub_term(t, L, env) for t in f.terms]
-        if all(isinstance(v, int) for v in vals):
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = L.meet[acc][v]
-            return acc == L.bottom
-        return MPred(tuple(_wrap(v) for v in vals))
-    if isinstance(f, Not):
-        s = _partial(f.body, L, env)
-        return (not s) if isinstance(s, bool) else Not(s)
-    if isinstance(f, And):
-        a = _partial(f.left, L, env)
-        if a is False:
-            return False
-        b = _partial(f.right, L, env)
-        if b is False:
-            return False
-        if a is True:
-            return b
-        if b is True:
-            return a
-        return And(a, b)
-    if isinstance(f, Or):
-        a = _partial(f.left, L, env)
-        if a is True:
-            return True
-        b = _partial(f.right, L, env)
-        if b is True:
-            return True
-        if a is False:
-            return b
-        if b is False:
-            return a
-        return Or(a, b)
-    if isinstance(f, Implies):
-        a = _partial(f.left, L, env)
-        if a is False:
-            return True
-        b = _partial(f.right, L, env)
-        if a is True:
-            return b
-        if b is True:
-            return True
-        if b is False:
-            return Not(a)
-        return Implies(a, b)
-    if isinstance(f, (Forall, Exists)):
-        if f.var in env:
-            env = {k: v for k, v in env.items() if k != f.var}
-        s = _partial(f.body, L, env)
-        if isinstance(s, bool):
-            return s  # lattices are nonempty, so the quantifier is vacuous
-        return type(f)(f.var, s)
-    raise TypeError(f"not a formula: {f!r}")
+
+    kind: str
+    fv: frozenset
+    args: tuple
 
 
-def _expand(f, L):
-    """Decide a residual formula with no free names by quantifier expansion."""
+_BOUNDS = {"0": "bottom", "1": "top"}
+
+
+def _term_slots(t):
+    if isinstance(t, int):
+        return frozenset((t,))
+    if isinstance(t, tuple):
+        return _term_slots(t[1]) | _term_slots(t[2])
+    return frozenset()
+
+
+def _fold(op, a, b):
+    """op(a, b) with the bounds folded away."""
+    absorbing, neutral = ("0", "1") if op == "meet" else ("1", "0")
+    if absorbing in (a, b):
+        return absorbing
+    if a == neutral:
+        return b
+    if b == neutral:
+        return a
+    return (op, a, b)
+
+
+def _atom(a, b, positive):
+    """The literal a = b, or its negation; a truth value when it is fixed."""
+    if a == b:
+        return positive
+    if a in _BOUNDS and b in _BOUNDS:
+        return not positive  # 0 != 1 in every bounded lattice here
+    if a in _BOUNDS:
+        a, b = b, a
+    return _Node("eq" if positive else "ne", _term_slots(a) | _term_slots(b), (a, b))
+
+
+def _quantified(f):
+    return f.kind in ("all", "ex") or (f.kind in ("and", "or") and any(map(_quantified, f.args)))
+
+
+def _junction(kind, parts):
+    """Flattened "and"/"or" of parts (nodes or truth values), its
+    quantifier-free parts first."""
+    unit = kind == "and"
+    flat = []
+    for p in parts:
+        if p is unit:
+            continue
+        if isinstance(p, bool):
+            return p
+        flat.extend(p.args if p.kind == kind else (p,))
+    if not flat:
+        return unit
+    if len(flat) == 1:
+        return flat[0]
+    flat.sort(key=_quantified)
+    return _Node(kind, frozenset().union(*(p.fv for p in flat)), tuple(flat))
+
+
+def _quantify(kind, slot, body):
+    """Quantifier kind ("all"/"ex") over slot, pushed into body as far as it goes."""
+    if isinstance(body, bool) or slot not in body.fv:
+        return body  # lattices are nonempty, so the quantifier is vacuous
+    spreads = "and" if kind == "all" else "or"
+    if body.kind == spreads:
+        return _junction(spreads, [_quantify(kind, slot, p) for p in body.args])
+    if body.kind in ("and", "or"):
+        outside = [p for p in body.args if slot not in p.fv]
+        if outside:
+            inside = _junction(body.kind, [p for p in body.args if slot in p.fv])
+            return _junction(body.kind, outside + [_quantify(kind, slot, inside)])
+    return _Node(kind, body.fv - {slot}, (slot, body))
+
+
+def _normal_form(sentence, names):
+    """(normal form, 1 + highest name slot mentioned, slot count)."""
+    index = {nm: i for i, nm in enumerate(names)}
+    missing = {Const: set(), Var: set()}
+    width = len(index)
+    depth = 0
+
+    def name(t, scope):
+        nonlocal depth
+        slot = scope.get(t.name) if isinstance(t, Var) else None
+        if slot is None:
+            slot = index.get(t.name)
+            if slot is None:
+                missing[type(t)].add(t.name)
+                return "0"
+            depth = max(depth, slot + 1)
+        return slot
+
+    def term(t, scope):
+        if isinstance(t, (Var, Const)):
+            return name(t, scope)
+        if isinstance(t, Bottom):
+            return "0"
+        if isinstance(t, Top):
+            return "1"
+        if isinstance(t, Meet):
+            return _fold("meet", term(t.left, scope), term(t.right, scope))
+        if isinstance(t, Join):
+            return _fold("join", term(t.left, scope), term(t.right, scope))
+        raise TypeError(f"not a term: {t!r}")
+
+    def formula(f, positive, scope):
+        nonlocal width
+        if isinstance(f, Eq):
+            return _atom(term(f.left, scope), term(f.right, scope), positive)
+        if isinstance(f, Leq):
+            a = term(f.left, scope)
+            return _atom(_fold("meet", a, term(f.right, scope)), a, positive)
+        if isinstance(f, JPred):
+            return _atom(_fold("join", term(f.left, scope), term(f.right, scope)), "1", positive)
+        if isinstance(f, MPred):
+            acc = term(f.terms[0], scope)
+            for t in f.terms[1:]:
+                acc = _fold("meet", acc, term(t, scope))
+            return _atom(acc, "0", positive)
+        if isinstance(f, Not):
+            return formula(f.body, not positive, scope)
+        if isinstance(f, (And, Or, Implies)):
+            conj = isinstance(f, And) == positive
+            left = formula(f.left, positive != isinstance(f, Implies), scope)
+            return _junction("and" if conj else "or", [left, formula(f.right, positive, scope)])
+        if isinstance(f, (Forall, Exists)):
+            slot = width
+            width += 1
+            body = formula(f.body, positive, {**scope, f.var: slot})
+            return _quantify("all" if isinstance(f, Forall) == positive else "ex", slot, body)
+        raise TypeError(f"not a formula: {f!r}")
+
+    out = formula(sentence, True, {})
+    if missing[Const]:
+        raise MissingConstant(min(missing[Const]))
+    if missing[Var]:
+        raise UnboundVariable(min(missing[Var]))
+    return out, depth, width
+
+
+def _term_maker(t):
+    """make(L) -> get, with get(s) the value of term t (not a bound) under
+    slot list s."""
+    if isinstance(t, int):
+        return lambda L: itemgetter(t)
+    op, a, b = t
+    if isinstance(a, int) and isinstance(b, int):
+        def make(L):
+            T = getattr(L, op)
+            return lambda s: T[s[a]][s[b]]
+
+        return make
+    ma, mb = _term_maker(a), _term_maker(b)
+
+    def make(L):
+        T, ga, gb = getattr(L, op), ma(L), mb(L)
+        return lambda s: T[ga(s)][gb(s)]
+
+    return make
+
+
+def _atom_maker(f):
+    a, b = f.args
+    eq = f.kind == "eq"
+    if b in _BOUNDS:
+        bound = _BOUNDS[b]
+        if isinstance(a, int):
+            def make(L):
+                c = getattr(L, bound)
+                return (lambda s: s[a] == c) if eq else (lambda s: s[a] != c)
+        elif isinstance(a[1], int) and isinstance(a[2], int):
+            op, i, j = a
+
+            def make(L):
+                T, c = getattr(L, op), getattr(L, bound)
+                return (lambda s: T[s[i]][s[j]] == c) if eq else (lambda s: T[s[i]][s[j]] != c)
+        else:
+            ma = _term_maker(a)
+
+            def make(L):
+                ga, c = ma(L), getattr(L, bound)
+                return (lambda s: ga(s) == c) if eq else (lambda s: ga(s) != c)
+        return make
+    if isinstance(a, int) and isinstance(b, int):
+        return lambda L: (lambda s: s[a] == s[b]) if eq else (lambda s: s[a] != s[b])
+    ma, mb = _term_maker(a), _term_maker(b)
+
+    def make(L):
+        ga, gb = ma(L), mb(L)
+        return (lambda s: ga(s) == gb(s)) if eq else (lambda s: ga(s) != gb(s))
+
+    return make
+
+
+def _junction_maker(f):
+    makers = [_maker(p) for p in f.args]
+    conj = f.kind == "and"
+
+    def make(L):
+        tests = [m(L) for m in makers]
+        if len(tests) == 2:
+            t1, t2 = tests
+            return (lambda s: t1(s) and t2(s)) if conj else (lambda s: t1(s) or t2(s))
+
+        def test(s):
+            for t in tests:
+                if t(s) is not conj:
+                    return not conj
+            return conj
+
+        return test
+
+    return make
+
+
+def _quantifier_maker(f):
+    slot, body = f.args
+    universal = f.kind == "all"
+    # after miniscoping the body of an A is never an "and", nor that of an E
+    # an "or"; when it is the other junction the loop tests its parts itself,
+    # one call fewer per element
+    parts = body.args if body.kind == ("or" if universal else "and") else (body,)
+    makers = [_maker(p) for p in parts]
+
+    def make(L):
+        tests, domain = [m(L) for m in makers], range(L.n)
+
+        def run(s):
+            for v in domain:
+                s[slot] = v
+                for test in tests:
+                    if test(s) is universal:
+                        break  # this element satisfies the body (A) or fails it (E)
+                else:
+                    return not universal
+            return universal
+
+        return run
+
+    return make
+
+
+def _maker(f):
+    """make(L) -> test, with test(s) the truth of normal form f under slot list s."""
     if isinstance(f, bool):
-        return f
-    if isinstance(f, (Forall, Exists)):
-        want_witness = isinstance(f, Exists)
-        for val in range(L.n):
-            s = _partial(f.body, L, {f.var: val})
-            if _expand(s, L) is want_witness:
-                return want_witness
-        return not want_witness
-    if isinstance(f, Not):
-        return not _expand(f.body, L)
-    if isinstance(f, And):
-        return _expand(f.left, L) and _expand(f.right, L)
-    if isinstance(f, Or):
-        return _expand(f.left, L) or _expand(f.right, L)
-    if isinstance(f, Implies):
-        return (not _expand(f.left, L)) or _expand(f.right, L)
-    raise TypeError(f"residual atom with no bound value: {f!r}")
+        return lambda L: (lambda s: f)
+    if f.kind in ("eq", "ne"):
+        return _atom_maker(f)
+    if f.kind in ("and", "or"):
+        return _junction_maker(f)
+    return _quantifier_maker(f)
+
+
+class Compiled(NamedTuple):
+    """A sentence compiled against a list of names.
+
+    depth: 1 + the highest slot of a listed name it mentions (0 for none);
+    width: the length of slot list it needs, the names' slots first;
+    bind: bind(L) -> test, with test(slots) its truth in L.
+    """
+
+    depth: int
+    width: int
+    bind: object
+
+
+def compile_sentence(sentence, names):
+    """Compile once; each name in `names` is a constant or a free variable.
+
+    Raises MissingConstant or UnboundVariable (the least such name) when the
+    sentence mentions a name that is neither listed nor bound.
+    """
+    normal, depth, width = _normal_form(sentence, names)
+    return Compiled(depth, width, _maker(normal))
 
 
 def eval_formula(L, sentence, constant_interpretation=None):
     """Tarskian truth over all of L; raises on unbound names."""
     interp = dict(constant_interpretation or {})
-    for name in sorted(constant_names(sentence)):
-        if name not in interp:
-            raise MissingConstant(name)
-    for name in sorted(free_variables(sentence)):
-        if name not in interp:
-            raise UnboundVariable(name)
-    return _expand(_partial(sentence, L, interp), L)
+    compiled = compile_sentence(sentence, interp)
+    slots = list(interp.values()) + [0] * (compiled.width - len(interp))
+    return compiled.bind(L)(slots)
 
 # ---------------------------------------------------------------- builtins
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonCanonicalInput, NotApplicable, NotDisjoint
+from .errors import NonCanonicalInput, NotApplicable, NotDisjoint, PostconditionFailed
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -146,7 +146,8 @@ def normality_witness(x, y):
             u_parts.append((a, b))
     u = riset(*u_parts)
     v = riset(*v_parts)
-    assert meet(x, u).is_empty() and meet(y, v).is_empty() and join(u, v) == top()
+    if not (meet(x, u).is_empty() and meet(y, v).is_empty() and join(u, v) == top()):
+        raise PostconditionFailed("normality witness does not separate")
     return u, v
 
 
@@ -167,7 +168,8 @@ def disjunctive_witness(a, b):
             break
     else:  # pragma: no cover - nonempty difference always yields a piece
         raise NotApplicable("no nonempty difference piece found")
-    assert not c.is_empty() and meet(c, a) == c and meet(c, b).is_empty()
+    if c.is_empty() or meet(c, a) != c or not meet(c, b).is_empty():
+        raise PostconditionFailed("disjunctive witness is not a nonempty part of a off b")
     return c
 
 

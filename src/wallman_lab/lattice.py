@@ -75,6 +75,11 @@ class Chicane:
     z3: int
 
 
+def _is_index(v, n):
+    """An int in 0..n-1; a bool is not an index, though Python counts it as an int."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 def table_violations(names, meet, join, bottom, top):
     """Return the complete list of (law, witness) pairs violated by the tables."""
     n = len(names)
@@ -83,9 +88,9 @@ def table_violations(names, meet, join, bottom, top):
     for t, label in ((meet, "meet"), (join, "join")):
         for row in t:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not _is_index(v, n):
                     raise MalformedTables(f"{label} entry {v!r} out of range")
-    if not 0 <= bottom < n or not 0 <= top < n:
+    if not _is_index(bottom, n) or not _is_index(top, n):
         raise MalformedTables("bottom/top out of range")
     if n < 2 or bottom == top:
         raise MalformedTables("a bounded lattice needs distinct bottom and top")

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .enumeration import all_labeled_lattices, lattices_of_size
-from .errors import NotDistributive
+from .errors import NotDistributive, PostconditionFailed, PreconditionViolated
 from .fol import (
     BOT,
     And,
@@ -31,7 +31,7 @@ from .fol import (
     builtin_disjunctive,
     builtin_distributive,
     builtin_normality,
-    constant_names,
+    compile_sentence,
     diagram,
     eval_formula,
 )
@@ -94,56 +94,62 @@ def _quantifier_count(f):
 
 
 def _schedule(theory):
-    """For each constant-prefix depth, the sentences that become checkable
-    there, cheapest (fewest quantifiers) first."""
+    """Each sentence compiled once, with the constants in slots 0..k-1.
+
+    Returns the constants, for each constant-prefix depth the compiled
+    sentences that become checkable there, cheapest (fewest quantifiers)
+    first, and the slot-list width they need.
+    """
     consts = list(theory.constants)
-    index = {c: i for i, c in enumerate(consts)}
     stages = [[] for _ in range(len(consts) + 1)]
+    width = len(consts)
     for pos, s in enumerate(theory.sentences):
-        used = constant_names(s)
-        depth = max((index[c] + 1 for c in used), default=0)
-        stages[depth].append((_quantifier_count(s), pos, s))
-    for stage in stages:
-        stage.sort()
-    return consts, stages
+        compiled = compile_sentence(s, consts)
+        stages[compiled.depth].append((_quantifier_count(s), pos, compiled.bind))
+        width = max(width, compiled.width)
+    return consts, [[bind for _, _, bind in sorted(stage)] for stage in stages], width
 
 
-def _satisfying_interpretation(L, consts, stages, tracker):
-    interp = {}
-
-    def stage_ok(depth):
-        return all(eval_formula(L, s, interp) for _, _, s in stages[depth])
-
-    def extend(depth):
-        if not stage_ok(depth):
+def _extend(depth, tests, slots, domain, tracker):
+    """Assign the constants from `depth` on; tests[d] checks the prefix of d."""
+    for test in tests[depth]:
+        if not test(slots):
             return False
-        if depth == len(consts):
+    if depth == len(tests) - 1:
+        return True
+    for val in domain:
+        tracker.tick()
+        slots[depth] = val
+        if _extend(depth + 1, tests, slots, domain, tracker):
             return True
-        for val in range(L.n):
-            tracker.tick()
-            interp[consts[depth]] = val
-            if extend(depth + 1):
-                return True
-            del interp[consts[depth]]
-        return False
+    return False
 
-    if extend(0):
-        return dict(interp)
+
+def _satisfying_interpretation(L, schedule, tracker):
+    # a module-level recursion, not a closure that calls itself: such a
+    # closure is a reference cycle that would keep each lattice's bound
+    # sentences alive until the garbage collector runs
+    consts, stages, width = schedule
+    tests = [[bind(L) for bind in stage] for stage in stages]
+    slots = [0] * width
+    if _extend(0, tests, slots, range(L.n), tracker):
+        return dict(zip(consts, slots))
     return None
 
 
 def find_model(theory, budget=SearchBudget()):
     """First model in canonical order within the budget, or a non-model
     outcome; every returned model re-verifies against all sentences."""
-    consts, stages = _schedule(theory)
+    schedule = _schedule(theory)
     tracker = _Budget(budget)
     try:
         for n in range(2, budget.max_size + 1):
             for L in lattices_of_size(n):
                 tracker.tick()
-                interp = _satisfying_interpretation(L, consts, stages, tracker)
+                interp = _satisfying_interpretation(L, schedule, tracker)
                 if interp is not None:
-                    assert all(eval_formula(L, s, interp) for s in theory.sentences)
+                    if not all(eval_formula(L, s, interp) for s in theory.sentences):
+                        raise PostconditionFailed(f"model {interp} on {L.n} elements fails a sentence")
                     return Model(L, interp)
     except _OutOfBudget as stop:
         return BudgetExceeded(str(stop))
@@ -155,11 +161,11 @@ def find_model_naive(theory, max_size):
 
     Returns a bare satisfiability verdict; intended only for small sizes.
     """
-    consts, stages = _schedule(theory)
+    schedule = _schedule(theory)
     tracker = _Budget(SearchBudget(max_size=max_size, node_limit=10**9, time_limit=3600))
     for n in range(2, max_size + 1):
         for L in all_labeled_lattices(n):
-            if _satisfying_interpretation(L, consts, stages, tracker) is not None:
+            if _satisfying_interpretation(L, schedule, tracker) is not None:
                 return True
     return False
 
@@ -263,7 +269,8 @@ def check_finite_subset_consistency(theory, parts, budget=SearchBudget()):
     sentence_set = set(theory.sentences)
     for part in parts:
         part = tuple(part)
-        assert all(s in sentence_set for s in part)
+        if not all(s in sentence_set for s in part):
+            raise PreconditionViolated("a part holds a sentence that is not in the theory")
         sub = Theory(theory.constants, part)
         out.append(find_model(sub, budget))
     return out

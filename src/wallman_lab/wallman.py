@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonSingletonFiber, NotABase, NotBoolean, NotDistributive
+from .errors import NonSingletonFiber, NotABase, NotBoolean, NotDistributive, PostconditionFailed
 from .lattice import FiniteLattice, _mask_lattice, is_distributive
 from .spaces import (
     _fiber_point,
@@ -94,9 +94,12 @@ def wallman_space(L):
     base = tuple(base)
     for a in L.elements():
         for b in L.elements():
-            assert base[L.meet[a][b]] == base[a] & base[b]
-            assert base[L.join[a][b]] == base[a] | base[b]
-    assert base[L.bottom] == 0 and base[L.top] == (1 << len(points)) - 1
+            if base[L.meet[a][b]] != base[a] & base[b]:
+                raise PostconditionFailed(f"Wallman base misses the meet of {a} and {b}")
+            if base[L.join[a][b]] != base[a] | base[b]:
+                raise PostconditionFailed(f"Wallman base misses the join of {a} and {b}")
+    if base[L.bottom] != 0 or base[L.top] != (1 << len(points)) - 1:
+        raise PostconditionFailed("Wallman base misses a bound")
     return WallmanSpace(L, points, base)
 
 
@@ -189,8 +192,10 @@ def stone_space(B):
     npts = len(W.points)
     full = (1 << npts) - 1
     for a in B.elements():
-        assert W.base[_complement(B, a)] == full & ~W.base[a]
-    assert npts == len(atoms(B))
+        if W.base[_complement(B, a)] != full & ~W.base[a]:
+            raise PostconditionFailed(f"Stone base set of {a} is not clopen")
+    if npts != len(atoms(B)):
+        raise PostconditionFailed("Stone space has not one point per atom")
     return W
 
 
@@ -216,6 +221,8 @@ def alexandroff_preimage(X, family):
     W = stone_space(algebra)  # also verifies that the base sets are clopen
     Y = W.space()
     f = [_fiber_point(X.full, (X.closure(members[a]) for a in u.members)) for u in W.points]
-    assert is_continuous(f, Y, X)
-    assert is_surjective(f, Y, X)
+    if not is_continuous(f, Y, X):
+        raise PostconditionFailed("Alexandroff preimage map is not continuous")
+    if not is_surjective(f, Y, X):
+        raise PostconditionFailed("Alexandroff preimage map is not onto")
     return Y, f

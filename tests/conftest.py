@@ -1,7 +1,13 @@
 import os
 import random
+from pathlib import Path
 
 import pytest
+
+# Subprocesses started by the tests (CLI runs, `python -O` checks) import the
+# package from src/, as the test process does through pyproject's pythonpath.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -165,6 +165,47 @@ class TestInputHandling:
         assert proc.returncode == 2
         assert "points must be a non-negative integer" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bottom", False), ("top", True), ("meet", True), ("join", False)],
+    )
+    def test_boolean_in_lattice_tables_is_input_error(self, fixtures, field, value):
+        data = json.loads(open(fixtures["ba4"]).read())
+        if field in ("meet", "join"):
+            data[field][1][1] = value  # the entry is 1 in a valid table
+        else:
+            data[field] = value
+        path = fixtures["tmp"] / "bool_tables.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert "out of range" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "poset, what",
+        [({"size": True, "le": []}, "poset size"), ({"size": 2, "le": [[0, True]]}, "poset index")],
+    )
+    def test_boolean_in_poset_is_input_error(self, fixtures, poset, what):
+        path = fixtures["tmp"] / "bool_poset.json"
+        path.write_text(json.dumps({"poset": poset}))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert f"{what} must be a non-negative integer, not True" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "space, what",
+        [
+            ({"points": True, "closed": [[], [0]]}, "points"),
+            ({"points": 2, "closed": [[], [True], [0, 1]]}, "closed-set point"),
+        ],
+    )
+    def test_boolean_in_space_is_input_error(self, fixtures, space, what):
+        path = fixtures["tmp"] / "bool_space.json"
+        path.write_text(json.dumps(space))
+        proc = run_cli("surject", str(path), fixtures["y2"])
+        assert proc.returncode == 2
+        assert f"{what} must be a non-negative integer, not True" in proc.stderr
+
     def test_poset_index_out_of_range_is_input_error(self, fixtures):
         path = fixtures["tmp"] / "bad_poset.json"
         path.write_text(json.dumps({"poset": {"size": 2, "le": [[-1, 0]]}}))
@@ -239,6 +280,12 @@ class TestEf:
     def test_assert_flag(self, fixtures):
         proc = run_cli("ef", fixtures["ba4"], fixtures["chain3"], "--rounds", "3", "--assert")
         assert proc.returncode == 1
+
+    def test_negative_rounds_is_input_error(self, fixtures):
+        proc = run_cli("ef", fixtures["ba4"], fixtures["chain3"], "--rounds", "-1")
+        assert proc.returncode == 2
+        assert "--rounds must be non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestFindModel:

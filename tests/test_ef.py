@@ -1,3 +1,5 @@
+import pytest
+
 from wallman_lab.ef import (
     ef_equivalent,
     elementarily_equivalent_finite,
@@ -43,6 +45,10 @@ class TestGame:
                 threshold = k
                 break
         assert threshold is not None and threshold <= 4
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError):
+            ef_equivalent(chain(2), chain(2), -1)
 
     def test_monotone_in_rounds(self):
         A, B = chain(3), chain(4)

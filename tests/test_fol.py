@@ -8,9 +8,11 @@ from wallman_lab.errors import (
     MissingConstant,
     UnboundVariable,
 )
+from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.fol import (
     And,
     BOT,
+    Bottom,
     Const,
     Eq,
     Exists,
@@ -25,6 +27,7 @@ from wallman_lab.fol import (
     Or,
     Theory,
     TOP,
+    Top,
     Var,
     bind_constants,
     builtin_HI,
@@ -182,6 +185,118 @@ def test_closed_formulas_evaluate(f, pick):
     assert eval_formula(lattices[pick], f) in (True, False)
 
 
+def reference_term(L, t, consts, env):
+    if isinstance(t, Bottom):
+        return L.bottom
+    if isinstance(t, Top):
+        return L.top
+    if isinstance(t, Const):
+        return consts[t.name]
+    if isinstance(t, Var):
+        return env[t.name]
+    a = reference_term(L, t.left, consts, env)
+    b = reference_term(L, t.right, consts, env)
+    return L.meet[a][b] if isinstance(t, Meet) else L.join[a][b]
+
+
+def reference_eval(L, f, consts, env):
+    """Tarskian truth by plain recursion: no pruning, no normal form."""
+    if isinstance(f, (Eq, Leq, JPred)):
+        a = reference_term(L, f.left, consts, env)
+        b = reference_term(L, f.right, consts, env)
+        if isinstance(f, Eq):
+            return a == b
+        if isinstance(f, Leq):
+            return L.meet[a][b] == a
+        return L.join[a][b] == L.top
+    if isinstance(f, MPred):
+        acc = L.top
+        for t in f.terms:
+            acc = L.meet[acc][reference_term(L, t, consts, env)]
+        return acc == L.bottom
+    if isinstance(f, Not):
+        return not reference_eval(L, f.body, consts, env)
+    if isinstance(f, And):
+        return reference_eval(L, f.left, consts, env) and reference_eval(L, f.right, consts, env)
+    if isinstance(f, Or):
+        return reference_eval(L, f.left, consts, env) or reference_eval(L, f.right, consts, env)
+    if isinstance(f, Implies):
+        return not reference_eval(L, f.left, consts, env) or reference_eval(L, f.right, consts, env)
+    values = [reference_eval(L, f.body, consts, {**env, f.var: v}) for v in range(L.n)]
+    return all(values) if isinstance(f, Forall) else any(values)
+
+
+SMALL_LATTICES = [L for n in range(2, 6) for L in lattices_of_size(n)]
+NAMES = ["a", "b", "x", "y"]  # a, b are constants; every name may be bound
+
+
+def named_formula_strategy():
+    variables = [Var("a"), Var("x"), Var("y")]
+    leaves = st.sampled_from([BOT, TOP, Const("a"), Const("b")] + variables * 2)
+    terms = st.recursive(
+        leaves, lambda sub: st.builds(Meet, sub, sub) | st.builds(Join, sub, sub), max_leaves=3
+    )
+    atoms = (
+        st.builds(Eq, terms, terms)
+        | st.builds(Leq, terms, terms)
+        | st.builds(JPred, terms, terms)
+        | st.builds(MPred, st.lists(terms, min_size=1, max_size=3).map(tuple))
+    )
+    quantifiers = st.sampled_from([Forall, Exists])
+    connectives = st.sampled_from([And, Or, Implies])
+    return st.recursive(
+        atoms,
+        lambda sub: (
+            st.builds(Not, sub)
+            | st.builds(lambda c, left, right: c(left, right), connectives, sub, sub)
+            | st.builds(lambda q, v, body: q(v, body), quantifiers, st.sampled_from(NAMES), sub)
+            # a binder right over a connective: the shapes miniscoping rewrites
+            | st.builds(
+                lambda q, v, c, left, right: q(v, c(left, right)),
+                quantifiers,
+                st.sampled_from(NAMES),
+                connectives,
+                sub,
+                sub,
+            )
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(named_formula_strategy(), st.sampled_from(SMALL_LATTICES), st.data())
+def test_compiled_evaluator_agrees_with_reference(f, L, data):
+    # one value per name serves the constants and the free variables alike
+    interp = {nm: data.draw(st.integers(0, L.n - 1), label=nm) for nm in NAMES}
+    assert eval_formula(L, f, interp) is reference_eval(L, f, interp, interp)
+
+
+MINISCOPING_CASES = (
+    "A x. (x = 0 | !(x = 0))",  # A over |, both parts mention x: stays
+    "E x. (x = 0 & x = 1)",  # E over &, both parts mention x: stays
+    "A x. (x = 0 & x <= 1)",  # A distributes over &
+    "E x. (x = 0 | x = 1)",  # E distributes over |
+    "A x. (a = 0 | x <= a)",  # a part without x leaves the scope
+    "E x. (a = 0 & !(x = a))",
+    "A x. ((x ^ a = 0 & x ^ b = 0) -> x = 0)",  # conjunctive antecedent, curried
+    "!(A x. E y. (x ^ y = 0 & x v y = 1))",
+    "E x. (A y. (y <= x) & !(x = 1))",
+    "A x. (E y. (x ^ y = 0 & !(y = 0)) -> !(x = 1) | a = x)",
+)
+
+
+def test_miniscoping_keeps_truth():
+    lattices = [chain(2), chain(3), powerset_lattice(2), diamond_m3(), lattices_of_size(5)[0]]
+    for text in MINISCOPING_CASES:
+        f = bind_constants(parse(text), ("a", "b"))
+        for L in lattices:
+            for a in range(L.n):
+                for b in range(L.n):
+                    interp = {"a": a, "b": b}
+                    assert eval_formula(L, f, interp) is reference_eval(L, f, interp, interp), (text, L.names, interp)
+
+
 class TestEval:
     def test_conn_false_on_boolean_four(self):
         assert eval_formula(powerset_lattice(2), builtin_conn()) is False
@@ -213,6 +328,24 @@ class TestEval:
         assert eval_formula(L, g, {"a": 0b01, "b": 0b10, "c": 0b11})
         assert not eval_formula(L, g, {"a": 0b01, "b": 0b11, "c": 0b11})
 
+    def test_binder_shadows_a_variable_not_a_constant(self):
+        L = chain(3)
+        assert eval_formula(L, Forall("a", Eq(Const("a"), BOT)), {"a": 0}) is True
+        assert eval_formula(L, Exists("a", Not(Eq(Const("a"), Var("a")))), {"a": 1}) is True
+        inner = Exists("x", And(Eq(Var("x"), TOP), Forall("x", Leq(BOT, Var("x")))))
+        assert eval_formula(L, Forall("x", inner)) is True
+        assert eval_formula(L, Exists("x", And(Eq(Var("x"), BOT), Exists("x", Eq(Var("x"), TOP))))) is True
+
+    def test_free_variable_takes_its_value_unless_bound(self):
+        L = chain(3)
+        f = And(Eq(Var("x"), TOP), Exists("x", Eq(Var("x"), BOT)))
+        assert eval_formula(L, f, {"x": 2}) is True
+        assert eval_formula(L, f, {"x": 1}) is False
+
+    def test_missing_constant_reported_before_unbound_variable(self):
+        with pytest.raises(MissingConstant):
+            eval_formula(chain(2), Eq(Var("b"), Const("c")))
+
     def test_leq_elaborates_to_meet_equation(self):
         L = chain(3)
         f = bind_constants(parse("a <= b"), ("a", "b"))
@@ -221,8 +354,8 @@ class TestEval:
 
 
 class TestBuiltinAgreement:
-    def test_full_enumeration_to_five(self):
-        for L in enumerate_distributive(5):
+    def test_full_enumeration_to_seven(self):
+        for L in enumerate_distributive(7):
             assert eval_formula(L, builtin_normality()) == is_normal(L)[0]
             assert eval_formula(L, builtin_conn()) == conn(L, L.top)[0]
             assert eval_formula(L, builtin_HI()) == satisfies_HI(L)[0]

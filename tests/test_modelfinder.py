@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from wallman_lab.fol import (
@@ -14,6 +17,7 @@ from wallman_lab.fol import (
     builtin_disjunctive,
     builtin_distributive,
     builtin_normality,
+    bind_constants,
     eval_formula,
     parse,
 )
@@ -38,6 +42,48 @@ class TestBudget:
             SearchBudget(max_size=1)
         with pytest.raises(ValueError):
             SearchBudget(node_limit=0)
+
+    @pytest.mark.parametrize(
+        "theory, max_size, nodes, outcome",
+        [
+            # Node counts as measured before sentences were compiled: how
+            # sentences are evaluated must not change which nodes a search visits.
+            (
+                Theory(
+                    ("a", "b"),
+                    tuple(
+                        bind_constants(parse(text), ("a", "b"))
+                        for text in (
+                            "!(a = 0)",
+                            "!(b = 0)",
+                            "a ^ b = 0",
+                            "E x. (!(x = a) & !(x = b) & !(x = 0) & !(x = 1))",
+                            "A x. (x ^ a = 0 -> x <= b)",
+                        )
+                    )
+                    + (builtin_distributive(),),
+                ),
+                7,
+                57,
+                Model,
+            ),
+            (
+                Theory(
+                    ("a1", "a2", "b1", "b2"),
+                    kappa_constants_theory(2).sentences + (Eq(Const("a1"), Const("b1")),),
+                ),
+                7,
+                16520,
+                ExhaustedNoModel,
+            ),
+        ],
+    )
+    def test_search_tree_size_is_pinned(self, theory, max_size, nodes, outcome):
+        # a search of k nodes finishes with node_limit k + 1 and runs out at k
+        enough = find_model(theory, SearchBudget(max_size=max_size, node_limit=nodes + 1))
+        assert isinstance(enough, outcome)
+        short = find_model(theory, SearchBudget(max_size=max_size, node_limit=nodes))
+        assert short == BudgetExceeded("node limit reached")
 
     def test_node_limit_reported(self):
         theory = kappa_constants_theory(2)
@@ -251,3 +297,35 @@ class TestSubsetConsistency:
         theory = Theory((), (builtin_conn(),))
         (result,) = check_finite_subset_consistency(theory, [()], SearchBudget(max_size=2))
         assert isinstance(result, Model) and result.lattice.n == 2
+
+
+class TestSelfChecksUnderOptimization:
+    """`python -O` strips assert statements; the package's checks must stay."""
+
+    def run_optimized(self, code):
+        return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+
+    def test_a_model_that_fails_reverification_is_refused(self):
+        proc = self.run_optimized(
+            "from wallman_lab import modelfinder as mf\n"
+            "from wallman_lab.errors import PostconditionFailed\n"
+            "from wallman_lab.fol import Theory, builtin_distributive\n"
+            "mf.eval_formula = lambda L, s, interp=None: False\n"
+            "try:\n"
+            "    mf.find_model(Theory((), (builtin_distributive(),)), mf.SearchBudget(max_size=2))\n"
+            "except PostconditionFailed:\n"
+            "    print('refused')\n"
+        )
+        assert proc.stdout.strip() == "refused", proc.stderr
+
+    def test_a_part_outside_the_theory_is_rejected(self):
+        proc = self.run_optimized(
+            "from wallman_lab.errors import PreconditionViolated\n"
+            "from wallman_lab.fol import Theory, builtin_HI, builtin_conn\n"
+            "from wallman_lab.modelfinder import check_finite_subset_consistency\n"
+            "try:\n"
+            "    check_finite_subset_consistency(Theory((), (builtin_conn(),)), [(builtin_HI(),)])\n"
+            "except PreconditionViolated:\n"
+            "    print('rejected')\n"
+        )
+        assert proc.stdout.strip() == "rejected", proc.stderr
