@@ -62,6 +62,13 @@ def _index(value, bound, what):
     return value
 
 
+def _names(value, what):
+    """value as a tuple if it is a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"{what} must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
 def load_lattice(path):
     data = _read_json(path)
     try:
@@ -83,7 +90,7 @@ def load_lattice(path):
             poset = Poset(size, tuple(tuple(r) for r in le)).validate()
             return downset_lattice(poset)
         return validate(
-            tuple(data["elements"]),
+            _names(data["elements"], "elements"),
             tuple(tuple(r) for r in data["meet"]),
             tuple(tuple(r) for r in data["join"]),
             data["bottom"],
@@ -112,7 +119,7 @@ def load_theory(path):
 
     data = _read_json(path)
     try:
-        constants = tuple(data["constants"])
+        constants = _names(data["constants"], "constants")
         sentences = tuple(
             bind_constants(parse(text), constants) for text in data["sentences"]
         )
@@ -241,6 +248,8 @@ def cmd_eval(args):
     interp = {}
     for item in args.let:
         name, _, value = item.partition("=")
+        if not name or name in interp:
+            raise InputError(f"--let {item}: the name must be non-empty and given once")
         if not (value.isdigit() and int(value) < L.n):
             raise InputError(f"--let {item}: the value must be an element index in 0..{L.n - 1}")
         interp[name] = int(value)

@@ -55,9 +55,15 @@ def _consistent(A, B, pairs):
 
 def ef_equivalent(A, B, rounds):
     """(True, None) if the matcher survives `rounds` rounds, else
-    (False, SpoilerStrategy)."""
+    (False, SpoilerStrategy).
+
+    A lattice on n elements is described up to isomorphism by a sentence of
+    quantifier rank n + 1, so no verdict changes past min(A.n, B.n) + 1
+    rounds and the game is played with at most that many.
+    """
     if rounds < 0:
         raise ValueError(f"rounds must be non-negative, not {rounds}")
+    rounds = min(rounds, min(A.n, B.n) + 1)
     memo = {}
 
     def matcher_wins(pairs, k):

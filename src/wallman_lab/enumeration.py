@@ -4,7 +4,12 @@ Posets are represented by ``down``: a tuple where down[a] is the bitmask of
 {b : b <= a} including a itself.  Generation adds one new maximal element at a
 time; a structure minus a maximal element stays in the class, so the recursion
 is complete.  Duplicates are removed with an invariant bucket plus an explicit
-isomorphism search, which keeps the whole pipeline deterministic.
+isomorphism search, which keeps the whole pipeline deterministic: each
+candidate's up-masks are computed once, by walking the bits of its down-masks,
+and give the profile (|down(a)|, |up(a)|) per element that keys the bucket and
+restricts the isomorphism search.  Lattice tables are read off by mask lookup:
+meet[a][b] is the element whose down-mask is down[a] & down[b], and join[a][b]
+the one whose up-mask is up[a] & up[b].
 """
 
 from __future__ import annotations
@@ -14,44 +19,29 @@ from functools import lru_cache
 from .lattice import Poset, validate
 
 
-def _popcount(x):
-    return bin(x).count("1")
-
-
-def _bits(mask):
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 def _up_masks(down):
-    m = len(down)
-    up = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if down[b] >> a & 1:
-                up[a] |= 1 << b
+    """up[a] is the bitmask of {b : a <= b}, read off the down-masks bit by bit."""
+    up = [0] * len(down)
+    for b, d in enumerate(down):
+        bit = 1 << b
+        while d:
+            low = d & -d
+            up[low.bit_length() - 1] |= bit
+            d ^= low
     return up
 
 
-def _invariant(down):
-    up = _up_masks(down)
-    prof = sorted((_popcount(down[a]), _popcount(up[a])) for a in range(len(down)))
-    return (len(down), tuple(prof))
+def _profile(down):
+    """(|down(a)|, |up(a)|) for each element a: the invariant behind dedupe."""
+    return [(d.bit_count(), u.bit_count()) for d, u in zip(down, _up_masks(down))]
 
 
-def _poset_isomorphic(down_a, down_b):
+def _poset_isomorphic(down_a, prof_a, down_b, prof_b):
+    """Is there an order isomorphism that keeps each element's profile?
+
+    The two profiles are equal as multisets, as within one dedupe bucket.
+    """
     m = len(down_a)
-    if len(down_b) != m:
-        return False
-    up_a, up_b = _up_masks(down_a), _up_masks(down_b)
-    prof_a = [(_popcount(down_a[i]), _popcount(up_a[i])) for i in range(m)]
-    prof_b = [(_popcount(down_b[i]), _popcount(up_b[i])) for i in range(m)]
-    if sorted(prof_a) != sorted(prof_b):
-        return False
     mapping = [-1] * m
     used = [False] * m
 
@@ -89,27 +79,27 @@ def _dedupe(candidates):
     buckets = {}
     out = []
     for down in candidates:
-        key = _invariant(down)
-        bucket = buckets.setdefault(key, [])
-        if any(_poset_isomorphic(down, other) for other in bucket):
+        prof = _profile(down)
+        bucket = buckets.setdefault(tuple(sorted(prof)), [])
+        if any(_poset_isomorphic(down, prof, other, other_prof) for other, other_prof in bucket):
             continue
-        bucket.append(down)
+        bucket.append((down, prof))
         out.append(down)
     return out
 
 
 def _downsets(down):
-    """All down-closed subsets of a poset given by inclusive down-masks."""
-    m = len(down)
-    out = []
-    for mask in range(1 << m):
-        ok = True
-        for a in _bits(mask):
-            if down[a] & ~mask:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
+    """All down-closed subsets of a poset given by inclusive down-masks, ascending.
+
+    Each element is maximal among those before it, so a down-set of the
+    first a elements extends by element a exactly when it holds everything
+    strictly below a.
+    """
+    out = [0]
+    for a, d in enumerate(down):
+        below = d & ~(1 << a)
+        out += [s | 1 << a for s in out if below & ~s == 0]
+    out.sort()
     return out
 
 
@@ -137,64 +127,40 @@ def posets_up_to_iso(m):
     return out
 
 
-def _semilattice_ok(down, dset):
-    """Can a new maximal element with (exclusive) downset dset be added?
-
-    Requires a meet for the new element with every existing one: each
-    dset & down[a] must have a maximum.
-    """
-    m = len(down)
-    for a in range(m):
-        common = dset & down[a]
-        if common == 0:
-            return False
-        ok = False
-        for t in _bits(common):
-            if common & ~down[t] == 0:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _semilattices_raw(m):
-    """Meet-semilattices on m elements up to isomorphism (element 0 is the bottom)."""
+    """Meet-semilattices on m elements up to isomorphism (element 0 is the bottom).
+
+    A new maximal element with (exclusive) down-set dset needs a meet with
+    every existing element d: the down-closed set dset & d must have a
+    maximum, that is, be some element's down-mask.
+    """
     if m == 0:
         return ()
     if m == 1:
         return ((1,),)
     candidates = []
     for parent in _semilattices_raw(m - 1):
+        down_masks = set(parent)
         for dset in _downsets(parent):
-            if not _semilattice_ok(parent, dset):
-                continue
-            candidates.append(parent + (dset | (1 << (m - 1)),))
+            if all((dset & d) in down_masks for d in parent):
+                candidates.append(parent + (dset | (1 << (m - 1)),))
     return tuple(_dedupe(candidates))
 
 
 def _lattice_from_semilattice(down):
-    """Adjoin a top to a meet-semilattice and read off both tables."""
-    m = len(down)
-    n = m + 1
-    full = (1 << n) - 1
-    downs = [d for d in down] + [full]
-    ups = _up_masks(tuple(downs))
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            common = downs[a] & downs[b]
-            for t in _bits(common):
-                if common & ~downs[t] == 0:
-                    meet[a][b] = t
-                    break
-            upper = ups[a] & ups[b]
-            for t in _bits(upper):
-                if upper & ~ups[t] == 0:
-                    join[a][b] = t
-                    break
+    """Adjoin a top to a meet-semilattice and read off both tables.
+
+    meet[a][b] is the element whose down-mask is downs[a] & downs[b], and
+    join[a][b] the element whose up-mask is ups[a] & ups[b].
+    """
+    n = len(down) + 1
+    downs = down + ((1 << n) - 1,)
+    ups = _up_masks(downs)
+    by_down = {d: i for i, d in enumerate(downs)}
+    by_up = {u: i for i, u in enumerate(ups)}
+    meet = tuple(tuple(by_down[da & db] for db in downs) for da in downs)
+    join = tuple(tuple(by_up[ua & ub] for ub in ups) for ua in ups)
     names = tuple(f"e{i}" for i in range(n))
     return validate(names, meet, join, 0, n - 1)
 

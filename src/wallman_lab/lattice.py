@@ -81,7 +81,11 @@ def _is_index(v, n):
 
 
 def table_violations(names, meet, join, bottom, top):
-    """Return the complete list of (law, witness) pairs violated by the tables."""
+    """Return the complete list of (law, witness) pairs violated by the tables.
+
+    Malformed tables raise.  Lawful tables are recognised in O(n^2); only
+    tables that fail that decision go through the O(n^3) listing.
+    """
     n = len(names)
     if len(meet) != n or len(join) != n or any(len(r) != n for r in meet) or any(len(r) != n for r in join):
         raise MalformedTables("tables must be square and match the element count")
@@ -95,6 +99,45 @@ def table_violations(names, meet, join, bottom, top):
     if n < 2 or bottom == top:
         raise MalformedTables("a bounded lattice needs distinct bottom and top")
 
+    if _is_bounded_lattice(meet, join, bottom, top):
+        return []
+    return _law_violations(meet, join, bottom, top)
+
+
+def _is_bounded_lattice(meet, join, bottom, top):
+    """Do well-formed tables satisfy every law `_law_violations` lists?  O(n^2).
+
+    Reads a <= b as meet[a][b] == a and, with bitmasks of down- and up-sets,
+    checks that this relation is reflexive and antisymmetric, that
+    down(meet[a][b]) == down(a) & down(b) and up(join[a][b]) == up(a) & up(b),
+    and that bottom and top are the bounds.  Transitivity follows: for a <= b
+    the first equation reads down(a) == down(a) & down(b).  So <= is a partial
+    order with meet and join as greatest lower and least upper bounds, and
+    these conditions hold exactly when no law fails.
+    """
+    n = len(meet)
+    down = [0] * n
+    up = [0] * n
+    for a, row in enumerate(meet):
+        bit = 1 << a
+        for b, m in enumerate(row):
+            if m == a:
+                down[b] |= bit
+                up[a] |= 1 << b
+    for a, d in enumerate(down):
+        if d & up[a] != 1 << a:  # reflexive and antisymmetric at a
+            return False
+    for da, ua, mrow, jrow in zip(down, up, meet, join):
+        for db, ub, m, j in zip(down, up, mrow, jrow):
+            if down[m] != da & db or up[j] != ua & ub:
+                return False
+    full = (1 << n) - 1
+    return up[bottom] == full and down[top] == full
+
+
+def _law_violations(meet, join, bottom, top):
+    """Every (law, witness) pair the tables violate, in a fixed order.  O(n^3)."""
+    n = len(meet)
     out = []
     for t, label in ((meet, "meet"), (join, "join")):
         for a in range(n):

@@ -206,6 +206,24 @@ class TestInputHandling:
         assert proc.returncode == 2
         assert f"{what} must be a non-negative integer, not True" in proc.stderr
 
+    @pytest.mark.parametrize("elements", ["abcd", ["bot", "a", "b", 1]])
+    def test_elements_must_be_a_list_of_strings(self, fixtures, elements):
+        data = json.loads(open(fixtures["ba4"]).read())
+        data["elements"] = elements
+        path = fixtures["tmp"] / "bad_elements.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert "elements must be a list of strings" in proc.stderr
+
+    @pytest.mark.parametrize("constants", ["ab", [5]])
+    def test_constants_must_be_a_list_of_strings(self, fixtures, constants):
+        path = fixtures["tmp"] / "bad_constants.json"
+        path.write_text(json.dumps({"constants": constants, "sentences": ["!(0 = 1)"]}))
+        proc = run_cli("find-model", str(path), "--max-size", "2")
+        assert proc.returncode == 2
+        assert "constants must be a list of strings" in proc.stderr
+
     def test_poset_index_out_of_range_is_input_error(self, fixtures):
         path = fixtures["tmp"] / "bad_poset.json"
         path.write_text(json.dumps({"poset": {"size": 2, "le": [[-1, 0]]}}))
@@ -265,6 +283,13 @@ class TestEval:
         assert proc.returncode == 2
         assert "element index in 0..3" in proc.stderr
 
+    @pytest.mark.parametrize("lets", [["=1"], ["a=1", "a=0"]])
+    def test_let_name_must_be_non_empty_and_unique(self, fixtures, lets):
+        args = [arg for item in lets for arg in ("--let", item)]
+        proc = run_cli("eval", fixtures["ba4"], "a = 1", *args)
+        assert proc.returncode == 2
+        assert "the name must be non-empty and given once" in proc.stderr
+
 
 class TestEf:
     def test_inequivalent_pair_reports_sentence(self, fixtures):
@@ -286,6 +311,17 @@ class TestEf:
         assert proc.returncode == 2
         assert "--rounds must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_rounds_past_the_clamp_keep_the_verdicts(self, fixtures):
+        # the smaller lattice has 4 elements, so the game stops at 5 rounds
+        for other, equivalent in (("ba4", True), ("chain3", False)):
+            outcomes = []
+            for rounds in ("5", "6", "100000"):
+                report = report_of(run_cli("ef", fixtures["ba4"], fixtures[other], "--rounds", rounds))
+                assert report["outcome"]["rounds"] == int(rounds)
+                assert report["outcome"]["equivalent"] is equivalent
+                outcomes.append({k: v for k, v in report["outcome"].items() if k != "rounds"})
+            assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestFindModel:

@@ -50,6 +50,21 @@ class TestGame:
         with pytest.raises(ValueError):
             ef_equivalent(chain(2), chain(2), -1)
 
+    def test_many_rounds_do_not_exhaust_the_stack(self):
+        assert ef_equivalent(chain(2), chain(2), 400) == (True, None)
+        ok, strategy = ef_equivalent(chain(2), chain(3), 100000)
+        assert not ok
+        sentence = strategy_to_sentence(chain(2), chain(3), strategy)
+        assert eval_formula(chain(2), sentence) and not eval_formula(chain(3), sentence)
+
+    def test_verdict_at_the_clamp_is_isomorphism(self):
+        # past min(A.n, B.n) + 1 rounds the game is clamped; there it already decides isomorphism
+        small = [L for n in range(2, 6) for L in lattices_of_size(n)]
+        for A in small:
+            for B in small:
+                c = min(A.n, B.n) + 1
+                assert ef_equivalent(A, B, c)[0] == (lattice_isomorphism(A, B) is not None)
+
     def test_monotone_in_rounds(self):
         A, B = chain(3), chain(4)
         verdicts = [ef_equivalent(A, B, k)[0] for k in range(5)]

@@ -1,7 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+module-level function or class is referenced somewhere in the package.
 
-No linter ships with the test dependencies, so this check reads each module's
-syntax tree: a name bound by an import must appear somewhere as a name.
+No linter ships with the test dependencies, so these checks read each
+module's syntax tree: a name bound by an import must appear somewhere as a
+name, and a private helper must appear as a name, an attribute or an import
+outside its own definition.
 """
 
 import ast
@@ -34,3 +37,36 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_helpers(sources):
+    """Private top-level functions and classes of `sources` (module name to
+    source text) that nothing references outside their own definition."""
+    private = {}
+    uses = []  # (referenced name, module, top-level statement it occurs in)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    private[(module, stmt.name)] = stmt
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    uses.append((node.id, module, stmt))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((node.attr, module, stmt))
+                elif isinstance(node, ast.ImportFrom):
+                    uses.extend((alias.name, module, stmt) for alias in node.names)
+    used = {name for name, module, stmt in uses if private.get((module, name)) is not stmt}
+    return sorted(f"{module}.{name}" for module, name in private if name not in used)
+
+
+def test_orphan_checker_finds_unreferenced_helpers():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _used\n\ndef _by_attribute():\n    pass\n\nx = a._by_attribute\n",
+    }
+    assert orphaned_helpers(sources) == ["a._Gone", "a._recursive"]
+
+
+def test_no_orphaned_private_helpers():
+    assert orphaned_helpers({path.stem: path.read_text() for path in MODULES}) == []

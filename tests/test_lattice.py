@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from wallman_lab.errors import (
 from wallman_lab.lattice import (
     Chicane,
     PliandFoursome,
+    _law_violations,
     birkhoff_poset,
     chain,
     chicane_identities_hold,
@@ -251,9 +254,23 @@ class TestEnumeration:
             assert len(posets_up_to_iso(m)) == count
 
     def test_lattice_counts(self):
-        expected = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+        expected = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
         for n, count in expected.items():
             assert len(lattices_of_size(n)) == count
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (8, "4b41eedf86ed8ff0c2327264a4ddd97595d11c3e2326e27f5d138ac2b246b8ed"),
+            (9, "913d8e6ac3428d189642e8dfa4e5cfcc4830b1984ba907e34fd9fab3943d1dd0"),
+            (10, "e8940d081c342d7a4e0ffd6b0ff11056f66c8ec2a6ce75fb640c83f64787e25e"),
+        ],
+    )
+    def test_enumeration_is_pinned(self, n, digest):
+        # the same representative per class, labels and order as when the digests were taken;
+        # searches return the first model in this order, so a change here moves their answers
+        tables = [(L.names, L.meet, L.join, L.bottom, L.top) for L in lattices_of_size(n)]
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
     def test_enumeration_matches_naive_oracle(self):
         for n in range(2, 5):
@@ -304,3 +321,20 @@ def test_meet_join_laws_on_enumerated_lattices(n, data):
     assert L.join[a][L.join[b][c]] == L.join[L.join[a][b]][c]
     assert L.meet[a][L.join[a][b]] == a
     assert L.join[a][L.meet[a][b]] == a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.data())
+def test_fast_decision_agrees_with_the_full_listing(n, data):
+    L = data.draw(st.sampled_from(lattices_of_size(n)))
+    meet = [list(r) for r in L.meet]
+    join = [list(r) for r in L.join]
+    element = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        table = data.draw(st.sampled_from([meet, join]))
+        table[data.draw(element)][data.draw(element)] = data.draw(element)
+    bottom = data.draw(st.one_of(st.just(L.bottom), element))
+    top = data.draw(st.one_of(st.just(L.top), element))
+    if top == bottom:  # distinct bounds are a structural check, outside the listing
+        top = (bottom + 1) % n
+    assert table_violations(L.names, meet, join, bottom, top) == _law_violations(meet, join, bottom, top)
