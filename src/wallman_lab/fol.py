@@ -6,7 +6,8 @@ list, puts the sentence in negation normal form, pushes each quantifier as
 far in as it goes (miniscoping, so an atom is tested at the outermost
 quantifier that binds all its variables), and returns a `Compiled` whose
 `bind(L)` gives nested closures over L's tables.  `eval_formula` is compile
-and run; the model finder binds each compiled sentence once per lattice.
+and run, reusing the last 256 compiled (sentence, names) pairs; the model
+finder binds each compiled sentence once per lattice.
 
 Grammar (meet `^` binds tighter than join `v`; `&`, `|`, `!`, `->` are the
 logical connectives; `A x.` / `E x.` quantify)::
@@ -755,10 +756,14 @@ def compile_sentence(sentence, names):
     return Compiled(depth, width, _maker(normal))
 
 
+# a raising compile is not cached, so every call with a bad name raises
+_compiled = lru_cache(maxsize=256)(compile_sentence)
+
+
 def eval_formula(L, sentence, constant_interpretation=None):
     """Tarskian truth over all of L; raises on unbound names."""
     interp = dict(constant_interpretation or {})
-    compiled = compile_sentence(sentence, interp)
+    compiled = _compiled(sentence, tuple(interp))
     slots = list(interp.values()) + [0] * (compiled.width - len(interp))
     return compiled.bind(L)(slots)
 

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LatticeLawViolation, MalformedTables, NotDistributive, NotPliand
+from .errors import (
+    LatticeLawViolation,
+    MalformedTables,
+    NotDistributive,
+    NotPliand,
+    PreconditionViolated,
+)
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,9 @@ class Chicane:
     z3: int
 
 
+_INT = frozenset((int,))
+
+
 def _is_index(v, n):
     """An int in 0..n-1; a bool is not an index, though Python counts it as an int."""
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
@@ -91,7 +100,9 @@ def table_violations(names, meet, join, bottom, top):
         raise MalformedTables("tables must be square and match the element count")
     for t, label in ((meet, "meet"), (join, "join")):
         for row in t:
-            for v in row:
+            if _INT.issuperset(map(type, row)) and 0 <= min(row) and max(row) < n:
+                continue
+            for v in row:  # the slow path names the first bad entry
                 if not _is_index(v, n):
                     raise MalformedTables(f"{label} entry {v!r} out of range")
     if not _is_index(bottom, n) or not _is_index(top, n):
@@ -341,92 +352,145 @@ def chicane_identities_hold(L, fs, ch):
     )
 
 
-def find_chicane(L, fs):
-    """Lexicographically least chicane for a pliand foursome, or None."""
-    if not is_pliand(L, fs):
-        raise NotPliand(f"foursome {fs} violates the pliand identities")
-    meet, join = L.meet, L.join
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks(L):
+    """(perp, cotop): for each element x the bitmasks of {y : x^y = 0} and
+    {y : x v y = 1}.  Built per call; nothing is kept on the lattice."""
     bot, top = L.bottom, L.top
-    c, d, f, g = fs.c, fs.d, fs.f, fs.g
-    for z1 in L.elements():
-        if meet[z1][d] != bot:
-            continue
-        for z2 in L.elements():
-            if meet[c][z2] != bot or meet[d][z2] != bot:
+    perp = [sum(1 << y for y, m in enumerate(row) if m == bot) for row in L.meet]
+    cotop = [sum(1 << y for y, j in enumerate(row) if j == top) for row in L.join]
+    return perp, cotop
+
+
+def _pliand_foursomes(perp):
+    """Every pliand foursome (c, d, f, g) as an index 4-tuple, in
+    lexicographic order, of a family whose disjointness masks are perp."""
+    for c, pc in enumerate(perp):
+        for d in _bits(pc):
+            pd = perp[d]
+            for f in _bits(pc):
+                for g in _bits(pd):
+                    yield c, d, f, g
+
+
+def _maximal_foursomes(perp, above):
+    """The maximal pliand foursomes of the same family, where above[x] is
+    the bitmask of the members strictly above x.
+
+    A foursome is maximal iff each coordinate is maximal given the other
+    three: c among the members disjoint from d and f, d among those disjoint
+    from c and g, f among those disjoint from c, g among those disjoint from d.
+    """
+    tops = [[x for x in _bits(p) if not above[x] & p] for p in perp]
+    for c, pc in enumerate(perp):
+        for d in _bits(pc):
+            pd = perp[d]
+            for f in tops[c]:
+                if above[c] & pd & perp[f]:
+                    continue
+                for g in tops[d]:
+                    if not above[d] & pc & perp[g]:
+                        yield c, d, f, g
+
+
+def _least_chicane(L, masks, c, d, f, g):
+    """The lexicographically least chicane of a pliand foursome, or None.
+
+    Each of the six identities is decided exactly by a mask test: z1 v z2
+    and z2 v z3 must avoid d and c, z1 ^ z2 and z2 ^ z3 must avoid g and f,
+    z1 ^ z3 = 0, and z3 must join z1 v z2 to the top.
+    """
+    meet, join = L.meet, L.join
+    perp, cotop = masks
+    pc, pd, pf, pg = perp[c], perp[d], perp[f], perp[g]
+    pcd = pc & pd
+    for z1 in _bits(pd):
+        m1, j1, p1 = meet[z1], join[z1], perp[z1]
+        for z2 in _bits(pcd):
+            j12 = j1[z2]
+            if not (pg >> m1[z2] & 1 and pd >> j12 & 1):
                 continue
-            if meet[meet[z1][z2]][g] != bot:
-                continue
-            for z3 in L.elements():
-                if (
-                    meet[c][z3] == bot
-                    and meet[z1][z3] == bot
-                    and meet[meet[z2][z3]][f] == bot
-                    and join[join[z1][z2]][z3] == top
-                ):
-                    # the prunes above are only necessary conditions in a
-                    # non-distributive lattice; confirm the six identities
-                    ch = Chicane(z1, z2, z3)
-                    if chicane_identities_hold(L, fs, ch):
-                        return ch
+            m2, j2 = meet[z2], join[z2]
+            for z3 in _bits(pc & p1 & cotop[j12]):
+                if pf >> m2[z3] & 1 and pc >> j2[z3] & 1:
+                    return Chicane(z1, z2, z3)
     return None
 
 
+def find_chicane(L, fs):
+    """Lexicographically least chicane for a pliand foursome, or None."""
+    if not all(_is_index(x, L.n) for x in (fs.c, fs.d, fs.f, fs.g)):
+        raise PreconditionViolated(f"foursome {fs} has an index outside 0..{L.n - 1}")
+    if not is_pliand(L, fs):
+        raise NotPliand(f"foursome {fs} violates the pliand identities")
+    return _least_chicane(L, _masks(L), fs.c, fs.d, fs.f, fs.g)
+
+
 def satisfies_HI(L):
-    """Every pliand foursome admits a chicane; else the least offending foursome."""
-    for c in L.elements():
-        for d in L.elements():
-            if L.meet[c][d] != L.bottom:
-                continue
-            for f in L.elements():
-                if L.meet[c][f] != L.bottom:
-                    continue
-                for g in L.elements():
-                    if L.meet[d][g] != L.bottom:
-                        continue
-                    fs = PliandFoursome(c, d, f, g)
-                    if find_chicane(L, fs) is None:
-                        return False, fs
-    return True, None
+    """Every pliand foursome admits a chicane; else the least offending foursome.
+
+    Correct because the pliand foursomes form a down-set of L^4 and a chicane
+    of a foursome is one of every pliand foursome below it: each identity only
+    gets easier as c, d, f or g shrinks.  So HI holds iff every maximal pliand
+    foursome has a chicane, and only when one of them lacks a chicane are all
+    foursomes scanned in index order for the least offender.
+    """
+    masks = _masks(L)
+    perp = masks[0]
+    above = [sum(1 << y for y, m in enumerate(row) if m == x != y) for x, row in enumerate(L.meet)]
+
+    def has_chicane(q):
+        return _least_chicane(L, masks, *q) is not None
+
+    if all(has_chicane(q) for q in _maximal_foursomes(perp, above)):
+        return True, None
+    return False, PliandFoursome(*next(q for q in _pliand_foursomes(perp) if not has_chicane(q)))
 
 
 def satisfies_dim_le1(L):
     """Two disjoint pairs always admit partition witnesses with vanishing 4-fold meet.
 
-    Returns (True, witness_map) or (False, (x0,y0,x1,y1)).
+    Returns (True, witness_map) or (False, (x0,y0,x1,y1)).  The witness for
+    two pairs is the lexicographically least (u0, v0, u1, v1) with ui ^ xi =
+    vi ^ yi = 0, ui v vi = 1 and u0 ^ v0 ^ u1 ^ v1 = 0.
     """
-    meet, join = L.meet, L.join
-    bot, top = L.bottom, L.top
-    disjoint = [(x, y) for x in L.elements() for y in L.elements() if meet[x][y] == bot]
+    meet = L.meet
+    perp, cotop = _masks(L)
+    partitions = {}  # (perp[x], perp[y]) -> [(u, v, u^v)] in lexicographic order
+    first = {}  # (w, key) -> the first (u, v) of key's partitions with u^v^w = 0, or None
+
+    def partitions_of(key):
+        if key not in partitions:
+            px, py = key
+            partitions[key] = [(u, v, meet[u][v]) for u in _bits(px) for v in _bits(py & cotop[u])]
+        return partitions[key]
+
+    def first_against(w, key):
+        if (w, key) not in first:
+            pw = perp[w]
+            first[w, key] = next(((u, v) for u, v, m in partitions_of(key) if pw >> m & 1), None)
+        return first[w, key]
+
+    disjoint = [(x, y) for x in L.elements() for y in _bits(perp[x])]
     witnesses = {}
     for x0, y0 in disjoint:
+        parts0 = partitions_of((perp[x0], perp[y0]))
         for x1, y1 in disjoint:
-            found = None
-            for u0 in L.elements():
-                if meet[x0][u0] != bot:
-                    continue
-                for v0 in L.elements():
-                    if meet[y0][v0] != bot or join[u0][v0] != top:
-                        continue
-                    for u1 in L.elements():
-                        if meet[x1][u1] != bot:
-                            continue
-                        for v1 in L.elements():
-                            if (
-                                meet[y1][v1] == bot
-                                and join[u1][v1] == top
-                                and meet[meet[meet[u0][v0]][u1]][v1] == bot
-                            ):
-                                found = (u0, v0, u1, v1)
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
-                if found:
+            key1 = (perp[x1], perp[y1])
+            for u0, v0, w in parts0:
+                hit = first_against(w, key1)
+                if hit is not None:
+                    witnesses[(x0, y0, x1, y1)] = (u0, v0) + hit
                     break
-            if found is None:
+            else:
                 return False, (x0, y0, x1, y1)
-            witnesses[(x0, y0, x1, y1)] = found
     return True, witnesses
 
 

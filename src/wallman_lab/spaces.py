@@ -19,7 +19,7 @@ from .errors import (
     NotSurjective,
     PreconditionViolated,
 )
-from .lattice import _by_size, _mask_lattice
+from .lattice import _by_size, _mask_lattice, _maximal_foursomes, _pliand_foursomes
 
 CONTINUA_POINT_CAP = 12
 
@@ -227,21 +227,24 @@ def is_crooked_between(X, c, d):
 
 def _pliand_chicanes(X, family):
     """(True, None) if every pliand foursome drawn from the family has a
-    chicane, else (False, the first foursome without one)."""
+    chicane, else (False, the first foursome without one).
+
+    Correct because the pliand foursomes of the family form a down-set under
+    inclusion and a chicane of a foursome serves every foursome below it, so
+    the maximal foursomes are tried first; only when one of them has no
+    chicane are all foursomes scanned in family order for the first offender.
+    """
     fam = X.closed_sorted()
-    for c in family:
-        for d in family:
-            if c & d:
-                continue
-            for f in family:
-                if c & f:
-                    continue
-                for g in family:
-                    if d & g:
-                        continue
-                    if space_chicane(X, c, d, f, g, fam) is None:
-                        return False, (c, d, f, g)
-    return True, None
+    perp = [sum(1 << j for j, b in enumerate(family) if not a & b) for a in family]
+    above = [sum(1 << j for j, b in enumerate(family) if a != b and not a & ~b) for a in family]
+
+    def has_chicane(q):
+        return space_chicane(X, *(family[i] for i in q), fam) is not None
+
+    if all(has_chicane(q) for q in _maximal_foursomes(perp, above)):
+        return True, None
+    first = next(q for q in _pliand_foursomes(perp) if not has_chicane(q))
+    return False, tuple(family[i] for i in first)
 
 
 def chicane_condition(X):

@@ -346,6 +346,22 @@ class TestEval:
         with pytest.raises(MissingConstant):
             eval_formula(chain(2), Eq(Var("b"), Const("c")))
 
+    def test_every_call_with_a_missing_name_raises(self):
+        f = Eq(Const("a"), Var("x"))
+        for _ in range(3):
+            with pytest.raises(MissingConstant):
+                eval_formula(chain(2), f)
+            with pytest.raises(UnboundVariable):
+                eval_formula(chain(2), f, {"a": 0})
+            assert eval_formula(chain(2), f, {"a": 1, "x": 1}) is True
+
+    def test_reused_compile_follows_the_order_of_the_names(self):
+        L = chain(3)
+        f = bind_constants(parse("a <= b"), ("a", "b"))
+        for _ in range(2):
+            assert eval_formula(L, f, {"a": 1, "b": 2}) is True
+            assert eval_formula(L, f, {"b": 1, "a": 2}) is False
+
     def test_leq_elaborates_to_meet_equation(self):
         L = chain(3)
         f = bind_constants(parse("a <= b"), ("a", "b"))

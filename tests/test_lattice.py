@@ -69,6 +69,33 @@ class TestValidate:
         L = powerset_lattice(2)
         assert table_violations(L.names, L.meet, L.join, L.bottom, L.top) == []
 
+    @pytest.mark.parametrize(
+        "table, row, col, value, message",
+        [
+            ("meet", 1, 0, 4, "meet entry 4 out of range"),
+            ("join", 2, 3, -1, "join entry -1 out of range"),
+            ("meet", 3, 2, True, "meet entry True out of range"),
+            ("join", 0, 1, "1", "join entry '1' out of range"),
+            ("meet", 2, 2, 2.0, "meet entry 2.0 out of range"),
+        ],
+    )
+    def test_first_bad_table_entry_is_named(self, table, row, col, value, message):
+        L = powerset_lattice(2)
+        tables = {"meet": [list(r) for r in L.meet], "join": [list(r) for r in L.join]}
+        tables[table][row][col] = value
+        tables[table][3][3] = 7  # a later bad entry is not the one reported
+        with pytest.raises(MalformedTables) as exc:
+            table_violations(L.names, tables["meet"], tables["join"], L.bottom, L.top)
+        assert str(exc.value) == message
+
+    def test_int_subclass_entries_are_indices(self):
+        class Index(int):
+            pass
+
+        L = powerset_lattice(2)
+        meet = [[Index(v) for v in r] for r in L.meet]
+        assert table_violations(L.names, meet, L.join, L.bottom, L.top) == []
+
 
 class TestStandardExamples:
     def test_chain_order(self):
