@@ -1,6 +1,7 @@
 """Batch front end: JSON in, JSON reports out, optional DOT graphs.
 
-Exit codes: 0 success, 1 assertion failure (--assert), 2 input error.
+Exit codes: 0 success, 1 assertion failure (--assert), 2 input error,
+3 internal error (a failed self-check or any other escaping exception).
 Reports are deterministic for fixed inputs; the elapsed_ms field is the only
 run-dependent part and tests mask it.
 """
@@ -26,11 +27,15 @@ from .lattice import (
     satisfies_dim_le1,
     validate,
 )
-from .spaces import is_T1, make_space, mask_of, points_of
+from .spaces import is_T1, points_of, space_from_sets
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+# The most elements a lattice given as a poset may have: its down-sets, of
+# which an n-element poset has from n + 1 (a chain) to 2^n (an antichain).
+MAX_DOWNSETS = 1024
 
 
 class InputError(WallmanLabError):
@@ -74,21 +79,17 @@ def load_lattice(path):
     try:
         if "poset" in data:
             p = data["poset"]
-            size = _index(p["size"], None, "poset size")
-            le = [[False] * size for _ in range(size)]
-            for i in range(size):
-                le[i][i] = True
+            size = _index(p["size"], MAX_DOWNSETS, "poset size")
+            up = [1 << i for i in range(size)]  # up[i] has bit j when i <= j
             for i, j in p["le"]:
-                le[_index(i, size, "poset index")][_index(j, size, "poset index")] = True
+                up[_index(i, size, "poset index")] |= 1 << _index(j, size, "poset index")
             # reflexive-transitive closure of the listed relations
             for k in range(size):
                 for i in range(size):
-                    if le[i][k]:
-                        for j in range(size):
-                            if le[k][j]:
-                                le[i][j] = True
-            poset = Poset(size, tuple(tuple(r) for r in le)).validate()
-            return downset_lattice(poset)
+                    if up[i] >> k & 1:
+                        up[i] |= up[k]
+            le = tuple(tuple(bool(up[i] >> j & 1) for j in range(size)) for i in range(size))
+            return downset_lattice(Poset(size, le), MAX_DOWNSETS)
         return validate(
             _names(data["elements"], "elements"),
             tuple(tuple(r) for r in data["meet"]),
@@ -107,7 +108,7 @@ def load_space(path):
     try:
         points = _index(data["points"], None, "points")
         closed = [[_index(p, points, "closed-set point") for p in s] for s in data["closed"]]
-        return make_space(points, [mask_of(s) for s in closed])
+        return space_from_sets(points, closed)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"{path}: malformed space JSON ({err})")
     except WallmanLabError as err:
@@ -126,6 +127,8 @@ def load_theory(path):
         return Theory(constants, sentences)
     except (KeyError, TypeError) as err:
         raise InputError(f"{path}: malformed theory JSON ({err})")
+    except RecursionError:
+        raise InputError(f"{path}: a sentence nests too deeply to parse")
     except WallmanLabError as err:
         raise InputError(f"{path}: {err}")
 
@@ -434,11 +437,14 @@ def main(argv=None):
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except PostconditionFailed:
-        raise  # a failed self-check is a bug, not bad input
-    except WallmanLabError as err:
-        print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as err:
+        if isinstance(err, WallmanLabError) and not isinstance(err, PostconditionFailed):
+            print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
+            return EXIT_INPUT
+        # a failed self-check, like any other escaping exception, is a bug, not bad input
+        message = " ".join(str(err).splitlines())
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,13 +10,19 @@ and give the profile (|down(a)|, |up(a)|) per element that keys the bucket and
 restricts the isomorphism search.  Lattice tables are read off by mask lookup:
 meet[a][b] is the element whose down-mask is down[a] & down[b], and join[a][b]
 the one whose up-mask is up[a] & up[b].
+
+Each level of lattices is built on demand.  Dedupe keeps the first candidate
+of each class in generation order, so a level can be handed out one lattice
+at a time from the complete level below it, in the same order as when it is
+built whole: `iter_lattices(n)` reads as far as its caller goes, and
+`lattices_of_size(n)` drains the level.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import Poset, validate
+from .lattice import Poset, _downsets, validate
 
 
 def _up_masks(down):
@@ -76,31 +82,15 @@ def _poset_isomorphic(down_a, prof_a, down_b, prof_b):
 
 
 def _dedupe(candidates):
+    """The first candidate of each isomorphism class, in candidate order."""
     buckets = {}
-    out = []
     for down in candidates:
         prof = _profile(down)
         bucket = buckets.setdefault(tuple(sorted(prof)), [])
         if any(_poset_isomorphic(down, prof, other, other_prof) for other, other_prof in bucket):
             continue
         bucket.append((down, prof))
-        out.append(down)
-    return out
-
-
-def _downsets(down):
-    """All down-closed subsets of a poset given by inclusive down-masks, ascending.
-
-    Each element is maximal among those before it, so a down-set of the
-    first a elements extends by element a exactly when it holds everything
-    strictly below a.
-    """
-    out = [0]
-    for a, d in enumerate(down):
-        below = d & ~(1 << a)
-        out += [s | 1 << a for s in out if below & ~s == 0]
-    out.sort()
-    return out
+        yield down
 
 
 @lru_cache(maxsize=None)
@@ -127,25 +117,20 @@ def posets_up_to_iso(m):
     return out
 
 
-@lru_cache(maxsize=None)
-def _semilattices_raw(m):
-    """Meet-semilattices on m elements up to isomorphism (element 0 is the bottom).
+def _semilattice_candidates(parents):
+    """Each parent meet-semilattice (element 0 the bottom) with one new
+    maximal element added in every way that keeps it a meet-semilattice.
 
     A new maximal element with (exclusive) down-set dset needs a meet with
     every existing element d: the down-closed set dset & d must have a
     maximum, that is, be some element's down-mask.
     """
-    if m == 0:
-        return ()
-    if m == 1:
-        return ((1,),)
-    candidates = []
-    for parent in _semilattices_raw(m - 1):
+    for parent in parents:
         down_masks = set(parent)
+        new = 1 << len(parent)
         for dset in _downsets(parent):
             if all((dset & d) in down_masks for d in parent):
-                candidates.append(parent + (dset | (1 << (m - 1)),))
-    return tuple(_dedupe(candidates))
+                yield parent + (dset | new,)
 
 
 def _lattice_from_semilattice(down):
@@ -165,19 +150,87 @@ def _lattice_from_semilattice(down):
     return validate(names, meet, join, 0, n - 1)
 
 
-_LATTICE_CACHE = {}
+def _lattice_stream(n):
+    """(semilattice down-masks, lattice) for each lattice of size n, in order.
+
+    The candidates extend each semilattice of the complete level n - 1 by a
+    new maximal element; size 2 extends the empty semilattice.
+    """
+    parents = _level(n - 1).drain().downs if n > 2 else [()]
+    for down in _dedupe(_semilattice_candidates(parents)):
+        yield down, _lattice_from_semilattice(down)
+
+
+class _Level:
+    """The lattices of one size, built as far as they have been read.
+
+    `lattices` holds the ones built so far, `downs` the meet-semilattice
+    down-masks they were built from, and `_rest` the generator of the others.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.lattices = []
+        self.downs = []
+        self._rest = _lattice_stream(n)
+
+    def grow(self):
+        """Build the next lattice; False when the level is complete.
+
+        A level whose generation raised is dropped from the cache, to be
+        built again in full, and raises again when read further here.
+        """
+        if self._rest is None:
+            raise RuntimeError(f"building the lattices of size {self.n} failed")
+        try:
+            item = next(self._rest, None)
+        except BaseException:
+            _LEVELS.pop(self.n, None)
+            self._rest = None
+            raise
+        if item is None:
+            return False
+        self.downs.append(item[0])
+        self.lattices.append(item[1])
+        return True
+
+    def drain(self):
+        while self.grow():
+            pass
+        return self
+
+
+_LEVELS = {}
+
+
+def _level(n):
+    level = _LEVELS.get(n)
+    if level is None:
+        level = _LEVELS[n] = _Level(n)
+    return level
+
+
+def iter_lattices(n):
+    """The lattices of `lattices_of_size(n)`, in order, each built when it is
+    first read; readers that interleave see the same sequence."""
+    if n < 2:
+        return
+    level = _level(n)
+    i = 0
+    while i < len(level.lattices) or level.grow():
+        yield level.lattices[i]
+        i += 1
 
 
 def lattices_of_size(n):
     """All bounded lattices with n elements, one per isomorphism class.
 
-    Deterministic order; element 0 is bottom and element n-1 is top.
+    Deterministic order; element 0 is bottom and element n-1 is top.  Every
+    call for one n returns the same list.
     """
     if n < 2:
         return []
-    if n not in _LATTICE_CACHE:
-        _LATTICE_CACHE[n] = [_lattice_from_semilattice(s) for s in _semilattices_raw(n - 1)]
-    return _LATTICE_CACHE[n]
+    return _level(n).drain().lattices
 
 
 def all_labeled_lattices(n):

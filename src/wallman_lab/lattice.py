@@ -6,6 +6,7 @@ Every search returns the lexicographically least witness in index order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -55,14 +56,14 @@ class Poset:
         for a in range(n):
             if not self.le[a][a]:
                 raise MalformedTables(f"le not reflexive at {a}")
+        up = [sum(1 << b for b in range(n) if self.le[a][b]) for a in range(n)]
         for a in range(n):
-            for b in range(n):
-                if a != b and self.le[a][b] and self.le[b][a]:
+            for b in _bits(up[a]):
+                if a != b and up[b] >> a & 1:
                     raise MalformedTables(f"le not antisymmetric at ({a},{b})")
-                if self.le[a][b]:
-                    for c in range(n):
-                        if self.le[b][c] and not self.le[a][c]:
-                            raise MalformedTables(f"le not transitive at ({a},{b},{c})")
+                missing = up[b] & ~up[a]
+                if missing:
+                    raise MalformedTables(f"le not transitive at ({a},{b},{next(_bits(missing))})")
         return self
 
 
@@ -99,12 +100,11 @@ def table_violations(names, meet, join, bottom, top):
     if len(meet) != n or len(join) != n or any(len(r) != n for r in meet) or any(len(r) != n for r in join):
         raise MalformedTables("tables must be square and match the element count")
     for t, label in ((meet, "meet"), (join, "join")):
-        for row in t:
-            if _INT.issuperset(map(type, row)) and 0 <= min(row) and max(row) < n:
-                continue
-            for v in row:  # the slow path names the first bad entry
-                if not _is_index(v, n):
-                    raise MalformedTables(f"{label} entry {v!r} out of range")
+        if _INT.issuperset(map(type, itertools.chain.from_iterable(t))) and set().union(*t) <= set(range(n)):
+            continue
+        for v in itertools.chain.from_iterable(t):  # the slow path names the first bad entry
+            if not _is_index(v, n):
+                raise MalformedTables(f"{label} entry {v!r} out of range")
     if not _is_index(bottom, n) or not _is_index(top, n):
         raise MalformedTables("bottom/top out of range")
     if n < 2 or bottom == top:
@@ -494,24 +494,34 @@ def satisfies_dim_le1(L):
     return True, witnesses
 
 
-def downset_lattice(P):
-    """Lattice of down-closed subsets of a poset under intersection/union."""
+def _downsets(down, limit=None):
+    """All down-closed subsets of a poset given by inclusive down-masks, ascending.
+
+    Elements are added smallest down-mask first, so each is maximal among
+    those before it, and a down-set of those before it extends by element a
+    exactly when it holds everything strictly below a.  More than `limit`
+    down-sets (when given) is PreconditionViolated, found once they pass it.
+    """
+    out = [0]
+    for a in sorted(range(len(down)), key=lambda a: down[a].bit_count()):
+        below = down[a] & ~(1 << a)
+        out += [s | 1 << a for s in out if below & ~s == 0]
+        if limit is not None and len(out) > limit:
+            raise PreconditionViolated(f"the poset has more than {limit} down-sets")
+    out.sort()
+    return out
+
+
+def downset_lattice(P, max_elements=None):
+    """Lattice of down-closed subsets of a poset under intersection/union.
+
+    A poset with more than `max_elements` down-sets (when given) is
+    PreconditionViolated, found before any table is built.
+    """
     P.validate()
     n = P.size
-    down = []
-    for mask in range(1 << n):
-        ok = True
-        for a in range(n):
-            if mask >> a & 1:
-                for b in range(n):
-                    if P.le[b][a] and not mask >> b & 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            down.append(mask)
-    return _mask_lattice(down, "p")[0]
+    down = [sum(1 << b for b in range(n) if P.le[b][a]) for a in range(n)]
+    return _mask_lattice(_downsets(down, max_elements), "p")[0]
 
 
 def join_irreducibles(L):

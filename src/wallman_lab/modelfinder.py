@@ -1,7 +1,8 @@
 """Bounded finite model finder for lattice-signature theories.
 
 Candidate lattices come from the isomorph-free enumeration (one per
-isomorphism class, deterministic order); constants are interpreted by
+isomorphism class, deterministic order), sizes from STREAM_FROM_SIZE on
+built only as far as the search reads them; constants are interpreted by
 backtracking, with every sentence checked as soon as the constants it
 mentions are assigned.  Outcomes are values, never exceptions.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .enumeration import all_labeled_lattices, lattices_of_size
+from .enumeration import all_labeled_lattices, iter_lattices, lattices_of_size
 from .errors import NotDistributive, PostconditionFailed, PreconditionViolated
 from .fol import (
     BOT,
@@ -37,6 +38,14 @@ from .fol import (
 )
 from .spaces import closed_set_lattice
 from .wallman import wallman_space
+
+
+# The smallest size whose lattices are built only as far as the search reads
+# them.  Smaller levels are read whole through `lattices_of_size`, whose
+# per-size timings `bench/tracing.py` records; a whole one costs at most a
+# quarter of a second (1,078 lattices of size 9), against over a second for
+# size 10.
+STREAM_FROM_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,7 @@ def find_model(theory, budget=SearchBudget()):
     tracker = _Budget(budget)
     try:
         for n in range(2, budget.max_size + 1):
-            for L in lattices_of_size(n):
+            for L in iter_lattices(n) if n >= STREAM_FROM_SIZE else lattices_of_size(n):
                 tracker.tick()
                 interp = _satisfying_interpretation(L, schedule, tracker)
                 if interp is not None:

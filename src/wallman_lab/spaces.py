@@ -113,6 +113,9 @@ class FiniteSpace:
         return self.full & ~self.closure(self.full & ~mask)
 
 
+_NO_EMPTY_OR_FULL = "closed family must contain the empty and full sets"
+
+
 def make_space(point_count, closed_masks):
     """Validate a closed-set family and build the space."""
     full = (1 << point_count) - 1
@@ -121,13 +124,18 @@ def make_space(point_count, closed_masks):
         if c & ~full:
             raise MalformedTables(f"closed set {c:b} mentions unknown points")
     if 0 not in fam or full not in fam:
-        raise MalformedTables("closed family must contain the empty and full sets")
+        raise MalformedTables(_NO_EMPTY_OR_FULL)
     if not _is_lattice_family(fam):
         raise MalformedTables("closed family must be closed under union and intersection")
     return FiniteSpace(point_count, fam)
 
 
 def space_from_sets(point_count, sets_of_points):
+    """make_space of closed sets given as lists of points."""
+    if all(len(set(s)) < point_count for s in sets_of_points):
+        # no listed full set: decided before any mask is built, so a huge
+        # point count never asks for a huge mask
+        raise MalformedTables(_NO_EMPTY_OR_FULL)
     return make_space(point_count, [mask_of(s) for s in sets_of_points])
 
 

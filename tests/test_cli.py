@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from wallman_lab import cli
+from wallman_lab.errors import PostconditionFailed
+
 
 def run_cli(*args, cwd=None):
     proc = subprocess.run(
@@ -230,6 +233,38 @@ class TestInputHandling:
         proc = run_cli("check", str(path))
         assert proc.returncode == 2
         assert "poset index" in proc.stderr
+
+
+class TestInternalErrors:
+    """Exit code 3 and one line on stderr: a bug, told apart from a failed --assert and from bad input."""
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (PostconditionFailed("model fails"), "internal error: PostconditionFailed: model fails"),
+            (RuntimeError("two\nlines"), "internal error: RuntimeError: two lines"),
+        ],
+    )
+    def test_an_escaping_exception_exits_3(self, fixtures, monkeypatch, capsys, error, line):
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_check", broken)
+        assert cli.main(["check", fixtures["ba4"]]) == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n" and captured.out == ""
+
+    def test_a_failed_self_check_exits_3_without_a_traceback(self, fixtures):
+        code = (
+            "import sys\n"
+            "from wallman_lab import cli, modelfinder\n"
+            "modelfinder.eval_formula = lambda L, s, interp=None: False\n"
+            f"sys.exit(cli.main(['find-model', {fixtures['theory']!r}, '--max-size', '4']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("internal error: PostconditionFailed: model ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestWallmanAndStone:

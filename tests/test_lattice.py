@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallman_lab import enumeration
 from wallman_lab.enumeration import (
     all_labeled_lattices,
+    iter_lattices,
     lattices_of_size,
     posets_up_to_iso,
 )
@@ -14,11 +17,14 @@ from wallman_lab.errors import (
     MalformedTables,
     NotDistributive,
     NotPliand,
+    PreconditionViolated,
 )
 from wallman_lab.lattice import (
     Chicane,
     PliandFoursome,
+    Poset,
     _law_violations,
+    _mask_lattice,
     birkhoff_poset,
     chain,
     chicane_identities_hold,
@@ -40,8 +46,27 @@ from wallman_lab.lattice import (
 )
 
 
+A006966 = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
+PINNED_DIGESTS = [
+    (8, "4b41eedf86ed8ff0c2327264a4ddd97595d11c3e2326e27f5d138ac2b246b8ed"),
+    (9, "913d8e6ac3428d189642e8dfa4e5cfcc4830b1984ba907e34fd9fab3943d1dd0"),
+    (10, "e8940d081c342d7a4e0ffd6b0ff11056f66c8ec2a6ce75fb640c83f64787e25e"),
+]
+
+
 def mask_meet_name(k):
     return tuple(f"s{m}" for m in range(1 << k))
+
+
+def enumeration_digest(lattices):
+    tables = [(L.names, L.meet, L.join, L.bottom, L.top) for L in lattices]
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
+@pytest.fixture
+def cold_levels(monkeypatch):
+    """An empty lattice cache for the test, so it builds every level it reads."""
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
 
 
 class TestValidate:
@@ -87,6 +112,14 @@ class TestValidate:
         with pytest.raises(MalformedTables) as exc:
             table_violations(L.names, tables["meet"], tables["join"], L.bottom, L.top)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("table", ["meet", "join"])
+    def test_an_entry_equal_to_the_size_is_out_of_range(self, table):
+        L = powerset_lattice(2)
+        tables = {"meet": [list(r) for r in L.meet], "join": [list(r) for r in L.join]}
+        tables[table][1][2] = 4  # the only bad entry
+        with pytest.raises(MalformedTables, match=f"^{table} entry 4 out of range$"):
+            table_violations(L.names, tables["meet"], tables["join"], L.bottom, L.top)
 
     def test_int_subclass_entries_are_indices(self):
         class Index(int):
@@ -235,8 +268,6 @@ class TestChicane:
 
 class TestBirkhoff:
     def test_downset_of_antichain_is_powerset(self):
-        from wallman_lab.lattice import Poset
-
         P = Poset(3, tuple(tuple(i == j for j in range(3)) for i in range(3)))
         L = downset_lattice(P)
         assert lattice_isomorphism(L, powerset_lattice(3)) is not None
@@ -254,6 +285,54 @@ class TestBirkhoff:
     def test_birkhoff_rejects_m3(self):
         with pytest.raises(NotDistributive):
             birkhoff_poset(diamond_m3())
+
+    @staticmethod
+    def reference_poset_error(le):
+        """The first failure of the pointwise reflexive/antisymmetric/transitive scan."""
+        n = len(le)
+        for a in range(n):
+            if not le[a][a]:
+                return f"le not reflexive at {a}"
+        for a in range(n):
+            for b in range(n):
+                if a != b and le[a][b] and le[b][a]:
+                    return f"le not antisymmetric at ({a},{b})"
+                if le[a][b]:
+                    for c in range(n):
+                        if le[b][c] and not le[a][c]:
+                            return f"le not transitive at ({a},{b},{c})"
+        return None
+
+    @staticmethod
+    def reference_downsets(P):
+        """Every down-closed mask, by a scan of all 2^n masks."""
+        n = P.size
+        return [
+            m
+            for m in range(1 << n)
+            if all(not m >> a & 1 or all(m >> b & 1 for b in range(n) if P.le[b][a]) for a in range(n))
+        ]
+
+    def test_poset_validate_names_the_first_failure_of_the_pointwise_scan(self):
+        relations = [
+            tuple(tuple(bits >> (3 * a + b) & 1 == 1 for b in range(3)) for a in range(3)) for bits in range(1 << 9)
+        ]
+        for le in relations:
+            try:
+                Poset(3, le).validate()
+                got = None
+            except MalformedTables as err:
+                got = str(err)
+            assert got == self.reference_poset_error(le)
+
+    def test_downset_lattice_matches_the_scan_of_all_masks(self):
+        for m in range(1, 6):
+            for P in posets_up_to_iso(m):
+                down = self.reference_downsets(P)
+                assert downset_lattice(P) == _mask_lattice(down, "p")[0]
+                assert downset_lattice(P, max_elements=len(down)) == downset_lattice(P)
+                with pytest.raises(PreconditionViolated):
+                    downset_lattice(P, max_elements=len(down) - 1)
 
 
 class TestIsomorphism:
@@ -281,23 +360,14 @@ class TestEnumeration:
             assert len(posets_up_to_iso(m)) == count
 
     def test_lattice_counts(self):
-        expected = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
-        for n, count in expected.items():
+        for n, count in A006966.items():
             assert len(lattices_of_size(n)) == count
 
-    @pytest.mark.parametrize(
-        "n, digest",
-        [
-            (8, "4b41eedf86ed8ff0c2327264a4ddd97595d11c3e2326e27f5d138ac2b246b8ed"),
-            (9, "913d8e6ac3428d189642e8dfa4e5cfcc4830b1984ba907e34fd9fab3943d1dd0"),
-            (10, "e8940d081c342d7a4e0ffd6b0ff11056f66c8ec2a6ce75fb640c83f64787e25e"),
-        ],
-    )
+    @pytest.mark.parametrize("n, digest", PINNED_DIGESTS)
     def test_enumeration_is_pinned(self, n, digest):
         # the same representative per class, labels and order as when the digests were taken;
         # searches return the first model in this order, so a change here moves their answers
-        tables = [(L.names, L.meet, L.join, L.bottom, L.top) for L in lattices_of_size(n)]
-        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+        assert enumeration_digest(lattices_of_size(n)) == digest
 
     def test_enumeration_matches_naive_oracle(self):
         for n in range(2, 5):
@@ -332,6 +402,103 @@ class TestEnumeration:
                 if 2 <= n <= 6:
                     expected[n] = expected.get(n, 0) + 1
         assert by_size == {n: expected.get(n, 0) for n in range(2, 7)}
+
+
+class TestStreamedLevels:
+    """A level is built as far as it is read, and reads the same however it is read."""
+
+    def test_a_partly_read_level_is_a_prefix_of_the_whole(self, cold_levels):
+        for n in range(2, 10):
+            k = (A006966[n] + 1) // 2
+            head = list(itertools.islice(iter_lattices(n), k))
+            assert len(enumeration._LEVELS[n].lattices) == k
+            whole = lattices_of_size(n)
+            assert len(whole) == A006966[n] and lattices_of_size(n) is whole
+            assert all(a is b for a, b in zip(head, whole[:k]))
+
+    def test_dedupe_reads_candidates_only_as_far_as_the_level_is_read(self, cold_levels, monkeypatch):
+        lattices_of_size(8)
+        profiled = []
+        real = enumeration._profile
+        monkeypatch.setattr(enumeration, "_profile", lambda down: profiled.append(down) or real(down))
+        next(iter_lattices(9))
+        first = len(profiled)
+        lattices_of_size(9)
+        assert 0 < first < len(profiled) / 100
+
+    def test_interleaved_readers_see_one_sequence(self, cold_levels):
+        first, second = iter_lattices(8), iter_lattices(8)
+        seen = [[], []]
+        for step in range(150):
+            seen[step % 2].append(next(first if step % 2 == 0 else second))
+            if step % 3 == 0:
+                seen[1].append(next(second))
+        seen[0] += first
+        seen[1] += second
+        whole = lattices_of_size(8)
+        assert len(seen[0]) == len(seen[1]) == len(whole) == 222
+        assert all(a is b is c for a, b, c in zip(*seen, whole))
+
+    def test_a_model_search_builds_the_last_size_only_as_far_as_it_reads(self, cold_levels):
+        from wallman_lab.modelfinder import SearchBudget, find_model, kappa_constants_theory
+
+        result = find_model(kappa_constants_theory(2), SearchBudget(max_size=10, node_limit=10**9, time_limit=290))
+        assert (result.lattice.n, result.interpretation) == (10, {"a1": 5, "a2": 6, "b1": 8, "b2": 7})
+        assert result.lattice is enumeration._LEVELS[10].lattices[926]
+        assert len(enumeration._LEVELS[10].lattices) < A006966[10]
+        assert enumeration_digest(lattices_of_size(10)) == PINNED_DIGESTS[2][1]
+
+    def test_a_model_search_reads_the_sizes_below_the_streamed_ones_whole(self, monkeypatch):
+        from wallman_lab import modelfinder
+        from wallman_lab.fol import Theory, parse
+
+        whole = []
+        monkeypatch.setattr(modelfinder, "lattices_of_size", lambda n: whole.append(n) or lattices_of_size(n))
+        monkeypatch.setattr(modelfinder, "STREAM_FROM_SIZE", 4)
+        three_middles = (
+            "E x. E y. E z. (!(x = y) & !(y = z) & !(x = z)"
+            " & !(x = 0) & !(x = 1) & !(y = 0) & !(y = 1) & !(z = 0) & !(z = 1))"
+        )
+        result = modelfinder.find_model(Theory((), (parse(three_middles),)), modelfinder.SearchBudget(max_size=5))
+        assert result.lattice.n == 5 and whole == [2, 3]
+
+    @staticmethod
+    def fail_on_third(monkeypatch, size):
+        """Make validate raise on the third lattice of the given size it builds."""
+        real = enumeration.validate
+        built = []
+
+        def flaky(names, *tables):
+            built.append(len(names))
+            if built.count(size) == 3:
+                raise RuntimeError("validate failed")
+            return real(names, *tables)
+
+        monkeypatch.setattr(enumeration, "validate", flaky)
+
+    def test_a_level_that_raised_is_built_again_in_full(self, cold_levels, monkeypatch):
+        want = [enumeration_digest(lattices_of_size(n)) for n in (6, 7)]
+        monkeypatch.setattr(enumeration, "_LEVELS", {5: enumeration._LEVELS[5]})
+        real = enumeration.validate
+        self.fail_on_third(monkeypatch, 6)
+        with pytest.raises(RuntimeError, match="validate failed"):
+            lattices_of_size(7)  # reads the complete level 6 first
+        assert sorted(enumeration._LEVELS) == [5]
+        monkeypatch.setattr(enumeration, "validate", real)
+        assert [enumeration_digest(lattices_of_size(n)) for n in (6, 7)] == want
+
+    def test_a_reader_of_an_abandoned_level_raises_again(self, cold_levels, monkeypatch):
+        reader = iter_lattices(7)
+        assert next(reader) is enumeration._LEVELS[7].lattices[0]
+        real = enumeration.validate
+        self.fail_on_third(monkeypatch, 7)
+        with pytest.raises(RuntimeError, match="validate failed"):
+            lattices_of_size(7)
+        assert 7 not in enumeration._LEVELS
+        with pytest.raises(RuntimeError, match="building the lattices of size 7 failed"):
+            list(reader)
+        monkeypatch.setattr(enumeration, "validate", real)
+        assert len(lattices_of_size(7)) == 53
 
 
 @settings(max_examples=200, deadline=None)
