@@ -68,9 +68,14 @@ def _index(value, bound, what):
 
 
 def _names(value, what):
-    """value as a tuple if it is a JSON list of strings."""
+    """value as a tuple if it is a JSON list of distinct strings."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise InputError(f"{what} must be a list of strings, not {value!r}")
+    seen = set()
+    for v in value:
+        if v in seen:
+            raise InputError(f"{what} repeats the name {v!r}")
+        seen.add(v)
     return tuple(value)
 
 

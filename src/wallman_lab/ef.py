@@ -65,47 +65,45 @@ def ef_equivalent(A, B, rounds):
         raise ValueError(f"rounds must be non-negative, not {rounds}")
     rounds = min(rounds, min(A.n, B.n) + 1)
     memo = {}
-
-    def matcher_wins(pairs, k):
-        key = (pairs, k)
-        if key in memo:
-            return memo[key]
-        if not _consistent(A, B, pairs):
-            memo[key] = False
-            return False
-        if k == 0:
-            memo[key] = True
-            return True
-        result = True
-        for a in range(A.n):
-            if not any(matcher_wins(pairs | {(a, b)}, k - 1) for b in range(B.n)):
-                result = False
-                break
-        if result:
-            for b in range(B.n):
-                if not any(matcher_wins(pairs | {(a, b)}, k - 1) for a in range(A.n)):
-                    result = False
-                    break
-        memo[key] = result
-        return result
-
-    def extract(pairs, k):
-        if not _consistent(A, B, pairs):
-            return None  # already-dead positions need no further moves
-        for a in range(A.n):
-            if not any(matcher_wins(pairs | {(a, b)}, k - 1) for b in range(B.n)):
-                resp = tuple(extract(pairs | {(a, b)}, k - 1) for b in range(B.n))
-                return SpoilerStrategy("A", a, resp)
-        for b in range(B.n):
-            if not any(matcher_wins(pairs | {(a, b)}, k - 1) for a in range(A.n)):
-                resp = tuple(extract(pairs | {(a, b)}, k - 1) for a in range(A.n))
-                return SpoilerStrategy("B", b, resp)
-        raise AssertionError("no winning move from a lost position")
-
     start = frozenset(((A.bottom, B.bottom), (A.top, B.top)))
-    if matcher_wins(start, rounds):
+    if _matcher_wins(A, B, memo, start, rounds):
         return True, None
-    return False, extract(start, rounds)
+    return False, _extract(A, B, memo, start, rounds)
+
+
+# Module-level recursions, not closures that call themselves: such a closure
+# is a reference cycle that keeps each game's memo alive until the garbage
+# collector runs.
+
+
+def _matcher_wins(A, B, memo, pairs, k):
+    key = (pairs, k)
+    if key not in memo:
+        memo[key] = _consistent(A, B, pairs) and (k == 0 or _spoiler_move(A, B, memo, pairs, k) is None)
+    return memo[key]
+
+
+def _spoiler_move(A, B, memo, pairs, k):
+    """The first challenger move, as (side, element), that the matcher cannot
+    answer with k - 1 rounds left, or None."""
+    for a in range(A.n):
+        if not any(_matcher_wins(A, B, memo, pairs | {(a, b)}, k - 1) for b in range(B.n)):
+            return "A", a
+    for b in range(B.n):
+        if not any(_matcher_wins(A, B, memo, pairs | {(a, b)}, k - 1) for a in range(A.n)):
+            return "B", b
+    return None
+
+
+def _extract(A, B, memo, pairs, k):
+    if not _consistent(A, B, pairs):
+        return None  # already-dead positions need no further moves
+    move = _spoiler_move(A, B, memo, pairs, k)
+    if move is None:
+        raise AssertionError("no winning move from a lost position")
+    side, e = move
+    replies = [pairs | {(e, b)} for b in range(B.n)] if side == "A" else [pairs | {(a, e)} for a in range(A.n)]
+    return SpoilerStrategy(side, e, tuple(_extract(A, B, memo, reply, k - 1) for reply in replies))
 
 
 def _atomic_separator(A, B, pebbles_a, pebbles_b):
@@ -131,34 +129,27 @@ def _atomic_separator(A, B, pebbles_a, pebbles_b):
     raise AssertionError("pebbled tuples are atomically equivalent")
 
 
+def _sentence(A, B, strat, pebbles_a, pebbles_b):
+    if strat is None:
+        return _atomic_separator(A, B, pebbles_a, pebbles_b)
+    subs = []
+    for reply, sub in enumerate(strat.responses):
+        if strat.side == "A":
+            s = _sentence(A, B, sub, pebbles_a + [strat.element], pebbles_b + [reply])
+        else:
+            s = _sentence(A, B, sub, pebbles_a + [reply], pebbles_b + [strat.element])
+        if s not in subs:
+            subs.append(s)
+    connective, quantifier = (And, Exists) if strat.side == "A" else (Or, Forall)
+    body = subs[0]
+    for s in subs[1:]:
+        body = connective(body, s)
+    return quantifier(f"p{len(pebbles_a)}", body)
+
+
 def strategy_to_sentence(A, B, strategy):
     """A sentence of quantifier rank <= rounds, true in A and false in B."""
-
-    def build(strat, pebbles_a, pebbles_b):
-        if strat is None:
-            return _atomic_separator(A, B, pebbles_a, pebbles_b)
-        var = f"p{len(pebbles_a)}"
-        if strat.side == "A":
-            subs = []
-            for b, sub in enumerate(strat.responses):
-                s = build(sub, pebbles_a + [strat.element], pebbles_b + [b])
-                if s not in subs:
-                    subs.append(s)
-            body = subs[0]
-            for s in subs[1:]:
-                body = And(body, s)
-            return Exists(var, body)
-        subs = []
-        for a, sub in enumerate(strat.responses):
-            s = build(sub, pebbles_a + [a], pebbles_b + [strat.element])
-            if s not in subs:
-                subs.append(s)
-        body = subs[0]
-        for s in subs[1:]:
-            body = Or(body, s)
-        return Forall(var, body)
-
-    sentence = build(strategy, [], [])
+    sentence = _sentence(A, B, strategy, [], [])
     if eval_formula(A, sentence) is not True:
         raise PostconditionFailed("separating sentence is false in A")
     if eval_formula(B, sentence) is not False:

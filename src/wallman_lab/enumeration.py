@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import Poset, _downsets, validate
+from .lattice import Poset, _downsets, _first_assignment, validate
 
 
 def _up_masks(down):
@@ -43,42 +43,26 @@ def _profile(down):
 
 
 def _poset_isomorphic(down_a, prof_a, down_b, prof_b):
-    """Is there an order isomorphism that keeps each element's profile?
+    """The first order isomorphism that keeps each element's profile, as the
+    list of images of a's elements, or None.
 
     The two profiles are equal as multisets, as within one dedupe bucket.
     """
-    m = len(down_a)
-    mapping = [-1] * m
-    used = [False] * m
+    by_profile = {}
+    for j, p in enumerate(prof_b):
+        by_profile.setdefault(p, []).append(j)
 
-    def extend(i):
-        if i == m:
-            return True
-        for j in range(m):
-            if used[j] or prof_a[i] != prof_b[j]:
-                continue
-            ok = True
-            for k in range(i):
-                la = down_a[k] >> i & 1
-                lb = down_b[mapping[k]] >> j & 1
-                if la != lb:
-                    ok = False
-                    break
-                la = down_a[i] >> k & 1
-                lb = down_b[j] >> mapping[k] & 1
-                if la != lb:
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-                mapping[i] = -1
-        return False
+    def step(i, j, values, used):
+        if used >> j & 1:
+            return None
+        da, db = down_a[i], down_b[j]
+        for k in range(i):
+            mk = values[k]
+            if down_a[k] >> i & 1 != down_b[mk] >> j & 1 or da >> k & 1 != db >> mk & 1:
+                return None
+        return used | 1 << j
 
-    return extend(0)
+    return _first_assignment([by_profile.get(p, ()) for p in prof_a], step, 0)
 
 
 def _dedupe(candidates):
@@ -87,7 +71,7 @@ def _dedupe(candidates):
     for down in candidates:
         prof = _profile(down)
         bucket = buckets.setdefault(tuple(sorted(prof)), [])
-        if any(_poset_isomorphic(down, prof, other, other_prof) for other, other_prof in bucket):
+        if any(_poset_isomorphic(down, prof, other, other_prof) is not None for other, other_prof in bucket):
             continue
         bucket.append((down, prof))
         yield down

@@ -3,7 +3,8 @@
 Three searches live here: bounded-lattice embeddings, base morphisms
 satisfying the join-cover and empty-meet conditions (sufficient for building
 continuous surjections), and a brute-force oracle over all point maps.  All
-searches are lexicographic-first and deterministic.
+searches are lexicographic-first and deterministic; the first two run on the
+backtracking core `lattice._first_assignment`, as do the isomorphism searches.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotABase
-from .lattice import _by_size
+from .lattice import _by_size, _first_assignment
 from .spaces import (
     _fiber_point,
     _is_lattice_family,
@@ -41,52 +42,31 @@ class LMorphism:
 def find_lattice_embedding(B, L):
     """Injective bound-preserving lattice homomorphism B -> L, or None.
 
-    Backtracking over B's elements in index order, candidate targets in
-    ascending order; the first complete assignment is returned.
+    Backtracking over B's bottom, top, then the other elements in index
+    order, candidate targets in ascending order; the first complete
+    assignment is returned.  Each meet or join fact p . q = r of B is
+    checked once its last element is assigned.
     """
-    order = [B.bottom, B.top] + [
-        e for e in B.elements() if e not in (B.bottom, B.top)
-    ]
-    assignment = {}
-    used = set()
+    order = [B.bottom, B.top] + [e for e in B.elements() if e not in (B.bottom, B.top)]
+    pos = {e: i for i, e in enumerate(order)}
+    checks = [[] for _ in order]  # checks[i]: (p, q, r, table) by position, last assigned at i
+    for p in range(len(order)):
+        for q in range(p + 1, len(order)):
+            for table_b, table_l in ((B.meet, L.meet), (B.join, L.join)):
+                r = pos[table_b[order[p]][order[q]]]
+                checks[max(q, r)].append((p, q, r, table_l))
 
-    def candidates(e):
-        if e == B.bottom:
-            return [L.bottom]
-        if e == B.top:
-            return [L.top]
-        return list(L.elements())
+    def step(i, t, values, used):
+        if used >> t & 1:
+            return None
+        for p, q, r, table in checks[i]:
+            if table[values[p]][values[q]] != values[r]:
+                return None
+        return used | 1 << t
 
-    def consistent(e, t):
-        trial = dict(assignment)
-        trial[e] = t
-        for e1, t1 in trial.items():
-            for e2, t2 in trial.items():
-                m, j = B.meet[e1][e2], B.join[e1][e2]
-                if m in trial and L.meet[t1][t2] != trial[m]:
-                    return False
-                if j in trial and L.join[t1][t2] != trial[j]:
-                    return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            return True
-        e = order[i]
-        for t in candidates(e):
-            if t in used or not consistent(e, t):
-                continue
-            assignment[e] = t
-            used.add(t)
-            if extend(i + 1):
-                return True
-            used.discard(t)
-            del assignment[e]
-        return False
-
-    if extend(0):
-        return dict(assignment)
-    return None
+    domains = [[L.bottom], [L.top]] + [L.elements()] * (len(order) - 2)
+    values = _first_assignment(domains, step, 0)
+    return None if values is None else dict(zip(order, values))
 
 
 def surjection_from_embedding(base_sets, phi, L, X):
@@ -144,49 +124,24 @@ def find_L_morphism(Y, base, X):
     family, so the two checks prune the same partial assignments.
     """
     base = _check_base(Y, base)
-    n = len(base)
-    full_y = Y.full
-    cover_pairs = [
-        (i, j) for i in range(n) for j in range(i, n) if base[i] | base[j] == full_y
-    ]
-    targets = X.closed_sorted()
-    full_x = X.full
-    assignment = [None] * n
+    full_y, full_x = Y.full, X.full
+    # partners[i]: the j <= i with base[j] | base[i] = Y; the empty set has none to check
+    partners = [[j for j in range(i + 1) if b | base[j] == full_y] if b else [] for i, b in enumerate(base)]
+    nonzero = [t for t in X.closed_sorted() if t]
+    whole = [t for t in nonzero if t == full_x]  # [X], unless X has no points
+    domains = [[0] if b == 0 else whole if b == full_y else nonzero for b in base]
 
-    def ok(i, t):
-        if base[i] == 0:
-            return t == 0
-        if t == 0:
-            return False
-        if base[i] == full_y and t != full_x:
-            return False
-        for a, b in cover_pairs:
-            if a != i and b != i:
-                continue
-            other = a + b - i
-            if other == i:
-                if t != full_x:
-                    return False
-            elif assignment[other] is not None and t | assignment[other] != full_x:
-                return False
-        return True
-
-    def extend(i, meet_at):
+    def step(i, t, values, meet_at):
         # meet_at[x]: the meet of the base sets assigned so far whose image holds x
-        if i == n:
-            return True
+        for j in partners[i]:
+            if t | values[j] != full_x:
+                return None
         b = base[i]
-        for t in targets:
-            if ok(i, t) and all(m & b for x, m in enumerate(meet_at) if t >> x & 1):
-                assignment[i] = t
-                if extend(i + 1, [m & b if t >> x & 1 else m for x, m in enumerate(meet_at)]):
-                    return True
-                assignment[i] = None
-        return False
+        meet_at = [m & b if t >> x & 1 else m for x, m in enumerate(meet_at)]
+        return None if t and 0 in meet_at else meet_at
 
-    if extend(0, [full_y] * X.point_count):
-        return LMorphism(tuple(base), dict(zip(base, assignment)))
-    return None
+    values = _first_assignment(domains, step, [full_y] * X.point_count)
+    return None if values is None else LMorphism(tuple(base), dict(zip(base, values)))
 
 
 def surjection_from_morphism(Y, phi, X):
@@ -204,11 +159,12 @@ def surjection_from_morphism(Y, phi, X):
     ]
     continuous = is_continuous(f, X, Y)
     onto = is_surjective(f, X, Y)
+    interiors = [Y.interior(b) for b in base]
     identity_ok = True
     for c in Y.closed:
         rhs = X.full
-        for b in base:
-            if c & ~Y.interior(b) == 0:
+        for b, inner in zip(base, interiors):
+            if c & ~inner == 0:
                 rhs &= phi.assignment[b]
         if _preimage_mask(f, c) != rhs:
             identity_ok = False

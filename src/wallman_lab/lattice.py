@@ -550,60 +550,47 @@ def birkhoff_poset(L):
     return Poset(m, le).validate()
 
 
+def _first_assignment(domains, step, state):
+    """The first assignment of values to the variables 0..k-1, or None.
+
+    Variables are assigned in order, each trying the values of domains[i] in
+    order.  step(i, value, values, state) sees values[0..i] assigned, value
+    included, and returns the state for variable i + 1, or None to prune.
+    """
+    values = [None] * len(domains)
+    return values if _assign(0, domains, step, state, values) else None
+
+
+def _assign(i, domains, step, state, values):
+    # a module-level recursion, not a closure that calls itself: such a
+    # closure is a reference cycle that lives until the garbage collector runs
+    if i == len(domains):
+        return True
+    for value in domains[i]:
+        values[i] = value
+        nxt = step(i, value, values, state)
+        if nxt is not None and _assign(i + 1, domains, step, nxt, values):
+            return True
+    return False
+
+
 def lattice_isomorphism(A, B):
-    """An isomorphism (index map) between bounded lattices, or None."""
+    """An isomorphism (index map) between bounded lattices, or None.
+
+    An order isomorphism between lattices keeps meets, joins and the bounds,
+    so this is the poset search on the down-masks read off the meet tables.
+    """
+    from .enumeration import _poset_isomorphic, _profile
+
     if A.n != B.n:
         return None
-
-    def profile(L, e):
-        down = sum(1 for a in L.elements() if L.leq(a, e))
-        up = sum(1 for a in L.elements() if L.leq(e, a))
-        return (down, up)
-
-    pa = {e: profile(A, e) for e in A.elements()}
-    pb = {e: profile(B, e) for e in B.elements()}
-    order = sorted(A.elements(), key=lambda e: (pa[e], e))
-    mapping = {A.bottom: B.bottom, A.top: B.top}
-    if pa[A.bottom] != pb[B.bottom] or pa[A.top] != pb[B.top]:
+    # down[a] has bit b when b <= a, that is when meet[a][b] == b
+    down_a, down_b = ([sum(1 << b for b, m in enumerate(row) if m == b) for row in L.meet] for L in (A, B))
+    prof_a, prof_b = _profile(down_a), _profile(down_b)
+    if sorted(prof_a) != sorted(prof_b):
         return None
-    used = set(mapping.values())
-    order = [e for e in order if e not in (A.bottom, A.top)]
-
-    def consistent(e, img):
-        for a, fa in mapping.items():
-            if A.meet[e][a] in mapping and mapping[A.meet[e][a]] != B.meet[img][fa]:
-                return False
-            if A.join[e][a] in mapping and mapping[A.join[e][a]] != B.join[img][fa]:
-                return False
-        return True
-
-    def full_check():
-        for a in A.elements():
-            for b in A.elements():
-                if mapping[A.meet[a][b]] != B.meet[mapping[a]][mapping[b]]:
-                    return False
-                if mapping[A.join[a][b]] != B.join[mapping[a]][mapping[b]]:
-                    return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            return full_check()
-        e = order[i]
-        for img in B.elements():
-            if img in used or pb[img] != pa[e]:
-                continue
-            mapping[e] = img
-            used.add(img)
-            if consistent(e, img) and extend(i + 1):
-                return True
-            del mapping[e]
-            used.discard(img)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    mapping = _poset_isomorphic(down_a, prof_a, down_b, prof_b)
+    return None if mapping is None else dict(enumerate(mapping))
 
 
 def enumerate_distributive(max_size):

@@ -227,6 +227,25 @@ class TestInputHandling:
         assert proc.returncode == 2
         assert "constants must be a list of strings" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["wallman", "embed"])
+    def test_repeated_element_names_are_input_error(self, fixtures, command):
+        # reports keyed by name would silently drop the repeated one's entry
+        data = json.loads(open(fixtures["ba4"]).read())
+        data["elements"] = ["x", "x", "y", "top"]
+        path = fixtures["tmp"] / "repeated.json"
+        path.write_text(json.dumps(data))
+        args = [str(path)] * (2 if command == "embed" else 1)
+        proc = run_cli(command, *args)
+        assert proc.returncode == 2
+        assert "elements repeats the name 'x'" in proc.stderr
+
+    def test_repeated_constants_are_input_error(self, fixtures):
+        path = fixtures["tmp"] / "repeated_constants.json"
+        path.write_text(json.dumps({"constants": ["a", "b", "a"], "sentences": ["!(a = b)"]}))
+        proc = run_cli("find-model", str(path), "--max-size", "3")
+        assert proc.returncode == 2
+        assert "constants repeats the name 'a'" in proc.stderr
+
     def test_poset_index_out_of_range_is_input_error(self, fixtures):
         path = fixtures["tmp"] / "bad_poset.json"
         path.write_text(json.dumps({"poset": {"size": 2, "le": [[-1, 0]]}}))

@@ -10,6 +10,7 @@ from wallman_lab.homsearch import (
     surjection_from_embedding,
     surjection_from_morphism,
 )
+from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.lattice import chain, powerset_lattice
 from wallman_lab.spaces import (
     all_spaces,
@@ -47,6 +48,67 @@ class TestEmbedding:
         a = find_lattice_embedding(chain(3), powerset_lattice(2))
         b = find_lattice_embedding(chain(3), powerset_lattice(2))
         assert a == b
+
+
+def reference_lattice_embedding(B, L):
+    """find_lattice_embedding as it was before the shared backtracking core:
+    every node copies the assignment and re-checks all of its pairs."""
+    order = [B.bottom, B.top] + [
+        e for e in B.elements() if e not in (B.bottom, B.top)
+    ]
+    assignment = {}
+    used = set()
+
+    def candidates(e):
+        if e == B.bottom:
+            return [L.bottom]
+        if e == B.top:
+            return [L.top]
+        return list(L.elements())
+
+    def consistent(e, t):
+        trial = dict(assignment)
+        trial[e] = t
+        for e1, t1 in trial.items():
+            for e2, t2 in trial.items():
+                m, j = B.meet[e1][e2], B.join[e1][e2]
+                if m in trial and L.meet[t1][t2] != trial[m]:
+                    return False
+                if j in trial and L.join[t1][t2] != trial[j]:
+                    return False
+        return True
+
+    def extend(i):
+        if i == len(order):
+            return True
+        e = order[i]
+        for t in candidates(e):
+            if t in used or not consistent(e, t):
+                continue
+            assignment[e] = t
+            used.add(t)
+            if extend(i + 1):
+                return True
+            used.discard(t)
+            del assignment[e]
+        return False
+
+    if extend(0):
+        return dict(assignment)
+    return None
+
+
+@pytest.mark.parametrize(
+    "make_target",
+    [lambda: powerset_lattice(3), lambda: powerset_lattice(4)]
+    + [lambda i=i: lattices_of_size(8)[i] for i in range(0, 222, 20)],
+    ids=["2^3", "2^4"] + [f"size-8-no-{i}" for i in range(0, 222, 20)],
+)
+def test_embedding_matches_reference_search(make_target):
+    # every source of size 2..7 into 2^3, 2^4 and every 20th lattice of size 8
+    target = make_target()
+    for B in (B for n in range(2, 8) for B in lattices_of_size(n)):
+        assert find_lattice_embedding(B, target) == reference_lattice_embedding(B, target), B
 
 
 class TestSurjectionFromEmbedding:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +353,35 @@ class TestIsomorphism:
 
     def test_chain_vs_powerset_not_isomorphic(self):
         assert lattice_isomorphism(chain(4), powerset_lattice(2)) is None
+
+    @staticmethod
+    def relabelled(L, perm):
+        """L with element perm[i] renamed i."""
+        inv = [perm.index(i) for i in range(L.n)]
+        meet = [[inv[L.meet[perm[i]][perm[j]]] for j in range(L.n)] for i in range(L.n)]
+        join = [[inv[L.join[perm[i]][perm[j]]] for j in range(L.n)] for i in range(L.n)]
+        return validate([L.names[p] for p in perm], meet, join, inv[L.bottom], inv[L.top])
+
+    def test_isomorphisms_keep_the_operations_on_all_small_pairs(self):
+        # one lattice per class of size <= 6 and a relabelled copy of each:
+        # two of them are isomorphic exactly when they come from one class
+        shuffle = random.Random(7).shuffle
+        lattices = []
+        for cls, L in enumerate(L for n in range(2, 7) for L in lattices_of_size(n)):
+            perm = list(range(L.n))
+            shuffle(perm)
+            lattices += [(cls, L), (cls, self.relabelled(L, perm))]
+        for cls_a, A in lattices:
+            for cls_b, B in lattices:
+                f = lattice_isomorphism(A, B)
+                assert (f is not None) == (cls_a == cls_b), (A, B)
+                if f is None:
+                    continue
+                assert sorted(f) == sorted(f.values()) == list(range(A.n))
+                assert (f[A.bottom], f[A.top]) == (B.bottom, B.top)
+                for a, b in itertools.product(A.elements(), repeat=2):
+                    assert f[A.meet[a][b]] == B.meet[f[a]][f[b]]
+                    assert f[A.join[a][b]] == B.join[f[a]][f[b]]
 
 
 class TestEnumeration:

@@ -1,0 +1,53 @@
+"""No search leaves cyclic garbage behind: each recursion is a module-level
+function, not a closure that calls itself, so a finished search frees its
+memo and its state at once, without waiting for the garbage collector."""
+
+import gc
+
+import pytest
+
+from wallman_lab import enumeration
+from wallman_lab.ef import ef_equivalent, strategy_to_sentence
+from wallman_lab.homsearch import find_L_morphism, find_lattice_embedding
+from wallman_lab.lattice import chain, diamond_m3, lattice_isomorphism, powerset_lattice
+from wallman_lab.spaces import discrete_space
+
+
+def poset_search_inputs():
+    # the down-masks of M3 against themselves: the same call as one dedupe test,
+    # made directly, since an enumeration level built earlier would be cached
+    down = tuple(sum(1 << b for b, m in enumerate(row) if m == b) for row in diamond_m3().meet)
+    prof = enumeration._profile(down)
+    return down, prof, down, prof
+
+
+def sentence_inputs():
+    # built once before, so that its check reads the compiled sentence from
+    # the cache: compiling a new sentence is not what is measured here
+    args = chain(3), chain(4), ef_equivalent(chain(3), chain(4), 2)[1]
+    strategy_to_sentence(*args)
+    return args
+
+
+SEARCHES = {
+    "ef_equivalent": (ef_equivalent, lambda: (chain(3), chain(4), 2)),
+    "strategy_to_sentence": (strategy_to_sentence, sentence_inputs),
+    "find_lattice_embedding": (find_lattice_embedding, lambda: (chain(3), powerset_lattice(2))),
+    "find_L_morphism": (find_L_morphism, lambda: (discrete_space(3), discrete_space(3).closed_sorted(), discrete_space(3))),
+    "lattice_isomorphism": (lattice_isomorphism, lambda: (powerset_lattice(2), powerset_lattice(2))),
+    "_poset_isomorphic": (enumeration._poset_isomorphic, poset_search_inputs),
+}
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_a_search_leaves_no_cyclic_garbage(name):
+    search, make_args = SEARCHES[name]
+    args = make_args()
+    gc.collect()
+    gc.disable()  # an automatic collection during the call would hide a cycle
+    try:
+        result = search(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert result is not None
