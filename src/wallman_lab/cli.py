@@ -248,7 +248,7 @@ def cmd_wallman(args, stone=False):
 
 
 def cmd_eval(args):
-    from .fol import bind_constants, eval_formula, parse
+    from .fol import eval_formula, parse
 
     started = time.monotonic()
     L = load_lattice(args.structure)
@@ -261,7 +261,6 @@ def cmd_eval(args):
         if not (value.isdigit() and int(value) < L.n):
             raise InputError(f"--let {item}: the value must be an element index in 0..{L.n - 1}")
         interp[name] = int(value)
-    formula = bind_constants(formula, interp)
     value = eval_formula(L, formula, interp)
     report = _report(
         sys.argv[1:], {args.structure: _digest(args.structure)}, {"value": value}, started

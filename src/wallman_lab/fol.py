@@ -367,84 +367,57 @@ def print_formula(f):
 
 # ---------------------------------------------------------------- free names
 
+_BINARY = (Meet, Join, Eq, Leq, JPred, And, Or, Implies)
 
-@lru_cache(maxsize=None)
+
+def _walk(node, leaf, bound=frozenset()):
+    """node rebuilt with each Var and Const t replaced by leaf(t, bound),
+    where bound holds the names of the quantifiers above t."""
+    if isinstance(node, (Var, Const)):
+        return leaf(node, bound)
+    if isinstance(node, (Bottom, Top)):
+        return node
+    if isinstance(node, _BINARY):
+        return type(node)(_walk(node.left, leaf, bound), _walk(node.right, leaf, bound))
+    if isinstance(node, MPred):
+        return MPred(tuple(_walk(t, leaf, bound) for t in node.terms))
+    if isinstance(node, Not):
+        return Not(_walk(node.body, leaf, bound))
+    if isinstance(node, (Forall, Exists)):
+        return type(node)(node.var, _walk(node.body, leaf, bound | {node.var}))
+    raise TypeError(f"not a formula or term: {node!r}")
+
+
+def _names_of(f, kind):
+    """Names of the kind (Var: free ones only) that f mentions."""
+    out = set()
+
+    def leaf(t, bound):
+        if isinstance(t, kind) and not (kind is Var and t.name in bound):
+            out.add(t.name)
+        return t
+
+    _walk(f, leaf)
+    return frozenset(out)
+
+
 def free_variables(f):
     """Free variable names of a formula or term (constants excluded)."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, (Const, Bottom, Top)):
-        return frozenset()
-    if isinstance(f, (Meet, Join, Eq, Leq, JPred, And, Or, Implies)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, MPred):
-        out = frozenset()
-        for t in f.terms:
-            out |= free_variables(t)
-        return out
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula or term: {f!r}")
+    return _names_of(f, Var)
 
 
-@lru_cache(maxsize=None)
 def constant_names(f):
-    if isinstance(f, Const):
-        return frozenset((f.name,))
-    if isinstance(f, (Var, Bottom, Top)):
-        return frozenset()
-    if isinstance(f, (Meet, Join, Eq, Leq, JPred, And, Or, Implies)):
-        return constant_names(f.left) | constant_names(f.right)
-    if isinstance(f, MPred):
-        out = frozenset()
-        for t in f.terms:
-            out |= constant_names(t)
-        return out
-    if isinstance(f, Not):
-        return constant_names(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return constant_names(f.body)
-    raise TypeError(f"not a formula or term: {f!r}")
+    return _names_of(f, Const)
 
 
 def bind_constants(f, names):
     """Turn free variables whose names appear in `names` into constants."""
     names = frozenset(names)
 
-    def go(node, bound):
-        if isinstance(node, Var):
-            return Const(node.name) if node.name in names and node.name not in bound else node
-        if isinstance(node, (Const, Bottom, Top)):
-            return node
-        if isinstance(node, Meet):
-            return Meet(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, Join):
-            return Join(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, Eq):
-            return Eq(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, Leq):
-            return Leq(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, JPred):
-            return JPred(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, MPred):
-            return MPred(tuple(go(t, bound) for t in node.terms))
-        if isinstance(node, Not):
-            return Not(go(node.body, bound))
-        if isinstance(node, And):
-            return And(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, Or):
-            return Or(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, Implies):
-            return Implies(go(node.left, bound), go(node.right, bound))
-        if isinstance(node, Forall):
-            return Forall(node.var, go(node.body, bound | {node.var}))
-        if isinstance(node, Exists):
-            return Exists(node.var, go(node.body, bound | {node.var}))
-        raise TypeError(f"not a formula or term: {node!r}")
+    def leaf(t, bound):
+        return Const(t.name) if isinstance(t, Var) and t.name in names and t.name not in bound else t
 
-    return go(f, frozenset())
+    return _walk(f, leaf)
 
 # ---------------------------------------------------------------- evaluator
 #
@@ -554,70 +527,78 @@ def _quantify(kind, slot, body):
     return _Node(kind, body.fv - {slot}, (slot, body))
 
 
-def _normal_form(sentence, names):
-    """(normal form, 1 + highest name slot mentioned, slot count)."""
-    index = {nm: i for i, nm in enumerate(names)}
-    missing = {Const: set(), Var: set()}
-    width = len(index)
-    depth = 0
+class _Resolve:
+    """The slots of one sentence's names, and what resolving it finds."""
 
-    def name(t, scope):
-        nonlocal depth
-        slot = scope.get(t.name) if isinstance(t, Var) else None
+    def __init__(self, names):
+        self.index = {nm: i for i, nm in enumerate(names)}
+        self.missing = {Const: set(), Var: set()}
+        self.width = len(self.index)  # slots handed out so far
+        self.depth = 0  # 1 + the highest listed slot mentioned
+
+
+def _name(t, scope, rs):
+    slot = scope.get(t.name) if isinstance(t, Var) else None
+    if slot is None:
+        slot = rs.index.get(t.name)
         if slot is None:
-            slot = index.get(t.name)
-            if slot is None:
-                missing[type(t)].add(t.name)
-                return "0"
-            depth = max(depth, slot + 1)
-        return slot
-
-    def term(t, scope):
-        if isinstance(t, (Var, Const)):
-            return name(t, scope)
-        if isinstance(t, Bottom):
+            rs.missing[type(t)].add(t.name)
             return "0"
-        if isinstance(t, Top):
-            return "1"
-        if isinstance(t, Meet):
-            return _fold("meet", term(t.left, scope), term(t.right, scope))
-        if isinstance(t, Join):
-            return _fold("join", term(t.left, scope), term(t.right, scope))
-        raise TypeError(f"not a term: {t!r}")
+        rs.depth = max(rs.depth, slot + 1)
+    return slot
 
-    def formula(f, positive, scope):
-        nonlocal width
-        if isinstance(f, Eq):
-            return _atom(term(f.left, scope), term(f.right, scope), positive)
-        if isinstance(f, Leq):
-            a = term(f.left, scope)
-            return _atom(_fold("meet", a, term(f.right, scope)), a, positive)
-        if isinstance(f, JPred):
-            return _atom(_fold("join", term(f.left, scope), term(f.right, scope)), "1", positive)
-        if isinstance(f, MPred):
-            acc = term(f.terms[0], scope)
-            for t in f.terms[1:]:
-                acc = _fold("meet", acc, term(t, scope))
-            return _atom(acc, "0", positive)
-        if isinstance(f, Not):
-            return formula(f.body, not positive, scope)
-        if isinstance(f, (And, Or, Implies)):
-            conj = isinstance(f, And) == positive
-            left = formula(f.left, positive != isinstance(f, Implies), scope)
-            return _junction("and" if conj else "or", [left, formula(f.right, positive, scope)])
-        if isinstance(f, (Forall, Exists)):
-            slot = width
-            width += 1
-            body = formula(f.body, positive, {**scope, f.var: slot})
-            return _quantify("all" if isinstance(f, Forall) == positive else "ex", slot, body)
-        raise TypeError(f"not a formula: {f!r}")
 
-    out = formula(sentence, True, {})
-    if missing[Const]:
-        raise MissingConstant(min(missing[Const]))
-    if missing[Var]:
-        raise UnboundVariable(min(missing[Var]))
-    return out, depth, width
+def _term(t, scope, rs):
+    if isinstance(t, (Var, Const)):
+        return _name(t, scope, rs)
+    if isinstance(t, Bottom):
+        return "0"
+    if isinstance(t, Top):
+        return "1"
+    if isinstance(t, Meet):
+        return _fold("meet", _term(t.left, scope, rs), _term(t.right, scope, rs))
+    if isinstance(t, Join):
+        return _fold("join", _term(t.left, scope, rs), _term(t.right, scope, rs))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _formula(f, positive, scope, rs):
+    if isinstance(f, Eq):
+        return _atom(_term(f.left, scope, rs), _term(f.right, scope, rs), positive)
+    if isinstance(f, Leq):
+        a = _term(f.left, scope, rs)
+        return _atom(_fold("meet", a, _term(f.right, scope, rs)), a, positive)
+    if isinstance(f, JPred):
+        return _atom(_fold("join", _term(f.left, scope, rs), _term(f.right, scope, rs)), "1", positive)
+    if isinstance(f, MPred):
+        acc = _term(f.terms[0], scope, rs)
+        for t in f.terms[1:]:
+            acc = _fold("meet", acc, _term(t, scope, rs))
+        return _atom(acc, "0", positive)
+    if isinstance(f, Not):
+        return _formula(f.body, not positive, scope, rs)
+    if isinstance(f, (And, Or, Implies)):
+        conj = isinstance(f, And) == positive
+        left = _formula(f.left, positive != isinstance(f, Implies), scope, rs)
+        return _junction("and" if conj else "or", [left, _formula(f.right, positive, scope, rs)])
+    if isinstance(f, (Forall, Exists)):
+        slot = rs.width
+        rs.width += 1
+        body = _formula(f.body, positive, {**scope, f.var: slot}, rs)
+        return _quantify("all" if isinstance(f, Forall) == positive else "ex", slot, body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _normal_form(sentence, names):
+    """(normal form, 1 + highest name slot mentioned, slot count); the slots
+    are one per distinct name, then one per Forall or Exists node."""
+    rs = _Resolve(names)
+    out = _formula(sentence, True, {}, rs)
+    if rs.missing[Const]:
+        raise MissingConstant(min(rs.missing[Const]))
+    if rs.missing[Var]:
+        raise UnboundVariable(min(rs.missing[Var]))
+    return out, rs.depth, rs.width
 
 
 def _term_maker(t):

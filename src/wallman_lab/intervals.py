@@ -87,20 +87,6 @@ def meet(a, b):
     return riset(*out)
 
 
-def _complement_pieces(a):
-    """[0,1] minus a, as (lo, lo_open, hi, hi_open) pieces, in order."""
-    pieces = []
-    cursor = ZERO
-    cursor_open = False
-    for lo, hi in a.intervals:
-        if cursor < lo:
-            pieces.append((cursor, cursor_open, lo, True))
-        cursor, cursor_open = hi, True
-    if cursor < ONE:
-        pieces.append((cursor, cursor_open, ONE, False))
-    return pieces
-
-
 def difference_pieces(a, b):
     """a minus b as half-open/open pieces (lo, lo_open, hi, hi_open)."""
     pieces = []
@@ -184,7 +170,7 @@ def refute_partition(x, y):
         return "meet-nonempty", common
     union = join(x, y)
     if union != top():
-        gap = _complement_pieces(union)[0]
+        gap = difference_pieces(top(), union)[0]
         return "join-not-top", gap
     if x.is_empty():
         return "x-empty", x

@@ -433,25 +433,28 @@ def find_chicane(L, fs):
     return _least_chicane(L, _masks(L), fs.c, fs.d, fs.f, fs.g)
 
 
-def satisfies_HI(L):
-    """Every pliand foursome admits a chicane; else the least offending foursome.
+def _first_without_chicane(perp, above, has_chicane):
+    """The first pliand foursome of a family (an index tuple, in
+    lexicographic order) for which has_chicane fails, or None.
 
-    Correct because the pliand foursomes form a down-set of L^4 and a chicane
-    of a foursome is one of every pliand foursome below it: each identity only
-    gets easier as c, d, f or g shrinks.  So HI holds iff every maximal pliand
-    foursome has a chicane, and only when one of them lacks a chicane are all
-    foursomes scanned in index order for the least offender.
+    perp and above are the family's disjointness masks and the masks of the
+    members strictly above each member.  Correct because the pliand
+    foursomes form a down-set and a chicane of a foursome is one of every
+    pliand foursome below it: each identity only gets easier as c, d, f or g
+    shrinks.  So every foursome has a chicane iff every maximal one has, and
+    only when one of them lacks a chicane are all foursomes scanned in order.
     """
+    if all(map(has_chicane, _maximal_foursomes(perp, above))):
+        return None
+    return next(q for q in _pliand_foursomes(perp) if not has_chicane(q))
+
+
+def satisfies_HI(L):
+    """Every pliand foursome admits a chicane; else the least offending foursome."""
     masks = _masks(L)
-    perp = masks[0]
     above = [sum(1 << y for y, m in enumerate(row) if m == x != y) for x, row in enumerate(L.meet)]
-
-    def has_chicane(q):
-        return _least_chicane(L, masks, *q) is not None
-
-    if all(has_chicane(q) for q in _maximal_foursomes(perp, above)):
-        return True, None
-    return False, PliandFoursome(*next(q for q in _pliand_foursomes(perp) if not has_chicane(q)))
+    first = _first_without_chicane(masks[0], above, lambda q: _least_chicane(L, masks, *q) is not None)
+    return (True, None) if first is None else (False, PliandFoursome(*first))
 
 
 def satisfies_dim_le1(L):

@@ -2,9 +2,10 @@
 
 Candidate lattices come from the isomorph-free enumeration (one per
 isomorphism class, deterministic order), sizes from STREAM_FROM_SIZE on
-built only as far as the search reads them; constants are interpreted by
-backtracking, with every sentence checked as soon as the constants it
-mentions are assigned.  Outcomes are values, never exceptions.
+built only as far as the search reads them.  Constants are interpreted on
+the shared backtracking core, `lattice._first_assignment`, one budget node
+each, and every sentence, compiled once, is checked as soon as the
+constants it mentions are assigned.  Outcomes are values, never exceptions.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ from .enumeration import all_labeled_lattices, iter_lattices, lattices_of_size
 from .errors import NotDistributive, PostconditionFailed, PreconditionViolated
 from .fol import (
     BOT,
-    And,
     Const,
     Eq,
-    Exists,
-    Forall,
-    Implies,
     Meet,
     Not,
-    Or,
     Theory,
     builtin_HI,
     builtin_conn,
@@ -36,6 +32,7 @@ from .fol import (
     diagram,
     eval_formula,
 )
+from .lattice import _first_assignment
 from .spaces import closed_set_lattice
 from .wallman import wallman_space
 
@@ -92,58 +89,44 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _quantifier_count(f):
-    if isinstance(f, (Forall, Exists)):
-        return 1 + _quantifier_count(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _quantifier_count(f.left) + _quantifier_count(f.right)
-    if isinstance(f, Not):
-        return _quantifier_count(f.body)
-    return 0
-
-
 def _schedule(theory):
     """Each sentence compiled once, with the constants in slots 0..k-1.
 
     Returns the constants, for each constant-prefix depth the compiled
-    sentences that become checkable there, cheapest (fewest quantifiers)
-    first, and the slot-list width they need.
+    sentences that become checkable there, cheapest (fewest quantifiers,
+    one slot each after the constants') first, and the slot-list width
+    they need.
     """
     consts = list(theory.constants)
     stages = [[] for _ in range(len(consts) + 1)]
     width = len(consts)
     for pos, s in enumerate(theory.sentences):
         compiled = compile_sentence(s, consts)
-        stages[compiled.depth].append((_quantifier_count(s), pos, compiled.bind))
+        stages[compiled.depth].append((compiled.width - len(consts), pos, compiled.bind))
         width = max(width, compiled.width)
     return consts, [[bind for _, _, bind in sorted(stage)] for stage in stages], width
 
 
-def _extend(depth, tests, slots, domain, tracker):
-    """Assign the constants from `depth` on; tests[d] checks the prefix of d."""
-    for test in tests[depth]:
+def _step(i, value, values, state):
+    """Constant i takes value, one node of the budget; the sentences whose
+    last constant is i are checked."""
+    tests, slots, tracker = state
+    tracker.tick()
+    slots[i] = value
+    for test in tests[i + 1]:
         if not test(slots):
-            return False
-    if depth == len(tests) - 1:
-        return True
-    for val in domain:
-        tracker.tick()
-        slots[depth] = val
-        if _extend(depth + 1, tests, slots, domain, tracker):
-            return True
-    return False
+            return None
+    return state
 
 
 def _satisfying_interpretation(L, schedule, tracker):
-    # a module-level recursion, not a closure that calls itself: such a
-    # closure is a reference cycle that would keep each lattice's bound
-    # sentences alive until the garbage collector runs
     consts, stages, width = schedule
     tests = [[bind(L) for bind in stage] for stage in stages]
     slots = [0] * width
-    if _extend(0, tests, slots, range(L.n), tracker):
-        return dict(zip(consts, slots))
-    return None
+    if not all(test(slots) for test in tests[0]):
+        return None
+    found = _first_assignment([range(L.n)] * len(consts), _step, (tests, slots, tracker))
+    return None if found is None else dict(zip(consts, slots))
 
 
 def find_model(theory, budget=SearchBudget()):

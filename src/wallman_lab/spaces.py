@@ -19,7 +19,7 @@ from .errors import (
     NotSurjective,
     PreconditionViolated,
 )
-from .lattice import _by_size, _mask_lattice, _maximal_foursomes, _pliand_foursomes
+from .lattice import _by_size, _first_without_chicane, _mask_lattice
 
 CONTINUA_POINT_CAP = 12
 
@@ -235,24 +235,14 @@ def is_crooked_between(X, c, d):
 
 def _pliand_chicanes(X, family):
     """(True, None) if every pliand foursome drawn from the family has a
-    chicane, else (False, the first foursome without one).
-
-    Correct because the pliand foursomes of the family form a down-set under
-    inclusion and a chicane of a foursome serves every foursome below it, so
-    the maximal foursomes are tried first; only when one of them has no
-    chicane are all foursomes scanned in family order for the first offender.
-    """
+    chicane, else (False, the first foursome without one, in family order)."""
     fam = X.closed_sorted()
     perp = [sum(1 << j for j, b in enumerate(family) if not a & b) for a in family]
     above = [sum(1 << j for j, b in enumerate(family) if a != b and not a & ~b) for a in family]
-
-    def has_chicane(q):
-        return space_chicane(X, *(family[i] for i in q), fam) is not None
-
-    if all(has_chicane(q) for q in _maximal_foursomes(perp, above)):
-        return True, None
-    first = next(q for q in _pliand_foursomes(perp) if not has_chicane(q))
-    return False, tuple(family[i] for i in first)
+    first = _first_without_chicane(
+        perp, above, lambda q: space_chicane(X, *(family[i] for i in q), fam) is not None
+    )
+    return (True, None) if first is None else (False, tuple(family[i] for i in first))
 
 
 def chicane_condition(X):

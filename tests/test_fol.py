@@ -36,6 +36,8 @@ from wallman_lab.fol import (
     builtin_disjunctive,
     builtin_distributive,
     builtin_normality,
+    compile_sentence,
+    constant_names,
     diagram,
     eval_formula,
     free_variables,
@@ -429,3 +431,129 @@ class TestTheoryPlumbing:
         th = Theory(("a",), (Not(Eq(Const("a"), BOT)),))
         assert theory_holds(chain(2), th, {"a": 1})
         assert not theory_holds(chain(2), th, {"a": 0})
+
+
+# The three name walks as they were before they shared one traversal: each
+# its own isinstance ladder.  The shared walk must return exactly what they do.
+
+
+def reference_free_variables(f):
+    if isinstance(f, Var):
+        return frozenset((f.name,))
+    if isinstance(f, (Const, Bottom, Top)):
+        return frozenset()
+    if isinstance(f, (Meet, Join, Eq, Leq, JPred, And, Or, Implies)):
+        return reference_free_variables(f.left) | reference_free_variables(f.right)
+    if isinstance(f, MPred):
+        out = frozenset()
+        for t in f.terms:
+            out |= reference_free_variables(t)
+        return out
+    if isinstance(f, Not):
+        return reference_free_variables(f.body)
+    if isinstance(f, (Forall, Exists)):
+        return reference_free_variables(f.body) - {f.var}
+    raise TypeError(f"not a formula or term: {f!r}")
+
+
+def reference_constant_names(f):
+    if isinstance(f, Const):
+        return frozenset((f.name,))
+    if isinstance(f, (Var, Bottom, Top)):
+        return frozenset()
+    if isinstance(f, (Meet, Join, Eq, Leq, JPred, And, Or, Implies)):
+        return reference_constant_names(f.left) | reference_constant_names(f.right)
+    if isinstance(f, MPred):
+        out = frozenset()
+        for t in f.terms:
+            out |= reference_constant_names(t)
+        return out
+    if isinstance(f, Not):
+        return reference_constant_names(f.body)
+    if isinstance(f, (Forall, Exists)):
+        return reference_constant_names(f.body)
+    raise TypeError(f"not a formula or term: {f!r}")
+
+
+def reference_bind_constants(f, names):
+    names = frozenset(names)
+
+    def go(node, bound):
+        if isinstance(node, Var):
+            return Const(node.name) if node.name in names and node.name not in bound else node
+        if isinstance(node, (Const, Bottom, Top)):
+            return node
+        if isinstance(node, Meet):
+            return Meet(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, Join):
+            return Join(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, Eq):
+            return Eq(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, Leq):
+            return Leq(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, JPred):
+            return JPred(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, MPred):
+            return MPred(tuple(go(t, bound) for t in node.terms))
+        if isinstance(node, Not):
+            return Not(go(node.body, bound))
+        if isinstance(node, And):
+            return And(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, Or):
+            return Or(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, Implies):
+            return Implies(go(node.left, bound), go(node.right, bound))
+        if isinstance(node, Forall):
+            return Forall(node.var, go(node.body, bound | {node.var}))
+        if isinstance(node, Exists):
+            return Exists(node.var, go(node.body, bound | {node.var}))
+        raise TypeError(f"not a formula or term: {node!r}")
+
+    return go(f, frozenset())
+
+
+def quantifier_nodes(f):
+    if isinstance(f, (Forall, Exists)):
+        return 1 + quantifier_nodes(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return quantifier_nodes(f.left) + quantifier_nodes(f.right)
+    if isinstance(f, Not):
+        return quantifier_nodes(f.body)
+    return 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(named_formula_strategy(), st.sets(st.sampled_from(NAMES)))
+def test_name_walks_agree_with_reference(f, names):
+    assert free_variables(f) == reference_free_variables(f)
+    assert constant_names(f) == reference_constant_names(f)
+    assert bind_constants(f, names) == reference_bind_constants(f, names)
+
+
+class TestNameWalks:
+    def test_a_binder_shadows_a_listed_name(self):
+        f = parse("A a. a = b")
+        assert bind_constants(f, ("a", "b")) == Forall("a", Eq(Var("a"), Const("b")))
+        assert free_variables(f) == {"b"}
+        assert constant_names(bind_constants(f, ("a", "b"))) == {"b"}
+
+    def test_mpred_terms_are_walked(self):
+        f = Exists("x", MPred((Var("x"), Meet(Var("a"), Const("c")), Join(Var("b"), TOP))))
+        assert free_variables(f) == {"a", "b"}
+        assert constant_names(f) == {"c"}
+        assert bind_constants(f, ("a", "x")) == Exists(
+            "x", MPred((Var("x"), Meet(Const("a"), Const("c")), Join(Var("b"), TOP)))
+        )
+
+    def test_a_non_formula_is_refused(self):
+        for walk in (free_variables, constant_names, lambda f: bind_constants(f, ())):
+            with pytest.raises(TypeError, match="not a formula or term"):
+                walk(Not("x = 0"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_formula_strategy())
+def test_compiled_width_counts_the_quantifier_nodes(f):
+    # the model finder orders the sentences of a stage by this difference
+    assert compile_sentence(f, NAMES).width - len(NAMES) == quantifier_nodes(f)
+

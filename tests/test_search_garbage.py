@@ -1,15 +1,18 @@
 """No search leaves cyclic garbage behind: each recursion is a module-level
 function, not a closure that calls itself, so a finished search frees its
-memo and its state at once, without waiting for the garbage collector."""
+memo and its state at once, without waiting for the garbage collector.
+Compiling a sentence and rewriting one are walks of the same kind."""
 
 import gc
 
 import pytest
 
-from wallman_lab import enumeration
+from wallman_lab import enumeration, fol
 from wallman_lab.ef import ef_equivalent, strategy_to_sentence
+from wallman_lab.fol import bind_constants, builtin_HI, compile_sentence, parse
 from wallman_lab.homsearch import find_L_morphism, find_lattice_embedding
 from wallman_lab.lattice import chain, diamond_m3, lattice_isomorphism, powerset_lattice
+from wallman_lab.modelfinder import SearchBudget, find_model, kappa_constants_theory
 from wallman_lab.spaces import discrete_space
 
 
@@ -22,11 +25,9 @@ def poset_search_inputs():
 
 
 def sentence_inputs():
-    # built once before, so that its check reads the compiled sentence from
-    # the cache: compiling a new sentence is not what is measured here
-    args = chain(3), chain(4), ef_equivalent(chain(3), chain(4), 2)[1]
-    strategy_to_sentence(*args)
-    return args
+    # with the compile cache emptied, the call compiles the sentence it checks
+    fol._compiled.cache_clear()
+    return chain(3), chain(4), ef_equivalent(chain(3), chain(4), 2)[1]
 
 
 SEARCHES = {
@@ -36,6 +37,9 @@ SEARCHES = {
     "find_L_morphism": (find_L_morphism, lambda: (discrete_space(3), discrete_space(3).closed_sorted(), discrete_space(3))),
     "lattice_isomorphism": (lattice_isomorphism, lambda: (powerset_lattice(2), powerset_lattice(2))),
     "_poset_isomorphic": (enumeration._poset_isomorphic, poset_search_inputs),
+    "compile_sentence": (compile_sentence, lambda: (builtin_HI(), ())),
+    "bind_constants": (bind_constants, lambda: (parse("A a. (a = b & M(a, b, c))"), ("a", "b", "c"))),
+    "find_model": (find_model, lambda: (kappa_constants_theory(1), SearchBudget(max_size=4))),
 }
 
 
