@@ -557,7 +557,9 @@ def _first_assignment(domains, step, state):
     """The first assignment of values to the variables 0..k-1, or None.
 
     Variables are assigned in order, each trying the values of domains[i] in
-    order.  step(i, value, values, state) sees values[0..i] assigned, value
+    order; a callable domains[i] is a domain that depends on the values
+    before it, domains[i](values, state) giving the values to try.
+    step(i, value, values, state) sees values[0..i] assigned, value
     included, and returns the state for variable i + 1, or None to prune.
     """
     values = [None] * len(domains)
@@ -569,7 +571,8 @@ def _assign(i, domains, step, state, values):
     # closure is a reference cycle that lives until the garbage collector runs
     if i == len(domains):
         return True
-    for value in domains[i]:
+    domain = domains[i]
+    for value in domain(values, state) if callable(domain) else domain:
         values[i] = value
         nxt = step(i, value, values, state)
         if nxt is not None and _assign(i + 1, domains, step, nxt, values):

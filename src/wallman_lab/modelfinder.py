@@ -2,18 +2,26 @@
 
 Candidate lattices come from the isomorph-free enumeration (one per
 isomorphism class, deterministic order), sizes from STREAM_FROM_SIZE on
-built only as far as the search reads them.  Constants are interpreted on
-the shared backtracking core, `lattice._first_assignment`, one budget node
-each, and every sentence, compiled once, is checked as soon as the
-constants it mentions are assigned.  Outcomes are values, never exceptions.
+built only as far as the search reads them.  Constants are interpreted in
+order on the shared backtracking core, `lattice._first_assignment`.  Each
+sentence is planned once per constant list.  A ground literal on its newest
+constant c of a few shapes (c = 0, x ^ c = 0, x v c = 1, c = x, c <= x,
+c = x ^ y, their negations; see `_filter_table`) becomes a bitmask filter
+on the domain of c, as in SEM and Mace4; every other sentence is compiled
+and checked as soon as the constants it mentions are assigned.  Each value
+tried at a reached prefix is one budget node, filtered or not, so the
+filters change neither the node count nor the first model.  Outcomes are
+values, never exceptions.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
-from .enumeration import all_labeled_lattices, iter_lattices, lattices_of_size
+from .enumeration import iter_lattices, lattices_of_size
 from .errors import NotDistributive, PostconditionFailed, PreconditionViolated
 from .fol import (
     BOT,
@@ -28,11 +36,12 @@ from .fol import (
     builtin_disjunctive,
     builtin_distributive,
     builtin_normality,
-    compile_sentence,
     diagram,
     eval_formula,
+    _maker,
+    _normal_form,
 )
-from .lattice import _first_assignment
+from .lattice import _first_assignment, _masks
 from .spaces import closed_set_lattice
 from .wallman import wallman_space
 
@@ -76,42 +85,159 @@ class _Budget:
     def __init__(self, budget):
         self.nodes_left = budget.node_limit
         self.deadline = time.monotonic() + budget.time_limit
+        self.checkpoint = (budget.node_limit - 1) & -4096
 
-    def tick(self):
-        self.nodes_left -= 1
-        if self.nodes_left <= 0:
-            raise _OutOfBudget("node limit reached")
-        if self.nodes_left % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _OutOfBudget("time limit reached")
+    def tick(self, k=1):
+        """Charge k nodes.  As if they were charged one by one, the deadline
+        is checked whenever nodes_left reaches a multiple of 4096:
+        checkpoint is the next multiple below it."""
+        left = self.nodes_left = self.nodes_left - k
+        if left <= self.checkpoint:
+            if left <= 0:
+                raise _OutOfBudget("node limit reached")
+            self.checkpoint = (left - 1) & -4096
+            if time.monotonic() > self.deadline:
+                raise _OutOfBudget("time limit reached")
 
 
 class _OutOfBudget(Exception):
     pass
 
 
-def _schedule(theory):
-    """Each sentence compiled once, with the constants in slots 0..k-1.
+class _Filter(NamedTuple):
+    """A literal on the newest constant c as a filter on its domain, negated
+    when not holds.  Table "bottom" or "top" (x and y None): c is that bound
+    of L.  Table "perp", "cotop", "down" or "up" (y None): c is in the
+    table's row at the value of constant x.  Table "meet" or "join": c is
+    T[x][y] at the values of constants x and y."""
 
-    Returns the constants, for each constant-prefix depth the compiled
-    sentences that become checkable there, cheapest (fewest quantifiers,
-    one slot each after the constants') first, and the slot-list width
-    they need.
+    table: str
+    x: object
+    y: object
+    holds: bool
+
+
+def _filter_table(a, b, c):
+    """(table, x, y) when a = b is one of the filter shapes on slot c."""
+    if a == c:
+        if b in ("0", "1"):
+            return ("bottom" if b == "0" else "top"), None, None
+        return ("meet", b, b) if isinstance(b, int) else None  # c = x ^ x
+    if not isinstance(a, tuple):
+        return None
+    op, p, q = a
+    if not (isinstance(p, int) and isinstance(q, int)):
+        return None
+    if c not in (p, q):
+        return (op, p, q) if b == c else None  # c = x ^ y or c = x v y
+    x = q if p == c else p
+    if x == c:
+        return None
+    shapes = {("meet", "0"): "perp", ("join", "1"): "cotop", ("meet", c): "down", ("meet", x): "up"}
+    table = shapes.get((op, b))
+    return None if table is None else (table, x, None)
+
+
+@lru_cache(maxsize=256)
+def _plan(sentence, consts):
+    """(depth, plan) of a sentence against the constants: the _Filter the
+    sentence is, or (cost, width, bind) of its compiled test, the cost being
+    its quantifier count (one slot each after the constants')."""
+    normal, depth, width = _normal_form(sentence, consts)
+    if depth and not isinstance(normal, bool) and normal.kind in ("eq", "ne"):
+        for a, b in (normal.args, normal.args[::-1]):
+            table = _filter_table(a, b, depth - 1)
+            if table is not None:
+                return depth, _Filter(*table, normal.kind == "eq")
+    return depth, (width - len(consts), width, _maker(normal))
+
+
+def _schedule(theory):
+    """Each sentence planned once, with the constants in slots 0..k-1.
+
+    Returns the constants; for each constant the filters on its domain; for
+    each constant-prefix depth the compiled tests that become checkable
+    there, cheapest first; and the slot-list width the tests need.
     """
-    consts = list(theory.constants)
+    consts = tuple(theory.constants)
+    repeated = next((name for i, name in enumerate(consts) if name in consts[:i]), None)
+    if repeated is not None:
+        raise PreconditionViolated(f"constants repeats the name {repeated!r}")
+    filters = [[] for _ in consts]
     stages = [[] for _ in range(len(consts) + 1)]
     width = len(consts)
     for pos, s in enumerate(theory.sentences):
-        compiled = compile_sentence(s, consts)
-        stages[compiled.depth].append((compiled.width - len(consts), pos, compiled.bind))
-        width = max(width, compiled.width)
-    return consts, [[bind for _, _, bind in sorted(stage)] for stage in stages], width
+        depth, plan = _plan(s, consts)
+        if isinstance(plan, _Filter):
+            filters[depth - 1].append(plan)
+        else:
+            cost, sentence_width, bind = plan
+            stages[depth].append((cost, pos, bind))
+            width = max(width, sentence_width)
+    return consts, filters, [[bind for _, _, bind in sorted(stage)] for stage in stages], width
+
+
+def _rows(L, table, holds, cache):
+    """The rows of a filter table on L, complemented when not holds."""
+    key = table, holds
+    if key not in cache:
+        if not holds:
+            full = (1 << L.n) - 1
+            cache[key] = [full ^ row for row in _rows(L, table, True, cache)]
+        elif table in ("perp", "cotop"):
+            cache["perp", True], cache["cotop", True] = _masks(L)
+        else:  # down[x]: the v with meet[x][v] == v; up[x]: those with meet[x][v] == x
+            cache[key] = [
+                sum(1 << v for v, m in enumerate(row) if m == (v if table == "down" else x))
+                for x, row in enumerate(L.meet)
+            ]
+    return cache[key]
+
+
+def _domain(L, filters, cache, tracker):
+    """domain(values, state): the values of one constant that pass its
+    filters at the values of the constants before it, in index order.
+
+    Every value 0..n-1 is one budget node, filtered or not: a survivor is
+    charged with the filtered values before it, and an exhausted domain with
+    those after its last survivor.
+    """
+    n, tick = L.n, tracker.tick
+    base = (1 << n) - 1
+    rows, fixed = [], []
+    for f in filters:
+        if f.x is None:
+            bit = 1 << getattr(L, f.table)
+            base &= bit if f.holds else ~bit
+        elif f.y is None:
+            rows.append((_rows(L, f.table, f.holds, cache), f.x))
+        else:
+            fixed.append((getattr(L, f.table), f.x, f.y, f.holds))
+
+    def domain(values, state):
+        mask = base
+        for row, x in rows:
+            mask &= row[values[x]]
+        for T, x, y, holds in fixed:
+            bit = 1 << T[values[x]][values[y]]
+            mask &= bit if holds else ~bit
+        last = -1
+        while mask:
+            low = mask & -mask
+            value = low.bit_length() - 1
+            tick(value - last)
+            yield value
+            last = value
+            mask ^= low
+        if last < n - 1:
+            tick(n - 1 - last)
+
+    return domain
 
 
 def _step(i, value, values, state):
-    """Constant i takes value, one node of the budget; the sentences whose
-    last constant is i are checked."""
-    tests, slots, tracker = state
-    tracker.tick()
+    """Constant i takes value; the tests whose last constant is i are run."""
+    tests, slots = state
     slots[i] = value
     for test in tests[i + 1]:
         if not test(slots):
@@ -120,18 +246,21 @@ def _step(i, value, values, state):
 
 
 def _satisfying_interpretation(L, schedule, tracker):
-    consts, stages, width = schedule
+    consts, filters, stages, width = schedule
     tests = [[bind(L) for bind in stage] for stage in stages]
     slots = [0] * width
     if not all(test(slots) for test in tests[0]):
         return None
-    found = _first_assignment([range(L.n)] * len(consts), _step, (tests, slots, tracker))
+    cache = {}
+    domains = [_domain(L, fs, cache, tracker) for fs in filters]
+    found = _first_assignment(domains, _step, (tests, slots))
     return None if found is None else dict(zip(consts, slots))
 
 
 def find_model(theory, budget=SearchBudget()):
     """First model in canonical order within the budget, or a non-model
-    outcome; every returned model re-verifies against all sentences."""
+    outcome; every returned model re-verifies against all sentences.
+    Raises PreconditionViolated when the theory repeats a constant."""
     schedule = _schedule(theory)
     tracker = _Budget(budget)
     try:
@@ -146,20 +275,6 @@ def find_model(theory, budget=SearchBudget()):
     except _OutOfBudget as stop:
         return BudgetExceeded(str(stop))
     return ExhaustedNoModel(budget.max_size)
-
-
-def find_model_naive(theory, max_size):
-    """Oracle: brute force over every labeled lattice, duplicates included.
-
-    Returns a bare satisfiability verdict; intended only for small sizes.
-    """
-    schedule = _schedule(theory)
-    tracker = _Budget(SearchBudget(max_size=max_size, node_limit=10**9, time_limit=3600))
-    for n in range(2, max_size + 1):
-        for L in all_labeled_lattices(n):
-            if _satisfying_interpretation(L, schedule, tracker) is not None:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------- theories

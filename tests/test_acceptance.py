@@ -60,7 +60,6 @@ from wallman_lab.modelfinder import (
     Model,
     SearchBudget,
     find_model,
-    find_model_naive,
     kappa_constants_theory,
 )
 from wallman_lab.spaces import (
@@ -80,6 +79,8 @@ from wallman_lab.wallman import (
     wallman_connected,
     wallman_space,
 )
+
+from unfiltered_search import find_model_naive
 
 
 def conclude(number, name, started, bound, failures):

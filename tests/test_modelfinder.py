@@ -1,8 +1,11 @@
+import itertools
 import subprocess
 import sys
 
 import pytest
 
+from wallman_lab.enumeration import lattices_of_size
+from wallman_lab.errors import PreconditionViolated
 from wallman_lab.fol import (
     And,
     BOT,
@@ -18,11 +21,16 @@ from wallman_lab.fol import (
     builtin_distributive,
     builtin_normality,
     bind_constants,
+    compile_sentence,
     eval_formula,
     parse,
 )
 from wallman_lab.lattice import chain, is_normal, lattice_isomorphism, powerset_lattice
 from wallman_lab.modelfinder import (
+    _Budget,
+    _domain,
+    _Filter,
+    _plan,
     BudgetExceeded,
     ExhaustedNoModel,
     Model,
@@ -30,10 +38,11 @@ from wallman_lab.modelfinder import (
     build_preimage,
     check_finite_subset_consistency,
     find_model,
-    find_model_naive,
     hi_preimage_theory,
     kappa_constants_theory,
 )
+
+from unfiltered_search import find_model_naive, find_model_unfiltered
 
 
 class TestBudget:
@@ -89,6 +98,39 @@ class TestBudget:
         theory = kappa_constants_theory(2)
         result = find_model(theory, SearchBudget(max_size=10, node_limit=50))
         assert isinstance(result, BudgetExceeded)
+
+    def test_time_limit_reported(self):
+        # kappa(2) charges most of its nodes in bulk, past filtered values
+        theory = kappa_constants_theory(2)
+        result = find_model(theory, SearchBudget(max_size=10, node_limit=10**9, time_limit=1e-3))
+        assert result == BudgetExceeded("time limit reached")
+
+    @pytest.mark.parametrize(
+        "limit, charges, checks",
+        [
+            (10_000, [1] * 9000, 2),
+            (10_000, [7, 4090, 1, 4096, 6, 800], 2),
+            (10_000, [7, 8190, 3], 1),
+            (10_000, [1807], 0),
+            (10_000, [1808], 1),
+            (8192, [1], 0),
+            (8193, [1], 1),
+        ],
+    )
+    def test_the_deadline_is_read_when_a_charge_passes_a_multiple_of_4096(self, limit, charges, checks):
+        class Deadline:
+            reads = 0
+
+            def __lt__(self, now):
+                self.reads += 1
+                return False
+
+        tracker = _Budget(SearchBudget(node_limit=limit))
+        tracker.deadline = Deadline()
+        for k in charges:
+            tracker.tick(k)
+        assert tracker.deadline.reads == checks
+        assert tracker.nodes_left == limit - sum(charges)
 
 
 class TestFindModel:
@@ -146,6 +188,114 @@ class TestFindModel:
         a = find_model(theory, SearchBudget(max_size=6))
         b = find_model(theory, SearchBudget(max_size=6))
         assert a == b
+
+
+def outcome(result):
+    if isinstance(result, Model):
+        return "model", result.lattice.meet, result.lattice.join, result.interpretation
+    return result
+
+
+# the sentence options of the benchmark's small theories: ground sentences
+# over the constants a and b, then closed sentences
+GROUND = (
+    ("a ^ b = 0", ("a", "b")),
+    ("a v b = 1", ("a", "b")),
+    ("!(a = 0)", ("a",)),
+    ("!(a = 1)", ("a",)),
+    ("!(b = 0)", ("b",)),
+    ("a <= b", ("a", "b")),
+    ("!(a = b)", ("a", "b")),
+)
+CLOSED = (
+    builtin_conn(),
+    builtin_distributive(),
+    builtin_disjunctive(),
+    parse("E x. (!(x = 0) & !(x = 1))"),
+    parse("A x. (x = 0 | x = 1)"),
+)
+
+
+def small_theories():
+    """Every theory of one to four distinct options (793 theories)."""
+    for k in range(1, 5):
+        for picks in itertools.combinations(range(len(GROUND) + len(CLOSED)), k):
+            constants = tuple(sorted({c for i in picks if i < len(GROUND) for c in GROUND[i][1]}))
+            yield Theory(
+                constants,
+                tuple(
+                    bind_constants(parse(GROUND[i][0]), constants) if i < len(GROUND) else CLOSED[i - len(GROUND)]
+                    for i in picks
+                ),
+            )
+
+
+def preimage_theories():
+    from wallman_lab.spaces import all_spaces, closed_set_lattice
+
+    return [hi_preimage_theory(closed_set_lattice(X)) for n in range(1, 4) for X in all_spaces(n)]
+
+
+class TestDomainFilters:
+    """The filtered search against the unfiltered one it replaced: the same
+    outcome, the same first model and the same node counts."""
+
+    @pytest.mark.parametrize("node_limit", [3, 17, 60, 10**6])
+    @pytest.mark.parametrize("theories", [small_theories, preimage_theories], ids=["small", "preimage"])
+    def test_filtered_search_returns_what_the_unfiltered_one_does(self, theories, node_limit):
+        budget = SearchBudget(max_size=6, node_limit=node_limit)
+        cases = list(theories())
+        assert len(cases) in (793, 34)
+        for theory in cases:
+            assert outcome(find_model(theory, budget)) == outcome(find_model_unfiltered(theory, budget)), theory
+
+    # (sentence over x, y, c with c newest, its table)
+    KINDS = [
+        ("c = 0", "bottom"),
+        ("c = 1", "top"),
+        ("0 = c", "bottom"),
+        ("x ^ c = 0", "perp"),
+        ("c ^ x = 0", "perp"),
+        ("x v c = 1", "cotop"),
+        ("c = x", "meet"),
+        ("x = c", "meet"),
+        ("c <= x", "down"),
+        ("x <= c", "up"),
+        ("x ^ y = c", "meet"),
+        ("c = y ^ x", "meet"),
+        ("x v y = c", "join"),
+        ("x ^ x = c", "meet"),
+    ]
+
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("text, table", KINDS)
+    def test_a_filter_keeps_exactly_the_values_its_literal_allows(self, text, table, negated):
+        names = ("x", "y", "c")
+        sentence = bind_constants(parse(f"!({text})" if negated else text), names)
+        depth, plan = _plan(sentence, names)
+        assert depth == 3 and plan.table == table and plan.holds == (not negated)
+        test = compile_sentence(sentence, names).bind
+        for n in range(2, 7):
+            for L in lattices_of_size(n):
+                holds = test(L)
+                domain = _domain(L, [plan], {}, _Budget(SearchBudget()))
+                for x, y in itertools.product(range(n), repeat=2):
+                    kept = list(domain([x, y], None))
+                    assert kept == [v for v in range(n) if holds([x, y, v])], (text, L.meet, x, y)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["y ^ c = x", "x ^ c = y", "x ^ c = 1", "x v c = 0", "c ^ c = 0", "(x ^ y) ^ c = 0", "A z. z ^ c = 0"],
+    )
+    def test_other_shapes_stay_tests(self, text):
+        names = ("x", "y", "c")
+        depth, plan = _plan(bind_constants(parse(text), names), names)
+        assert not isinstance(plan, _Filter)
+
+    def test_repeated_constants_are_refused(self):
+        theory = Theory(("a", "a"), tuple(bind_constants(parse(t), ("a",)) for t in ("!(a = 1)", "A x. x <= a")))
+        with pytest.raises(PreconditionViolated, match="constants repeats the name 'a'"):
+            find_model(theory, SearchBudget(max_size=3))
 
 
 class TestNaiveOracleAgreement:
