@@ -67,12 +67,17 @@ def _index(value, bound, what):
     return value
 
 
-def _names(value, what):
-    """value as a tuple if it is a JSON list of distinct strings."""
+def _strings(value, what):
+    """value if it is a JSON list of strings."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise InputError(f"{what} must be a list of strings, not {value!r}")
+    return value
+
+
+def _names(value, what):
+    """value as a tuple if it is a JSON list of distinct strings."""
     seen = set()
-    for v in value:
+    for v in _strings(value, what):
         if v in seen:
             raise InputError(f"{what} repeats the name {v!r}")
         seen.add(v)
@@ -127,7 +132,7 @@ def load_theory(path):
     try:
         constants = _names(data["constants"], "constants")
         sentences = tuple(
-            bind_constants(parse(text), constants) for text in data["sentences"]
+            bind_constants(parse(text), constants) for text in _strings(data["sentences"], "sentences")
         )
         return Theory(constants, sentences)
     except (KeyError, TypeError) as err:

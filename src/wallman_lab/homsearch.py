@@ -1,10 +1,10 @@
 """Constructive mapping machinery between lattices and finite spaces.
 
-Three searches live here: bounded-lattice embeddings, base morphisms
+Two searches live here: bounded-lattice embeddings and base morphisms
 satisfying the join-cover and empty-meet conditions (sufficient for building
-continuous surjections), and a brute-force oracle over all point maps.  All
-searches are lexicographic-first and deterministic; the first two run on the
-backtracking core `lattice._first_assignment`, as do the isomorphism searches.
+continuous surjections).  Both are lexicographic-first and deterministic and
+run on the backtracking core `lattice._first_assignment`, as do the
+isomorphism searches.
 """
 
 from __future__ import annotations
@@ -182,20 +182,3 @@ def preimage_morphism(f, X, Y, base=None):
         base = Y.closed_sorted()
     base = _check_base(Y, base)
     return LMorphism(tuple(base), {b: _preimage_mask(f, b) for b in base})
-
-
-def oracle_surjection_equivalence(X, Y, base=None):
-    """Exhaustive map search versus morphism search; they must agree for
-    discrete spaces."""
-    if base is None:
-        base = Y.closed_sorted()
-    oracle = False
-    maps = [[]]
-    for _ in range(X.point_count):
-        maps = [m + [y] for m in maps for y in range(Y.point_count)]
-    for f in maps:
-        if is_surjective(f, X, Y) and is_continuous(f, X, Y):
-            oracle = True
-            break
-    morphism = find_L_morphism(Y, base, X) is not None
-    return {"oracle": oracle, "morphism": morphism, "agree": oracle == morphism}

@@ -8,10 +8,13 @@ sentence is planned once per constant list.  A ground literal on its newest
 constant c of a few shapes (c = 0, x ^ c = 0, x v c = 1, c = x, c <= x,
 c = x ^ y, their negations; see `_filter_table`) becomes a bitmask filter
 on the domain of c, as in SEM and Mace4; every other sentence is compiled
-and checked as soon as the constants it mentions are assigned.  Each value
-tried at a reached prefix is one budget node, filtered or not, so the
-filters change neither the node count nor the first model.  Outcomes are
-values, never exceptions.
+and checked as soon as the constants it mentions are assigned.  A closed
+sentence is decided at most once per lattice (`_verdicts`), a builtin one by
+its direct decider in `lattice`, and the other tests are bound to a lattice
+only once every closed sentence holds there.  Each lattice and each value
+tried at a reached prefix is one budget node, filtered or not, so neither
+the filters nor the verdicts change the node count or the first model.
+Outcomes are values, never exceptions.
 """
 
 from __future__ import annotations
@@ -41,7 +44,16 @@ from .fol import (
     _maker,
     _normal_form,
 )
-from .lattice import _first_assignment, _masks
+from .lattice import (
+    _first_assignment,
+    _masks,
+    conn,
+    is_disjunctive,
+    is_distributive,
+    is_normal,
+    satisfies_HI,
+    satisfies_dim_le1,
+)
 from .spaces import closed_set_lattice
 from .wallman import wallman_space
 
@@ -139,25 +151,57 @@ def _filter_table(a, b, c):
 
 
 @lru_cache(maxsize=256)
+def _verdicts(sentence):
+    """The verdicts of a closed sentence, shared by every search that runs
+    it: for each size n, (decided, holds), bitmasks over the positions of
+    `iter_lattices(n)`.  A pair is replaced whole, never updated in place,
+    so searches in two threads can at worst decide a lattice twice.  Each
+    plan of the sentence holds its store, so `_plan` is cleared with it."""
+    return {}
+
+
+@lru_cache(maxsize=1)
+def _deciders():
+    """decide(L) for each builtin sentence that `lattice` decides directly:
+    1.5 to 60 times faster than the compiled sentence on the lattices of
+    sizes 7 to 9."""
+    return {
+        builtin_distributive(): lambda L: is_distributive(L)[0],
+        builtin_disjunctive(): lambda L: is_disjunctive(L)[0],
+        builtin_normality(): lambda L: is_normal(L)[0],
+        builtin_conn(): lambda L: conn(L, L.top)[0],
+        builtin_HI(): lambda L: satisfies_HI(L)[0],
+        builtin_dim_le1(): lambda L: satisfies_dim_le1(L)[0],
+    }
+
+
+@lru_cache(maxsize=256)
 def _plan(sentence, consts):
     """(depth, plan) of a sentence against the constants: the _Filter the
-    sentence is, or (cost, width, bind) of its compiled test, the cost being
-    its quantifier count (one slot each after the constants')."""
+    sentence is, or (cost, width, test), the cost being its quantifier count
+    (one slot each after the constants').  The test is bind of the compiled
+    sentence, or for a closed one (depth 0) (verdicts, decide), with
+    decide(L) its truth in L."""
     normal, depth, width = _normal_form(sentence, consts)
     if depth and not isinstance(normal, bool) and normal.kind in ("eq", "ne"):
         for a, b in (normal.args, normal.args[::-1]):
             table = _filter_table(a, b, depth - 1)
             if table is not None:
                 return depth, _Filter(*table, normal.kind == "eq")
-    return depth, (width - len(consts), width, _maker(normal))
+    bind = _maker(normal)
+    if depth:
+        return depth, (width - len(consts), width, bind)
+    decide = _deciders().get(sentence) or (lambda L: bind(L)([0] * width))
+    return depth, (width - len(consts), width, (_verdicts(sentence), decide))
 
 
 def _schedule(theory):
     """Each sentence planned once, with the constants in slots 0..k-1.
 
-    Returns the constants; for each constant the filters on its domain; for
-    each constant-prefix depth the compiled tests that become checkable
-    there, cheapest first; and the slot-list width the tests need.
+    Returns the constants; for each constant the filters on its domain; the
+    closed sentences as (verdicts, decide) and, for each constant, the
+    compiled tests that become checkable once it is assigned, each list
+    cheapest first; and the slot-list width the tests need.
     """
     consts = tuple(theory.constants)
     repeated = next((name for i, name in enumerate(consts) if name in consts[:i]), None)
@@ -171,10 +215,11 @@ def _schedule(theory):
         if isinstance(plan, _Filter):
             filters[depth - 1].append(plan)
         else:
-            cost, sentence_width, bind = plan
-            stages[depth].append((cost, pos, bind))
+            cost, sentence_width, test = plan
+            stages[depth].append((cost, pos, test))
             width = max(width, sentence_width)
-    return consts, filters, [[bind for _, _, bind in sorted(stage)] for stage in stages], width
+    closed, *stages = [[test for _, _, test in sorted(stage)] for stage in stages]
+    return consts, filters, closed, stages, width
 
 
 def _rows(L, table, holds, cache):
@@ -239,18 +284,28 @@ def _step(i, value, values, state):
     """Constant i takes value; the tests whose last constant is i are run."""
     tests, slots = state
     slots[i] = value
-    for test in tests[i + 1]:
+    for test in tests[i]:
         if not test(slots):
             return None
     return state
 
 
-def _satisfying_interpretation(L, schedule, tracker):
-    consts, filters, stages, width = schedule
+def _satisfying_interpretation(L, position, schedule, tracker):
+    """The first interpretation of the constants in L, the lattice at
+    `position` of its size, or None.  Each closed sentence is decided once
+    per lattice; the other tests are bound only once all of them hold."""
+    consts, filters, closed, stages, width = schedule
+    n, bit = L.n, 1 << position
+    for verdicts, decide in closed:
+        decided, holds = verdicts.get(n, (0, 0))
+        if not decided & bit:
+            decided |= bit
+            holds |= bit if decide(L) else 0
+            verdicts[n] = decided, holds
+        if not holds & bit:
+            return None
     tests = [[bind(L) for bind in stage] for stage in stages]
     slots = [0] * width
-    if not all(test(slots) for test in tests[0]):
-        return None
     cache = {}
     domains = [_domain(L, fs, cache, tracker) for fs in filters]
     found = _first_assignment(domains, _step, (tests, slots))
@@ -265,9 +320,10 @@ def find_model(theory, budget=SearchBudget()):
     tracker = _Budget(budget)
     try:
         for n in range(2, budget.max_size + 1):
-            for L in iter_lattices(n) if n >= STREAM_FROM_SIZE else lattices_of_size(n):
+            lattices = iter_lattices(n) if n >= STREAM_FROM_SIZE else lattices_of_size(n)
+            for position, L in enumerate(lattices):
                 tracker.tick()
-                interp = _satisfying_interpretation(L, schedule, tracker)
+                interp = _satisfying_interpretation(L, position, schedule, tracker)
                 if interp is not None:
                     if not all(eval_formula(L, s, interp) for s in theory.sentences):
                         raise PostconditionFailed(f"model {interp} on {L.n} elements fails a sentence")

@@ -11,6 +11,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PY
 
 
 @pytest.fixture
+def cold_levels(monkeypatch):
+    """An empty lattice cache for the test, so it builds every level it reads."""
+    from wallman_lab import enumeration
+
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+
+
+@pytest.fixture
 def rng():
     """Deterministic RNG for randomized suites; seed from WALLMAN_LAB_SEED."""
     seed = int(os.environ.get("WALLMAN_LAB_SEED", "0"))

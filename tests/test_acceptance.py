@@ -27,11 +27,7 @@ from wallman_lab.fol import (
     eval_formula,
     parse,
 )
-from wallman_lab.homsearch import (
-    find_L_morphism,
-    oracle_surjection_equivalence,
-    surjection_from_morphism,
-)
+from wallman_lab.homsearch import find_L_morphism, surjection_from_morphism
 from wallman_lab.intervals import (
     disjunctive_witness,
     join,
@@ -80,6 +76,7 @@ from wallman_lab.wallman import (
     wallman_space,
 )
 
+from oracles import oracle_surjection_equivalence
 from unfiltered_search import find_model_naive
 
 

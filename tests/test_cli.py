@@ -227,6 +227,16 @@ class TestInputHandling:
         assert proc.returncode == 2
         assert "constants must be a list of strings" in proc.stderr
 
+    # a string was read as no sentences, an object as its list of keys
+    @pytest.mark.parametrize("sentences", ["", {"0 = 0": 1}])
+    def test_sentences_must_be_a_list_of_strings(self, fixtures, sentences):
+        path = fixtures["tmp"] / "bad_sentences.json"
+        path.write_text(json.dumps({"constants": [], "sentences": sentences}))
+        proc = run_cli("find-model", str(path), "--max-size", "2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error: ")
+        assert "sentences must be a list of strings" in proc.stderr
+
     @pytest.mark.parametrize("command", ["wallman", "embed"])
     def test_repeated_element_names_are_input_error(self, fixtures, command):
         # reports keyed by name would silently drop the repeated one's entry

@@ -5,7 +5,6 @@ from wallman_lab.homsearch import (
     LMorphism,
     find_L_morphism,
     find_lattice_embedding,
-    oracle_surjection_equivalence,
     preimage_morphism,
     surjection_from_embedding,
     surjection_from_morphism,
@@ -20,6 +19,8 @@ from wallman_lab.spaces import (
     is_surjective,
     space_from_sets,
 )
+
+from oracles import oracle_surjection_equivalence
 
 
 class TestEmbedding:

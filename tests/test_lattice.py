@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wallman_lab import enumeration
 from wallman_lab.enumeration import (
-    all_labeled_lattices,
     iter_lattices,
     lattices_of_size,
     posets_up_to_iso,
@@ -46,6 +45,8 @@ from wallman_lab.lattice import (
     validate,
 )
 
+from oracles import all_labeled_lattices
+
 
 A006966 = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
 PINNED_DIGESTS = [
@@ -62,12 +63,6 @@ def mask_meet_name(k):
 def enumeration_digest(lattices):
     tables = [(L.names, L.meet, L.join, L.bottom, L.top) for L in lattices]
     return hashlib.sha256(repr(tables).encode()).hexdigest()
-
-
-@pytest.fixture
-def cold_levels(monkeypatch):
-    """An empty lattice cache for the test, so it builds every level it reads."""
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
 
 
 class TestValidate:

@@ -1,9 +1,11 @@
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from wallman_lab import enumeration, modelfinder
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.errors import PreconditionViolated
 from wallman_lab.fol import (
@@ -31,6 +33,7 @@ from wallman_lab.modelfinder import (
     _domain,
     _Filter,
     _plan,
+    _verdicts,
     BudgetExceeded,
     ExhaustedNoModel,
     Model,
@@ -236,9 +239,16 @@ def preimage_theories():
     return [hi_preimage_theory(closed_set_lattice(X)) for n in range(1, 4) for X in all_spaces(n)]
 
 
+def forget_verdicts():
+    """Empty the verdict store, and the plans that hold its entries."""
+    _plan.cache_clear()
+    _verdicts.cache_clear()
+
+
 class TestDomainFilters:
     """The filtered search against the unfiltered one it replaced: the same
-    outcome, the same first model and the same node counts."""
+    outcome, the same first model and the same node counts, whether the
+    verdicts of the closed sentences are recorded afresh or read back."""
 
     @pytest.mark.parametrize("node_limit", [3, 17, 60, 10**6])
     @pytest.mark.parametrize("theories", [small_theories, preimage_theories], ids=["small", "preimage"])
@@ -246,8 +256,77 @@ class TestDomainFilters:
         budget = SearchBudget(max_size=6, node_limit=node_limit)
         cases = list(theories())
         assert len(cases) in (793, 34)
-        for theory in cases:
-            assert outcome(find_model(theory, budget)) == outcome(find_model_unfiltered(theory, budget)), theory
+        expected = [outcome(find_model_unfiltered(theory, budget)) for theory in cases]
+        for theory, want in zip(cases, expected):
+            forget_verdicts()
+            assert outcome(find_model(theory, budget)) == want, theory
+        # warm: each theory reads the verdicts the others recorded
+        for theory, want in zip(cases, expected):
+            assert outcome(find_model(theory, budget)) == want, theory
+
+    def test_verdicts_hold_for_a_level_built_again(self, cold_levels, monkeypatch):
+        budget = SearchBudget(max_size=6)
+        cases = list(small_theories())
+        forget_verdicts()
+        expected = [outcome(find_model(theory, budget)) for theory in cases]
+        first = lattices_of_size(6)
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        assert [outcome(find_model(theory, budget)) for theory in cases] == expected
+        assert lattices_of_size(6) is not first
+        assert expected == [outcome(find_model_unfiltered(theory, budget)) for theory in cases]
+
+    def test_a_verdict_is_the_truth_of_its_sentence_at_its_position(self):
+        forget_verdicts()
+        for theory in preimage_theories():
+            find_model(theory, SearchBudget(max_size=7))
+        builtins = (builtin_distributive, builtin_disjunctive, builtin_normality, builtin_conn, builtin_HI, builtin_dim_le1)
+        sentences = [builtin() for builtin in builtins]
+        # all but the indiscrete spaces exhaust size 7, so the cheapest sentence is decided everywhere
+        for n in range(2, 8):
+            assert (1 << len(lattices_of_size(n))) - 1 in (_verdicts(s).get(n, (0, 0))[0] for s in sentences)
+        for sentence in sentences:
+            for n, (decided, holds) in _verdicts(sentence).items():
+                assert holds & ~decided == 0
+                for position, L in enumerate(lattices_of_size(n)):
+                    if decided >> position & 1:
+                        assert holds >> position & 1 == eval_formula(L, sentence, {}), (sentence, n, position)
+
+    # the compiled HI and dim<=1 sentences take seconds on the 222 lattices of size 8
+    @pytest.mark.parametrize(
+        "builtin, max_size",
+        [
+            (builtin_distributive, 8),
+            (builtin_disjunctive, 8),
+            (builtin_normality, 8),
+            (builtin_conn, 8),
+            (builtin_HI, 7),
+            (builtin_dim_le1, 7),
+        ],
+    )
+    def test_a_builtin_is_decided_directly_as_its_sentence_is(self, builtin, max_size):
+        sentence = builtin()
+        depth, (cost, width, (verdicts, decide)) = _plan(sentence, ("a",))
+        assert depth == 0 and decide is modelfinder._deciders()[sentence]
+        for n in range(2, max_size + 1):
+            for L in lattices_of_size(n):
+                assert decide(L) == eval_formula(L, sentence), (n, L.meet)
+
+    @pytest.mark.parametrize("closed, binds", [("A x. x = 0", False), ("E x. x = 0", True)])
+    def test_later_stages_are_bound_only_once_the_closed_stage_holds(self, monkeypatch, closed, binds):
+        bound = []
+        plan = modelfinder._plan
+
+        def spy(sentence, consts):
+            depth, p = plan(sentence, consts)
+            if depth and not isinstance(p, _Filter):
+                cost, width, bind = p
+                p = cost, width, lambda L: bound.append(L) or bind(L)
+            return depth, p
+
+        monkeypatch.setattr(modelfinder, "_plan", spy)
+        theory = Theory(("a",), (parse(closed), bind_constants(parse("A x. (x <= a & !(a = x))"), ("a",))))
+        assert find_model(theory, SearchBudget(max_size=6)) == ExhaustedNoModel(6)
+        assert bool(bound) == binds
 
     # (sentence over x, y, c with c newest, its table)
     KINDS = [
@@ -416,6 +495,13 @@ class TestBuildPreimage:
         report = build_preimage(X, SearchBudget(max_size=5), theory=trimmed)
         assert isinstance(report["model"], Model)
         assert report["surjection"]["onto"] and report["surjection"]["preimage_identity"]
+
+    def test_the_three_point_sweep_is_pinned(self):
+        # only the indiscrete space has a model; every other one exhausts size 10
+        script = Path(__file__).resolve().parents[1] / "scripts" / "preimage_pipeline.py"
+        proc = subprocess.run([sys.executable, str(script), "--sweep", "3"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[:2] == ["28 ExhaustedNoModel(max_size=10)", "1 Model on 2 elements"]
 
 
 class TestSubsetConsistency:

@@ -8,7 +8,7 @@ must return exactly what `find_model_unfiltered` returns.
 
 import time
 
-from wallman_lab.enumeration import all_labeled_lattices, iter_lattices, lattices_of_size
+from wallman_lab.enumeration import iter_lattices, lattices_of_size
 from wallman_lab.errors import PostconditionFailed
 from wallman_lab.fol import compile_sentence, eval_formula
 from wallman_lab.lattice import _first_assignment
@@ -19,6 +19,8 @@ from wallman_lab.modelfinder import (
     Model,
     SearchBudget,
 )
+
+from oracles import all_labeled_lattices
 
 
 class OutOfBudget(Exception):
