@@ -1,7 +1,9 @@
 """Batch front end: JSON in, JSON reports out, optional DOT graphs.
 
 Exit codes: 0 success, 1 assertion failure (--assert), 2 input error,
-3 internal error (a failed self-check or any other escaping exception).
+3 internal error (a failed self-check or any other escaping exception),
+141 standard output closed before the report was written (`... | head`),
+the status a shell gives a process that SIGPIPE ends; nothing is printed.
 Reports are deterministic for fixed inputs; the elapsed_ms field is the only
 run-dependent part and tests mask it.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 # The most elements a lattice given as a poset may have: its down-sets, of
 # which an n-element poset has from n + 1 (a chain) to 2^n (an antichain).
 MAX_DOWNSETS = 1024
@@ -442,7 +446,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # The reader stopped early.  Point stdout at the null device so that
+        # the flush at shutdown does not fail again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_PIPE
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -48,45 +48,67 @@ from .errors import (
 # ---------------------------------------------------------------- AST
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A formula or term class: a frozen dataclass whose hash, a walk of the
+    whole tree, is worked out on first use and kept on the node.  The kept
+    hash is not pickled, since string hashes differ between processes."""
+    cls = dataclass(frozen=True)(cls)
+    tree_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = tree_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None  # not a field: no annotation, so eq and repr ignore it
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Const:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Meet:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Join:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Eq:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Leq:
     """Sugar: s <= t means s ^ t = s."""
 
@@ -94,7 +116,7 @@ class Leq:
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class JPred:
     """J(s, t): the join of s and t is the top element."""
 
@@ -102,43 +124,43 @@ class JPred:
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class MPred:
     """M(t1, ..., tn): the meet of the arguments is the bottom element."""
 
     terms: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: object
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Implies:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Forall:
     var: str
     body: object
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     var: str
     body: object

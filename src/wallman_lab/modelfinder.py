@@ -156,7 +156,8 @@ def _verdicts(sentence):
     it: for each size n, (decided, holds), bitmasks over the positions of
     `iter_lattices(n)`.  A pair is replaced whole, never updated in place,
     so searches in two threads can at worst decide a lattice twice.  Each
-    plan of the sentence holds its store, so `_plan` is cleared with it."""
+    plan of the sentence holds its store, so `_plan` and `_closed_plan` are
+    cleared with it."""
     return {}
 
 
@@ -181,8 +182,16 @@ def _plan(sentence, consts):
     sentence is, or (cost, width, test), the cost being its quantifier count
     (one slot each after the constants').  The test is bind of the compiled
     sentence, or for a closed one (depth 0) (verdicts, decide), with
-    decide(L) its truth in L."""
+    decide(L) its truth in L.
+
+    The plan of a closed sentence does not depend on the constants, so it
+    is taken from `_closed_plan`; a builtin is known to be closed and skips
+    the normal form too."""
+    if consts and sentence in _deciders():
+        return _closed_plan(sentence)
     normal, depth, width = _normal_form(sentence, consts)
+    if consts and not depth:
+        return _closed_plan(sentence)
     if depth and not isinstance(normal, bool) and normal.kind in ("eq", "ne"):
         for a, b in (normal.args, normal.args[::-1]):
             table = _filter_table(a, b, depth - 1)
@@ -193,6 +202,15 @@ def _plan(sentence, consts):
         return depth, (width - len(consts), width, bind)
     decide = _deciders().get(sentence) or (lambda L: bind(L)([0] * width))
     return depth, (width - len(consts), width, (_verdicts(sentence), decide))
+
+
+@lru_cache(maxsize=256)
+def _closed_plan(sentence):
+    """The plan of a closed sentence, made once whatever the constants and
+    kept apart from `_plan`, whose entries the many sentences of a large
+    theory's diagram push out.  It holds the sentence's verdict store, so it
+    is cleared with `_verdicts`."""
+    return _plan(sentence, ())
 
 
 def _schedule(theory):

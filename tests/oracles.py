@@ -1,8 +1,10 @@
 """Brute-force oracles for the tests, meant only for very small inputs:
-every labeled lattice on n elements, and an exhaustive search over point
-maps set against `find_L_morphism`.
+every labeled lattice on n elements, an exhaustive search over point maps
+set against `find_L_morphism`, and the plain pebble game that `ef` refines.
 """
 
+from wallman_lab.ef import SpoilerStrategy
+from wallman_lab.fol import BOT, TOP, And, Eq, Exists, Forall, Join, Meet, Not, Or, Var
 from wallman_lab.homsearch import find_L_morphism
 from wallman_lab.lattice import validate
 from wallman_lab.spaces import is_continuous, is_surjective
@@ -80,3 +82,98 @@ def oracle_surjection_equivalence(X, Y, base=None):
             break
     morphism = find_L_morphism(Y, base, X) is not None
     return {"oracle": oracle, "morphism": morphism, "agree": oracle == morphism}
+
+
+# ---------------------------------------------------------------- pebble game
+# The game as `ef` played it before its replies were forward-checked: every
+# reply is built as a set of pairs and checked against every triple of
+# pebbles.  The replies are tried in index order, and no isomorphism is used.
+
+
+def reference_consistent(A, B, pairs):
+    """Do the pebbled tuples satisfy the same atomic formulas?  O(k^3)."""
+    items = list(pairs)
+    for a1, b1 in items:
+        for a2, b2 in items:
+            if (a1 == a2) != (b1 == b2):
+                return False
+            ma, mb = A.meet[a1][a2], B.meet[b1][b2]
+            ja, jb = A.join[a1][a2], B.join[b1][b2]
+            for a3, b3 in items:
+                if (ma == a3) != (mb == b3) or (ja == a3) != (jb == b3):
+                    return False
+    return True
+
+
+def reference_ef_equivalent(A, B, rounds):
+    """(True, None) or (False, SpoilerStrategy), as `ef.ef_equivalent`."""
+    rounds = min(rounds, min(A.n, B.n) + 1)
+    memo = {}
+    start = frozenset(((A.bottom, B.bottom), (A.top, B.top)))
+    if _reference_wins(A, B, memo, start, rounds):
+        return True, None
+    return False, _reference_extract(A, B, memo, start, rounds)
+
+
+def _reference_wins(A, B, memo, pairs, k):
+    key = (pairs, k)
+    if key not in memo:
+        memo[key] = reference_consistent(A, B, pairs) and (k == 0 or _reference_move(A, B, memo, pairs, k) is None)
+    return memo[key]
+
+
+def _reference_move(A, B, memo, pairs, k):
+    for a in range(A.n):
+        if not any(_reference_wins(A, B, memo, pairs | {(a, b)}, k - 1) for b in range(B.n)):
+            return "A", a
+    for b in range(B.n):
+        if not any(_reference_wins(A, B, memo, pairs | {(a, b)}, k - 1) for a in range(A.n)):
+            return "B", b
+    return None
+
+
+def _reference_extract(A, B, memo, pairs, k):
+    if not reference_consistent(A, B, pairs):
+        return None
+    side, e = _reference_move(A, B, memo, pairs, k)
+    replies = [pairs | {(e, b)} for b in range(B.n)] if side == "A" else [pairs | {(a, e)} for a in range(A.n)]
+    return SpoilerStrategy(side, e, tuple(_reference_extract(A, B, memo, reply, k - 1) for reply in replies))
+
+
+def reference_atomic_separator(A, B, pebbles_a, pebbles_b):
+    """The first atomic sentence, in the triple-scan order, true in A and false in B."""
+    terms = [(BOT, A.bottom, B.bottom), (TOP, A.top, B.top)]
+    for i, (a, b) in enumerate(zip(pebbles_a, pebbles_b)):
+        terms.append((Var(f"p{i}"), a, b))
+    for t1, a1, b1 in terms:
+        for t2, a2, b2 in terms:
+            if (a1 == a2) != (b1 == b2):
+                phi = Eq(t1, t2)
+                return phi if a1 == a2 else Not(phi)
+            for t3, a3, b3 in terms:
+                if (A.meet[a1][a2] == a3) != (B.meet[b1][b2] == b3):
+                    phi = Eq(Meet(t1, t2), t3)
+                    return phi if A.meet[a1][a2] == a3 else Not(phi)
+                if (A.join[a1][a2] == a3) != (B.join[b1][b2] == b3):
+                    phi = Eq(Join(t1, t2), t3)
+                    return phi if A.join[a1][a2] == a3 else Not(phi)
+    raise AssertionError("pebbled tuples are atomically equivalent")
+
+
+def reference_sentence(A, B, strat, pebbles_a=(), pebbles_b=()):
+    """The separating sentence of a strategy, unchecked, built as `ef` builds it."""
+    if strat is None:
+        return reference_atomic_separator(A, B, list(pebbles_a), list(pebbles_b))
+    subs = []
+    for reply, sub in enumerate(strat.responses):
+        if strat.side == "A":
+            s = reference_sentence(A, B, sub, (*pebbles_a, strat.element), (*pebbles_b, reply))
+        else:
+            s = reference_sentence(A, B, sub, (*pebbles_a, reply), (*pebbles_b, strat.element))
+        if s not in subs:
+            subs.append(s)
+    connective, quantifier = (And, Exists) if strat.side == "A" else (Or, Forall)
+    body = subs[0]
+    for s in subs[1:]:
+        body = connective(body, s)
+    return quantifier(f"p{len(pebbles_a)}", body)

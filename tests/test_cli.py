@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -294,6 +295,55 @@ class TestInternalErrors:
         assert proc.returncode == 3
         assert proc.stderr.startswith("internal error: PostconditionFailed: model ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+class TestClosedPipe:
+    """A reader that stops early (`... | head`) is not a bug: exit 141, as a
+    process that SIGPIPE ends, with nothing on stderr."""
+
+    @pytest.fixture
+    def ba16(self, tmp_path):
+        # the 600 KB dim<=1 witness map of its report fills any pipe buffer
+        n = 16
+        tables = {
+            "elements": [f"e{m}" for m in range(n)],
+            "meet": [[a & b for b in range(n)] for a in range(n)],
+            "join": [[a | b for b in range(n)] for a in range(n)],
+            "bottom": 0,
+            "top": n - 1,
+        }
+        path = tmp_path / "ba16.json"
+        path.write_text(json.dumps(tables))
+        return str(path)
+
+    def test_reader_closing_after_ten_bytes(self, ba16):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wallman_lab", "check", ba16], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
+        assert err == b""
+
+    @pytest.mark.parametrize("command", ["check", "eval"])
+    def test_reader_closed_before_the_first_write(self, fixtures, ba16, command):
+        # the short eval report (272 bytes) sits in the buffer until the flush at exit
+        args = ["check", ba16] if command == "check" else ["eval", fixtures["ba4"], "0 = 0"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wallman_lab", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_PIPE
+        assert proc.stderr == b""
 
 
 class TestWallmanAndStone:

@@ -557,3 +557,27 @@ def test_compiled_width_counts_the_quantifier_nodes(f):
     # the model finder orders the sentences of a stage by this difference
     assert compile_sentence(f, NAMES).width - len(NAMES) == quantifier_nodes(f)
 
+
+
+class TestKeptHashes:
+    """A node keeps its hash after the first use; equality, repr, printing
+    and pickling are as they were."""
+
+    TEXT = "A x. (x ^ a = 0 | (E y. (y v x = 1 & !(y <= a))))"
+
+    def test_equal_trees_hash_alike_and_keep_it(self):
+        f, g = parse(self.TEXT), parse(self.TEXT)
+        assert "_hash" not in vars(f)
+        assert hash(f) == hash(g) and f == g and {f: 1}[g] == 1
+        assert vars(f)["_hash"] == hash(f)
+        assert f != parse("A x. (x ^ a = 0 | (E y. (y v x = 1 & !(a <= y))))")
+
+    def test_repr_printing_and_pickling_do_not_see_it(self):
+        import pickle
+
+        f = parse(self.TEXT)
+        before = repr(f), print_formula(f)
+        hash(f)
+        assert (repr(f), print_formula(f)) == before and "_hash" not in repr(f)
+        copy = pickle.loads(pickle.dumps(f))
+        assert "_hash" not in vars(copy) and copy == f and hash(copy) == hash(f)

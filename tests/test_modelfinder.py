@@ -24,7 +24,9 @@ from wallman_lab.fol import (
     builtin_normality,
     bind_constants,
     compile_sentence,
+    constant_names,
     eval_formula,
+    free_variables,
     parse,
 )
 from wallman_lab.lattice import chain, is_normal, lattice_isomorphism, powerset_lattice
@@ -242,6 +244,7 @@ def preimage_theories():
 def forget_verdicts():
     """Empty the verdict store, and the plans that hold its entries."""
     _plan.cache_clear()
+    modelfinder._closed_plan.cache_clear()
     _verdicts.cache_clear()
 
 
@@ -310,6 +313,26 @@ class TestDomainFilters:
         for n in range(2, max_size + 1):
             for L in lattices_of_size(n):
                 assert decide(L) == eval_formula(L, sentence), (n, L.meet)
+
+    def test_a_closed_sentence_is_planned_once_whatever_the_constants(self, monkeypatch):
+        from wallman_lab.spaces import all_spaces, closed_set_lattice
+
+        first, second = (hi_preimage_theory(closed_set_lattice(X)) for X in all_spaces(2)[:2])
+        assert first.constants != second.constants
+        closed = [s for s in second.sentences if not (constant_names(s) or free_variables(s))]
+        assert len(closed) == 6 and all(s in first.sentences for s in closed)
+        normal_forms = []
+        normal_form = modelfinder._normal_form
+        monkeypatch.setattr(modelfinder, "_normal_form", lambda s, names: normal_forms.append(s) or normal_form(s, names))
+        forget_verdicts()
+        budget = SearchBudget(max_size=4)
+        find_model(first, budget)
+        assert set(closed) <= set(normal_forms)
+        normal_forms.clear()
+        find_model(second, budget)
+        # the six builtins were planned for the first theory; only the diagram is new
+        assert len(normal_forms) == len(second.sentences) - len(closed)
+        assert not set(closed) & set(normal_forms)
 
     @pytest.mark.parametrize("closed, binds", [("A x. x = 0", False), ("E x. x = 0", True)])
     def test_later_stages_are_bound_only_once_the_closed_stage_holds(self, monkeypatch, closed, binds):
