@@ -188,8 +188,14 @@ def _report(args_list, digests, outcome, started):
 
 
 def _emit(report):
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Write the report in one piece (json.dump writes thousands of small
+    ones).  Under python -u the bytes go to the file unbuffered, and a write
+    that a closing reader cuts short is not retried by the text layer, so
+    the rest is written here: that write fails with BrokenPipeError."""
+    rest = memoryview((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+    sys.stdout.flush()
+    while rest:
+        rest = rest[sys.stdout.buffer.write(rest) :]
 
 
 def _mask_json(mask):

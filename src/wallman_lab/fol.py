@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -393,20 +393,25 @@ _BINARY = (Meet, Join, Eq, Leq, JPred, And, Or, Implies)
 
 
 def _walk(node, leaf, bound=frozenset()):
-    """node rebuilt with each Var and Const t replaced by leaf(t, bound),
-    where bound holds the names of the quantifiers above t."""
+    """node with each Var and Const t replaced by leaf(t, bound), where bound
+    holds the names of the quantifiers above t.  A subtree in which no leaf
+    changed is returned itself, so a walk that changes nothing copies nothing."""
     if isinstance(node, (Var, Const)):
         return leaf(node, bound)
     if isinstance(node, (Bottom, Top)):
         return node
     if isinstance(node, _BINARY):
-        return type(node)(_walk(node.left, leaf, bound), _walk(node.right, leaf, bound))
+        left, right = _walk(node.left, leaf, bound), _walk(node.right, leaf, bound)
+        return node if left is node.left and right is node.right else type(node)(left, right)
     if isinstance(node, MPred):
-        return MPred(tuple(_walk(t, leaf, bound) for t in node.terms))
+        terms = tuple(_walk(t, leaf, bound) for t in node.terms)
+        return node if all(map(is_, terms, node.terms)) else MPred(terms)
     if isinstance(node, Not):
-        return Not(_walk(node.body, leaf, bound))
+        body = _walk(node.body, leaf, bound)
+        return node if body is node.body else Not(body)
     if isinstance(node, (Forall, Exists)):
-        return type(node)(node.var, _walk(node.body, leaf, bound | {node.var}))
+        body = _walk(node.body, leaf, bound | {node.var})
+        return node if body is node.body else type(node)(node.var, body)
     raise TypeError(f"not a formula or term: {node!r}")
 
 

@@ -369,17 +369,6 @@ def _masks(L):
     return perp, cotop
 
 
-def _pliand_foursomes(perp):
-    """Every pliand foursome (c, d, f, g) as an index 4-tuple, in
-    lexicographic order, of a family whose disjointness masks are perp."""
-    for c, pc in enumerate(perp):
-        for d in _bits(pc):
-            pd = perp[d]
-            for f in _bits(pc):
-                for g in _bits(pd):
-                    yield c, d, f, g
-
-
 def _maximal_foursomes(perp, above):
     """The maximal pliand foursomes of the same family, where above[x] is
     the bitmask of the members strictly above x.
@@ -438,15 +427,55 @@ def _first_without_chicane(perp, above, has_chicane):
     lexicographic order) for which has_chicane fails, or None.
 
     perp and above are the family's disjointness masks and the masks of the
-    members strictly above each member.  Correct because the pliand
-    foursomes form a down-set and a chicane of a foursome is one of every
-    pliand foursome below it: each identity only gets easier as c, d, f or g
-    shrinks.  So every foursome has a chicane iff every maximal one has, and
-    only when one of them lacks a chicane are all foursomes scanned in order.
+    members strictly above each member.  Two facts spare most chicane tests.
+
+    Closed downward: the pliand foursomes form a down-set and a chicane of a
+    foursome is one of every pliand foursome below it, since each identity
+    only gets easier as c, d, f or g shrinks.  So every foursome has a
+    chicane iff every maximal one has, and a foursome below a maximal one
+    that has a chicane has one too.
+
+    Mirror pairs: (c, d, f, g; z1, z2, z3) -> (d, c, g, f; z3, z2, z1) maps
+    the pliand identities and the six chicane identities onto themselves
+    (for closed sets, (x0, x1, x2) -> (x2, x1, x0) does the same), so q has
+    a chicane iff its mirror has, and the mirror of a maximal foursome is
+    maximal.
+
+    The maximal foursomes are tested in order, each mirror pair once, until
+    one fails.  The ordered scan then tests only the foursomes that are not
+    below a maximal foursome already passed (cover[i][x] is the bitmask of
+    those whose i-th member is >= x) and whose mirror is not earlier: an
+    earlier mirror has already passed, tested or covered, or the scan would
+    have stopped there.  Every skipped foursome has a chicane, so the first
+    one tested without a chicane is the first in the whole order.
     """
-    if all(map(has_chicane, _maximal_foursomes(perp, above))):
+    passed = []
+    for q in _maximal_foursomes(perp, above):
+        c, d, f, g = q
+        if (d, c, g, f) >= q and not has_chicane(q):
+            break
+        passed.append(q)
+    else:
         return None
-    return next(q for q in _pliand_foursomes(perp) if not has_chicane(q))
+    below = [1 << x for x in range(len(perp))]
+    for x, up in enumerate(above):
+        for y in _bits(up):
+            below[y] |= 1 << x
+    cover = [[0] * len(perp) for _ in range(4)]
+    for k, q in enumerate(passed):
+        for i, m in enumerate(q):
+            for x in _bits(below[m]):
+                cover[i][x] |= 1 << k
+    c0, c1, c2, c3 = cover
+    for c, pc in enumerate(perp):
+        for d in _bits(pc >> c << c):
+            pd, k_cd = perp[d], c0[c] & c1[d]
+            for f in _bits(pc):
+                k_cdf = k_cd & c2[f]
+                for g in _bits(pd >> f << f if d == c else pd):
+                    if not k_cdf & c3[g] and not has_chicane((c, d, f, g)):
+                        return c, d, f, g
+    raise AssertionError("the scan passed the maximal foursome that failed")
 
 
 def satisfies_HI(L):

@@ -527,7 +527,9 @@ def quantifier_nodes(f):
 def test_name_walks_agree_with_reference(f, names):
     assert free_variables(f) == reference_free_variables(f)
     assert constant_names(f) == reference_constant_names(f)
-    assert bind_constants(f, names) == reference_bind_constants(f, names)
+    bound = bind_constants(f, names)
+    assert bound == reference_bind_constants(f, names)
+    assert (bound is f) == (bound == f)  # a walk that changes nothing copies nothing
 
 
 class TestNameWalks:
@@ -544,6 +546,14 @@ class TestNameWalks:
         assert bind_constants(f, ("a", "x")) == Exists(
             "x", MPred((Var("x"), Meet(Const("a"), Const("c")), Join(Var("b"), TOP)))
         )
+
+    def test_unchanged_subtrees_are_shared_not_copied(self):
+        f = parse("A x. (x ^ a = 0 | (E y. (y v x = 1 & !(y <= a))))")
+        assert bind_constants(f, ()) is f
+        assert bind_constants(f, ("x", "y", "q")) is f  # x and y are bound, q is not mentioned
+        g = bind_constants(f, ("a",))
+        assert constant_names(g) == {"a"} and free_variables(g) == set()
+        assert g.body.right.body.left is f.body.right.body.left  # y v x = 1 has no a
 
     def test_a_non_formula_is_refused(self):
         for walk in (free_variables, constant_names, lambda f: bind_constants(f, ())):

@@ -7,6 +7,11 @@ tried in order.  The rewrite must return exactly what they return: verdict,
 least offending foursome, least chicane and the whole witness map.
 """
 
+import itertools
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from wallman_lab.enumeration import lattices_of_size
@@ -14,6 +19,9 @@ from wallman_lab.errors import NotPliand, PreconditionViolated
 from wallman_lab.lattice import (
     Chicane,
     PliandFoursome,
+    _first_without_chicane,
+    _least_chicane,
+    _masks,
     _maximal_foursomes,
     chicane_identities_hold,
     find_chicane,
@@ -206,6 +214,56 @@ def test_having_a_chicane_is_closed_downward():
                 for y in below[q[k]]:
                     lower = PliandFoursome(*q[:k], y, *q[k + 1 :])
                     assert has[lower], (n, i, fs, lower)
+
+
+def test_a_foursome_has_a_chicane_iff_its_mirror_has():
+    """The premise of testing one foursome of each mirror pair:
+    (c, d, f, g; z1, z2, z3) -> (d, c, g, f; z3, z2, z1) keeps every
+    identity, and (x0, x1, x2) -> (x2, x1, x0) does for closed sets."""
+    for n, i, L in small_lattices(7):
+        for fs in pliand_foursomes(L):
+            mirror = PliandFoursome(fs.d, fs.c, fs.g, fs.f)
+            assert (find_chicane(L, fs) is None) == (find_chicane(L, mirror) is None), (n, i, fs)
+    for X in small_spaces():
+        fam = X.closed_sorted()
+        for c, d, f, g in itertools.product(fam, repeat=4):
+            if not (c & d or c & f or d & g):
+                assert (space_chicane(X, c, d, f, g, fam) is None) == (
+                    space_chicane(X, d, c, g, f, fam) is None
+                ), (X, c, d, f, g)
+
+
+def count_chicane_tests(L):
+    """(first foursome without a chicane, chicane tests made) of satisfies_HI's scan."""
+    masks = _masks(L)
+    above = [sum(1 << y for y in L.elements() if y != x and L.leq(x, y)) for x in L.elements()]
+    tested = []
+
+    def has_chicane(q):
+        tested.append(q)
+        return _least_chicane(L, masks, *q) is not None
+
+    return _first_without_chicane(masks[0], above, has_chicane), len(tested)
+
+
+def test_the_scan_skips_mirrors_and_covered_foursomes():
+    # a full rescan after the failing maximal foursome made 72 tests here
+    assert count_chicane_tests(lattices_of_size(5)[2]) == ((1, 2, 0, 0), 6)
+    # 81 maximal foursomes: 40 mirror pairs and (0, 0, 15, 15), its own mirror
+    assert count_chicane_tests(powerset_lattice(4)) == (None, 41)
+
+
+def test_the_size_8_sweep_is_pinned():
+    # the digests the scan gave before mirror pairs and the resumed scan
+    script = Path(__file__).resolve().parents[1] / "scripts" / "hi_sweep.py"
+    proc = subprocess.run([sys.executable, str(script), "--size", "8"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:4] == [
+        "lattices HI 177, not HI 45",
+        "lattices sha256 aaaa17143ca9edbb6fef7f3c443493a33747a96f720816c7b583d632d26c39d2",
+        "spaces chicane condition 286, not 103",
+        "spaces sha256 70dce0ecfca2c8d3d48d9c19df8c0186c06f967842b6f04e0d080cefa308c3e8",
+    ]
 
 
 def test_maximal_foursomes_are_those_with_nothing_pliand_above():
