@@ -36,7 +36,7 @@ from .fol import (
     Var,
     eval_formula,
 )
-from .lattice import _bits, lattice_isomorphism
+from .lattice import _bits, _preimages, lattice_isomorphism
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,6 @@ def _consistent(A, B, pairs):
                 if f.get(ta[x][y], -1) != (mb if mb in image else -1):
                     return False
     return True
-
-
-def _preimages(L):
-    """(meet_pre, join_pre): meet_pre[y][e] is the mask of the x with
-    meet[x][y] == e, and join_pre[y][e] that of the x with join[x][y] == e.
-    So meet_pre[y][y] is the up-set of y and join_pre[y][y] its down-set."""
-    rows = []
-    for table in (L.meet, L.join):
-        pre = [[0] * L.n for _ in range(L.n)]
-        for x, row in enumerate(table):
-            for y, e in enumerate(row):
-                pre[y][e] |= 1 << x
-        rows.append(pre)
-    return rows
 
 
 def _reply_masks(L, M, pre_M, f):

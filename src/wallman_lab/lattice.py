@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     LatticeLawViolation,
@@ -195,7 +196,7 @@ def validate(names, meet, join, bottom, top):
 
 def _by_size(masks):
     """Masks in (popcount, mask) order, the element order of every lattice of sets."""
-    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def _mask_lattice(family, prefix=""):
@@ -358,6 +359,22 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=256)
+def _preimages(L):
+    """(meet_pre, join_pre): meet_pre[y][e] is the mask of the x with
+    meet[x][y] == e, and join_pre[y][e] that of the x with join[x][y] == e.
+    So meet_pre[y][y] is the up-set of y and join_pre[y][y] its down-set.
+    Kept per lattice value, for the pebble games and the embedding search."""
+    rows = []
+    for table in (L.meet, L.join):
+        pre = [[0] * L.n for _ in range(L.n)]
+        for x, row in enumerate(table):
+            for y, e in enumerate(row):
+                pre[y][e] |= 1 << x
+        rows.append(tuple(map(tuple, pre)))
+    return tuple(rows)
 
 
 def _masks(L):

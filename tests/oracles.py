@@ -1,12 +1,13 @@
 """Brute-force oracles for the tests, meant only for very small inputs:
 every labeled lattice on n elements, an exhaustive search over point maps
-set against `find_L_morphism`, and the plain pebble game that `ef` refines.
+set against `find_L_morphism`, the plain pebble game that `ef` refines, and
+the two `homsearch` searches without forward checking.
 """
 
 from wallman_lab.ef import SpoilerStrategy
 from wallman_lab.fol import BOT, TOP, And, Eq, Exists, Forall, Join, Meet, Not, Or, Var
-from wallman_lab.homsearch import find_L_morphism
-from wallman_lab.lattice import validate
+from wallman_lab.homsearch import LMorphism, _check_base, find_L_morphism
+from wallman_lab.lattice import _first_assignment, validate
 from wallman_lab.spaces import is_continuous, is_surjective
 
 
@@ -177,3 +178,56 @@ def reference_sentence(A, B, strat, pebbles_a=(), pebbles_b=()):
     for s in subs[1:]:
         body = connective(body, s)
     return quantifier(f"p{len(pebbles_a)}", body)
+
+
+# ---------------------------------------------------------------- homsearch
+# The two searches as they ran on the shared core before forward checking:
+# every candidate is tried, and each condition is checked once the last of
+# its elements is assigned.
+
+
+def plain_lattice_embedding(B, L):
+    """`homsearch.find_lattice_embedding` without forward checking."""
+    order = [B.bottom, B.top] + [e for e in B.elements() if e not in (B.bottom, B.top)]
+    pos = {e: i for i, e in enumerate(order)}
+    checks = [[] for _ in order]  # checks[i]: (p, q, r, table) by position, last assigned at i
+    for p in range(len(order)):
+        for q in range(p + 1, len(order)):
+            for table_b, table_l in ((B.meet, L.meet), (B.join, L.join)):
+                r = pos[table_b[order[p]][order[q]]]
+                checks[max(q, r)].append((p, q, r, table_l))
+
+    def step(i, t, values, used):
+        if used >> t & 1:
+            return None
+        for p, q, r, table in checks[i]:
+            if table[values[p]][values[q]] != values[r]:
+                return None
+        return used | 1 << t
+
+    domains = [[L.bottom], [L.top]] + [L.elements()] * (len(order) - 2)
+    values = _first_assignment(domains, step, 0)
+    return None if values is None else dict(zip(order, values))
+
+
+def plain_L_morphism(Y, base, X):
+    """`homsearch.find_L_morphism` without forward checking."""
+    base = _check_base(Y, base)
+    full_y, full_x = Y.full, X.full
+    # partners[i]: the j <= i with base[j] | base[i] = Y; the empty set has none to check
+    partners = [[j for j in range(i + 1) if b | base[j] == full_y] if b else [] for i, b in enumerate(base)]
+    nonzero = [t for t in X.closed_sorted() if t]
+    whole = [t for t in nonzero if t == full_x]  # [X], unless X has no points
+    domains = [[0] if b == 0 else whole if b == full_y else nonzero for b in base]
+
+    def step(i, t, values, meet_at):
+        # meet_at[x]: the meet of the base sets assigned so far whose image holds x
+        for j in partners[i]:
+            if t | values[j] != full_x:
+                return None
+        b = base[i]
+        meet_at = [m & b if t >> x & 1 else m for x, m in enumerate(meet_at)]
+        return None if t and 0 in meet_at else meet_at
+
+    values = _first_assignment(domains, step, [full_y] * X.point_count)
+    return None if values is None else LMorphism(tuple(base), dict(zip(base, values)))

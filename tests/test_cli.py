@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -494,6 +496,22 @@ class TestSurject:
         proc = run_cli("surject", str(sierpinski), str(sierpinski))
         assert proc.returncode == 2
         assert "T1" in proc.stderr
+
+    def test_discrete_five_onto_itself(self):
+        # the report was captured from the search before forward checking,
+        # which took seconds here; it must match byte for byte but the time
+        data = Path(__file__).resolve().parent / "data"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wallman_lab", "surject", "d5.json", "d5.json"],
+            capture_output=True,
+            text=True,
+            cwd=data,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        elapsed = re.compile(r'^  "elapsed_ms": \d+,$', re.M)
+        expected = (data / "surject_d5_report.json").read_text()
+        assert elapsed.sub("", proc.stdout) == elapsed.sub("", expected)
 
 
 class TestEmbed:

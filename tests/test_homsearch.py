@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from wallman_lab.errors import NonSingletonFiber, NotABase
@@ -20,7 +24,7 @@ from wallman_lab.spaces import (
     space_from_sets,
 )
 
-from oracles import oracle_surjection_equivalence
+from oracles import oracle_surjection_equivalence, plain_L_morphism, plain_lattice_embedding
 
 
 class TestEmbedding:
@@ -110,6 +114,19 @@ def test_embedding_matches_reference_search(make_target):
     target = make_target()
     for B in (B for n in range(2, 8) for B in lattices_of_size(n)):
         assert find_lattice_embedding(B, target) == reference_lattice_embedding(B, target), B
+
+
+@pytest.mark.parametrize(
+    "make_target",
+    [lambda: powerset_lattice(3), lambda: powerset_lattice(4)]
+    + [lambda i=i: lattices_of_size(8)[i] for i in range(0, 222, 10)],
+    ids=["2^3", "2^4"] + [f"size-8-no-{i}" for i in range(0, 222, 10)],
+)
+def test_embedding_matches_plain_search(make_target):
+    # every source of size 2..7 into 2^3, 2^4 and every 10th lattice of size 8
+    target = make_target()
+    for B in (B for n in range(2, 8) for B in lattices_of_size(n)):
+        assert find_lattice_embedding(B, target) == plain_lattice_embedding(B, target), B
 
 
 class TestSurjectionFromEmbedding:
@@ -273,6 +290,40 @@ def test_matches_reference_search_on_all_small_spaces():
         base = Y.closed_sorted()
         for X in spaces:
             assert find_L_morphism(Y, base, X) == reference_L_morphism(Y, base, X), (Y, X)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4])
+def test_L_morphism_matches_plain_search(points):
+    # every space on at most 4 points onto the discrete space on `points` points
+    Y = discrete_space(points)
+    base = Y.closed_sorted()
+    for X in (X for n in range(5) for X in all_spaces(n)):
+        assert find_L_morphism(Y, base, X) == plain_L_morphism(Y, base, X), X
+
+
+def test_discrete_five_onto_itself_matches_plain_search():
+    D = discrete_space(5)
+    assert find_L_morphism(D, D.closed_sorted(), D) == plain_L_morphism(D, D.closed_sorted(), D)
+
+
+@pytest.mark.parametrize("points", [6, 7, 8])
+def test_discrete_onto_itself_finds_the_identity(points):
+    # without forward checking, 6 -> 6 did not finish within two minutes
+    D = discrete_space(points)
+    assert find_L_morphism(D, D.closed_sorted(), D).assignment == {b: b for b in D.closed}
+
+
+def test_the_map_sweep_is_pinned():
+    # the digests the searches gave before they were forward-checked
+    script = Path(__file__).resolve().parents[1] / "scripts" / "map_sweep.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:4] == [
+        "embeddings found 2654, absent 14594",
+        "embeddings sha256 da6a2cb57712f9a16df2e392c1ff65d8c2e45b6c7a405e9eb62b7319b136a062",
+        "morphisms found 10193, absent 3847",
+        "morphisms sha256 e67c1cd1349ba96e51eac59332a01e270474c3317c3a26e93ae0e5cf65d9509a",
+    ]
 
 
 class TestRoundTrip:
