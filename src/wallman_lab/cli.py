@@ -267,7 +267,10 @@ def cmd_eval(args):
 
     started = time.monotonic()
     L = load_lattice(args.structure)
-    formula = parse(args.formula)
+    try:
+        formula = parse(args.formula)
+    except RecursionError:
+        raise InputError("the formula nests too deeply to parse")
     interp = {}
     for item in args.let:
         name, _, value = item.partition("=")

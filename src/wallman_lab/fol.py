@@ -44,71 +44,50 @@ from .errors import (
     MissingConstant,
     UnboundVariable,
 )
+from .lattice import _kept_hash
 
 # ---------------------------------------------------------------- AST
 
 
-def _node(cls):
-    """A formula or term class: a frozen dataclass whose hash, a walk of the
-    whole tree, is worked out on first use and kept on the node.  The kept
-    hash is not pickled, since string hashes differ between processes."""
-    cls = dataclass(frozen=True)(cls)
-    tree_hash = cls.__hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = tree_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    cls._hash = None  # not a field: no annotation, so eq and repr ignore it
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
-    return cls
-
-
-@_node
+@_kept_hash
 class Var:
     name: str
 
 
-@_node
+@_kept_hash
 class Const:
     name: str
 
 
-@_node
+@_kept_hash
 class Bottom:
     pass
 
 
-@_node
+@_kept_hash
 class Top:
     pass
 
 
-@_node
+@_kept_hash
 class Meet:
     left: object
     right: object
 
 
-@_node
+@_kept_hash
 class Join:
     left: object
     right: object
 
 
-@_node
+@_kept_hash
 class Eq:
     left: object
     right: object
 
 
-@_node
+@_kept_hash
 class Leq:
     """Sugar: s <= t means s ^ t = s."""
 
@@ -116,7 +95,7 @@ class Leq:
     right: object
 
 
-@_node
+@_kept_hash
 class JPred:
     """J(s, t): the join of s and t is the top element."""
 
@@ -124,43 +103,43 @@ class JPred:
     right: object
 
 
-@_node
+@_kept_hash
 class MPred:
     """M(t1, ..., tn): the meet of the arguments is the bottom element."""
 
     terms: tuple
 
 
-@_node
+@_kept_hash
 class Not:
     body: object
 
 
-@_node
+@_kept_hash
 class And:
     left: object
     right: object
 
 
-@_node
+@_kept_hash
 class Or:
     left: object
     right: object
 
 
-@_node
+@_kept_hash
 class Implies:
     left: object
     right: object
 
 
-@_node
+@_kept_hash
 class Forall:
     var: str
     body: object
 
 
-@_node
+@_kept_hash
 class Exists:
     var: str
     body: object

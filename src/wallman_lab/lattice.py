@@ -19,7 +19,30 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+def _kept_hash(cls):
+    """A frozen dataclass whose hash, a walk of all its fields (a formula's
+    whole tree, a lattice's tables), is worked out on first use and kept on
+    the object.  The kept hash is not pickled, since string hashes differ
+    between processes."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None  # not a field: no annotation, so eq and repr ignore it
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_kept_hash
 class FiniteLattice:
     names: tuple
     meet: tuple  # n x n tuple-of-tuples of element indices
@@ -509,37 +532,55 @@ def satisfies_dim_le1(L):
     Returns (True, witness_map) or (False, (x0,y0,x1,y1)).  The witness for
     two pairs is the lexicographically least (u0, v0, u1, v1) with ui ^ xi =
     vi ^ yi = 0, ui v vi = 1 and u0 ^ v0 ^ u1 ^ v1 = 0.
+
+    A witness depends on the pairs only through their keys (perp[xi],
+    perp[yi]), numbered in order of first appearance.  The first pair with
+    key k0 fills k0's row, a list of the witnesses by partner key number.  A
+    row with a gap fails at the gap's first pair, which is the first failing
+    partner in the map's order, since the keys are numbered in that order.
+    Each pair then copies its row into the map, partner by partner, so the
+    map's items and their order are those of a search pair by pair.
     """
     meet = L.meet
     perp, cotop = _masks(L)
-    partitions = {}  # (perp[x], perp[y]) -> [(u, v, u^v)] in lexicographic order
-    first = {}  # (w, key) -> the first (u, v) of key's partitions with u^v^w = 0, or None
+    perp_bits = [list(_bits(m)) for m in perp]
+    cotop_bits = [list(_bits(m)) for m in cotop]
+    disjoint = [(x, y) for x, ys in enumerate(perp_bits) for y in ys]
+    ids, first_pair, key_of = {}, [], []
+    for x, y in disjoint:
+        k = ids.setdefault((perp[x], perp[y]), len(ids))
+        if k == len(first_pair):
+            first_pair.append((x, y))
+        key_of.append(k)
+    # partitions[k]: the (u, v, u^v) of key k, in lexicographic order
+    partitions = [
+        [(u, v, meet[u][v]) for u in perp_bits[x] for v in cotop_bits[u] if perp[y] >> v & 1] for x, y in first_pair
+    ]
+    hits = {}  # hits[w][k]: key k's first (u, v) with u^v^w = 0, or None
 
-    def partitions_of(key):
-        if key not in partitions:
-            px, py = key
-            partitions[key] = [(u, v, meet[u][v]) for u in _bits(px) for v in _bits(py & cotop[u])]
-        return partitions[key]
+    def row_of(k0):
+        """Partner key k1 takes the first (u0, v0) of k0 whose meet w some
+        (u1, v1) of k1 clears, with the first such (u1, v1)."""
+        row = [None] * len(partitions)
+        for u0, v0, w in partitions[k0]:
+            if w not in hits:
+                pw = perp[w]
+                hits[w] = [next(((u, v) for u, v, m in parts if pw >> m & 1), None) for parts in partitions]
+            row = [(u0, v0) + h if r is None and h is not None else r for r, h in zip(row, hits[w])]
+            if None not in row:
+                break
+        return row
 
-    def first_against(w, key):
-        if (w, key) not in first:
-            pw = perp[w]
-            first[w, key] = next(((u, v) for u, v, m in partitions_of(key) if pw >> m & 1), None)
-        return first[w, key]
-
-    disjoint = [(x, y) for x in L.elements() for y in _bits(perp[x])]
+    rows = [None] * len(partitions)
+    xs, ys = [x for x, _ in disjoint], [y for _, y in disjoint]
     witnesses = {}
-    for x0, y0 in disjoint:
-        parts0 = partitions_of((perp[x0], perp[y0]))
-        for x1, y1 in disjoint:
-            key1 = (perp[x1], perp[y1])
-            for u0, v0, w in parts0:
-                hit = first_against(w, key1)
-                if hit is not None:
-                    witnesses[(x0, y0, x1, y1)] = (u0, v0) + hit
-                    break
-            else:
-                return False, (x0, y0, x1, y1)
+    for (x0, y0), k0 in zip(disjoint, key_of):
+        row = rows[k0]
+        if row is None:
+            row = rows[k0] = row_of(k0)
+            if None in row:
+                return False, (x0, y0) + first_pair[row.index(None)]
+        witnesses.update(zip(zip(itertools.repeat(x0), itertools.repeat(y0), xs, ys), map(row.__getitem__, key_of)))
     return True, witnesses
 
 

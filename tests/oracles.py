@@ -1,13 +1,18 @@
 """Brute-force oracles for the tests, meant only for very small inputs:
 every labeled lattice on n elements, an exhaustive search over point maps
-set against `find_L_morphism`, the plain pebble game that `ef` refines, and
-the two `homsearch` searches without forward checking.
+set against `find_L_morphism`, the plain pebble game that `ef` refines,
+the two `homsearch` searches without forward checking, and the `intervals`
+operations and `satisfies_dim_le1` as they were before integer keys.
 """
+
+from dataclasses import dataclass
+from fractions import Fraction
 
 from wallman_lab.ef import SpoilerStrategy
 from wallman_lab.fol import BOT, TOP, And, Eq, Exists, Forall, Join, Meet, Not, Or, Var
 from wallman_lab.homsearch import LMorphism, _check_base, find_L_morphism
-from wallman_lab.lattice import _first_assignment, validate
+from wallman_lab.errors import NonCanonicalInput, NotApplicable, NotDisjoint, PostconditionFailed
+from wallman_lab.lattice import _bits, _first_assignment, _masks, validate
 from wallman_lab.spaces import is_continuous, is_surjective
 
 
@@ -231,3 +236,178 @@ def plain_L_morphism(Y, base, X):
 
     values = _first_assignment(domains, step, [full_y] * X.point_count)
     return None if values is None else LMorphism(tuple(base), dict(zip(base, values)))
+
+
+# ---------------------------------------------------------------- intervals
+# The module as it was when every comparison was one of Fractions: the
+# endpoints of each result are compared with `intervals`' on equal inputs.
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class ReferenceIntervalSet:
+    intervals: tuple
+
+    def __post_init__(self):
+        prev_hi = None
+        for lo, hi in self.intervals:
+            if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+                raise NonCanonicalInput("endpoints must be Fractions")
+            if not (ZERO <= lo <= hi <= ONE):
+                raise NonCanonicalInput(f"interval [{lo},{hi}] not inside [0,1]")
+            if prev_hi is not None and lo <= prev_hi:
+                raise NonCanonicalInput("intervals must be sorted and non-adjacent")
+            prev_hi = hi
+
+    def is_empty(self):
+        return not self.intervals
+
+
+def reference_riset(*pairs):
+    ivs = sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs)
+    for lo, hi in ivs:
+        if lo > hi:
+            raise NonCanonicalInput(f"empty interval [{lo},{hi}]")
+    merged = []
+    for lo, hi in ivs:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return ReferenceIntervalSet(tuple((lo, hi) for lo, hi in merged))
+
+
+def reference_top():
+    return reference_riset((0, 1))
+
+
+def reference_join(a, b):
+    return reference_riset(*(a.intervals + b.intervals))
+
+
+def reference_meet(a, b):
+    out = []
+    for lo1, hi1 in a.intervals:
+        for lo2, hi2 in b.intervals:
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo <= hi:
+                out.append((lo, hi))
+    return reference_riset(*out)
+
+
+def reference_difference_pieces(a, b):
+    pieces = []
+    for lo, hi in a.intervals:
+        segments = [(lo, False, hi, False)]
+        for blo, bhi in b.intervals:
+            nxt = []
+            for slo, so, shi, sh in segments:
+                if bhi < slo or blo > shi:
+                    nxt.append((slo, so, shi, sh))
+                    continue
+                if slo < blo:
+                    nxt.append((slo, so, blo, True))
+                if bhi < shi:
+                    nxt.append((bhi, True, shi, sh))
+            segments = nxt
+        pieces.extend(s for s in segments if s[0] < s[2] or (s[0] == s[2] and not s[1] and not s[3]))
+    return pieces
+
+
+def reference_normality_witness(x, y):
+    if not reference_meet(x, y).is_empty():
+        raise NotDisjoint("x and y must have empty intersection")
+    comps = sorted([(lo, hi, "x") for lo, hi in x.intervals] + [(lo, hi, "y") for lo, hi in y.intervals])
+    cuts = [ZERO]
+    for (lo1, hi1, t1), (lo2, hi2, t2) in zip(comps, comps[1:]):
+        if t1 != t2:
+            cuts.append((hi1 + lo2) / 2)
+    cuts.append(ONE)
+    u_parts, v_parts = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        has_x = any(t == "x" and not (hi < a or lo > b) for lo, hi, t in comps)
+        if has_x:
+            v_parts.append((a, b))
+        else:
+            u_parts.append((a, b))
+    u = reference_riset(*u_parts)
+    v = reference_riset(*v_parts)
+    if not (
+        reference_meet(x, u).is_empty() and reference_meet(y, v).is_empty() and reference_join(u, v) == reference_top()
+    ):
+        raise PostconditionFailed("normality witness does not separate")
+    return u, v
+
+
+def reference_disjunctive_witness(a, b):
+    if reference_meet(a, b) == a:
+        raise NotApplicable("a <= b")
+    for lo, lo_open, hi, hi_open in reference_difference_pieces(a, b):
+        if lo == hi:
+            c = reference_riset((lo, hi))
+            break
+        if lo < hi:
+            quarter = (hi - lo) / 4
+            clo = lo + quarter if lo_open else lo
+            chi = hi - quarter if hi_open else hi
+            c = reference_riset((clo, chi))
+            break
+    else:
+        raise NotApplicable("no nonempty difference piece found")
+    if c.is_empty() or reference_meet(c, a) != c or not reference_meet(c, b).is_empty():
+        raise PostconditionFailed("disjunctive witness is not a nonempty part of a off b")
+    return c
+
+
+def reference_refute_partition(x, y):
+    common = reference_meet(x, y)
+    if not common.is_empty():
+        return "meet-nonempty", common
+    union = reference_join(x, y)
+    if union != reference_top():
+        return "join-not-top", reference_difference_pieces(reference_top(), union)[0]
+    if x.is_empty():
+        return "x-empty", x
+    if y.is_empty():
+        return "y-empty", y
+    raise RuntimeError("unreachable: [0,1] cannot be split by closed sets")
+
+
+# ---------------------------------------------------------------- dim <= 1
+
+
+def frozen_dim_le1(L):
+    """`lattice.satisfies_dim_le1` with its memo keyed by tuples."""
+    meet = L.meet
+    perp, cotop = _masks(L)
+    partitions = {}  # (perp[x], perp[y]) -> [(u, v, u^v)] in lexicographic order
+    first = {}  # (w, key) -> the first (u, v) of key's partitions with u^v^w = 0, or None
+
+    def partitions_of(key):
+        if key not in partitions:
+            px, py = key
+            partitions[key] = [(u, v, meet[u][v]) for u in _bits(px) for v in _bits(py & cotop[u])]
+        return partitions[key]
+
+    def first_against(w, key):
+        if (w, key) not in first:
+            pw = perp[w]
+            first[w, key] = next(((u, v) for u, v, m in partitions_of(key) if pw >> m & 1), None)
+        return first[w, key]
+
+    disjoint = [(x, y) for x in L.elements() for y in _bits(perp[x])]
+    witnesses = {}
+    for x0, y0 in disjoint:
+        parts0 = partitions_of((perp[x0], perp[y0]))
+        for x1, y1 in disjoint:
+            key1 = (perp[x1], perp[y1])
+            for u0, v0, w in parts0:
+                hit = first_against(w, key1)
+                if hit is not None:
+                    witnesses[(x0, y0, x1, y1)] = (u0, v0) + hit
+                    break
+            else:
+                return False, (x0, y0, x1, y1)
+    return True, witnesses

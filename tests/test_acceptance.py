@@ -29,13 +29,13 @@ from wallman_lab.fol import (
 )
 from wallman_lab.homsearch import find_L_morphism, surjection_from_morphism
 from wallman_lab.intervals import (
+    TOP,
     disjunctive_witness,
     join,
     meet,
     normality_witness,
     refute_partition,
     riset,
-    top,
 )
 from wallman_lab.lattice import (
     Chicane,
@@ -347,7 +347,7 @@ def test_criterion_8_exact_interval_arithmetic(rng):
         lo = meet(x, riset((0, cut - Fraction(1, 48))))
         hi = meet(y, riset((cut + Fraction(1, 48), 1)))
         u, v = normality_witness(lo, hi)
-        if not (meet(lo, u).is_empty() and meet(hi, v).is_empty() and join(u, v) == top()):
+        if not (meet(lo, u).is_empty() and meet(hi, v).is_empty() and join(u, v) == TOP):
             failures.append(("separation", lo, hi))
         checks += 3
         if meet(x, y) != x and not x.is_empty():

@@ -406,6 +406,12 @@ class TestEval:
         assert proc.returncode == 2
         assert "the name must be non-empty and given once" in proc.stderr
 
+    def test_a_formula_nested_too_deeply_is_input_error(self, fixtures):
+        # a fresh interpreter, so the recursion limit and stack are the defaults
+        proc = run_cli("eval", fixtures["ba4"], "!(" * 200 + "0=0" + ")" * 200)
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: the formula nests too deeply to parse\n"
+
 
 class TestEf:
     def test_inequivalent_pair_reports_sentence(self, fixtures):

@@ -7,6 +7,7 @@ tried in order.  The rewrite must return exactly what they return: verdict,
 least offending foursome, least chicane and the whole witness map.
 """
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -38,6 +39,8 @@ from wallman_lab.spaces import (
     is_T1,
     space_chicane,
 )
+
+from oracles import frozen_dim_le1
 
 
 def reference_find_chicane(L, fs):
@@ -169,6 +172,26 @@ def test_hi_matches_reference_on_small_lattices():
 def test_dim_le1_matches_reference_on_small_lattices():
     for n, i, L in small_lattices(8):
         assert satisfies_dim_le1(L) == reference_dim_le1(L), (n, i)
+
+
+def test_dim_le1_matches_the_tuple_keyed_search():
+    """The rows by key number against the search with its memo keyed by
+    tuples: the verdict, the witness items in order, the first offender."""
+    lattices = [L for _, _, L in small_lattices(8)] + lattices_of_size(9)[::10] + [powerset_lattice(4)]
+    for L in lattices:
+        ok, found = satisfies_dim_le1(L)
+        want_ok, want = frozen_dim_le1(L)
+        assert ok == want_ok, L
+        assert (list(found.items()) if ok else found) == (list(want.items()) if ok else want), L
+
+
+def test_the_dim_le1_sweep_is_pinned():
+    # the digest the search gave with its memo keyed by tuples
+    answers = [repr(satisfies_dim_le1(L)) for _, _, L in small_lattices(8)]
+    assert sum(a.startswith("(True") for a in answers) == 239
+    assert hashlib.sha256("\n".join(answers).encode()).hexdigest() == (
+        "5b9d1191ba2b2ee5cf34efe67f5cfc374172d5397464ac6186e6454ef9468a0e"
+    )
 
 
 def test_sixteen_element_boolean_lattice():

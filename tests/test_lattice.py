@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from wallman_lab.errors import (
 )
 from wallman_lab.lattice import (
     Chicane,
+    FiniteLattice,
     PliandFoursome,
     Poset,
     _law_violations,
@@ -124,6 +127,32 @@ class TestValidate:
         L = powerset_lattice(2)
         meet = [[Index(v) for v in r] for r in L.meet]
         assert table_violations(L.names, meet, L.join, L.bottom, L.top) == []
+
+
+class TestHash:
+    """The hash walks both tables once per lattice and is then kept outside
+    the fields; it is left out of pickles, as string hashes are per process."""
+
+    def test_equal_lattices_hash_alike(self):
+        L, M = powerset_lattice(3), powerset_lattice(3)
+        assert L == M and L is not M
+        assert hash(L) == hash(M) == hash((L.names, L.meet, L.join, L.bottom, L.top))
+        assert hash(L) == hash(L)  # the kept value
+
+    def test_the_fields_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(FiniteLattice)] == ["names", "meet", "join", "bottom", "top"]
+        L = chain(3)
+        hash(L)
+        assert repr(L) == "FiniteLattice(n=3, names=('c0', 'c1', 'c2'))"
+
+    def test_a_pickle_round_trip_equals_the_original(self):
+        L = powerset_lattice(2)
+        hash(L)
+        state = pickle.dumps(L)
+        back = pickle.loads(state)
+        assert b"_hash" not in state
+        assert back == L and "_hash" not in back.__dict__
+        assert hash(back) == hash(L)
 
 
 class TestStandardExamples:
