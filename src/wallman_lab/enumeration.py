@@ -4,18 +4,22 @@ Posets are represented by ``down``: a tuple where down[a] is the bitmask of
 {b : b <= a} including a itself.  Generation adds one new maximal element at a
 time; a structure minus a maximal element stays in the class, so the recursion
 is complete.  Duplicates are removed with an invariant bucket plus an explicit
-isomorphism search, which keeps the whole pipeline deterministic: each
-candidate's up-masks are computed once, by walking the bits of its down-masks,
-and give the profile (|down(a)|, |up(a)|) per element that keys the bucket and
-restricts the isomorphism search.  Lattice tables are read off by mask lookup:
-meet[a][b] is the element whose down-mask is down[a] & down[b], and join[a][b]
-the one whose up-mask is up[a] & up[b].
+isomorphism search, which keeps the whole pipeline deterministic: a candidate's
+up-masks are derived once from its parent's (the new maximal element joins the
+up-set of each element of its down-set) and give the profile (|down(a)|,
+|up(a)|) per element that keys the bucket and restricts the isomorphism
+search.  Lattice tables are read off by mask lookup: meet[a][b] is the element
+whose down-mask is down[a] & down[b], and join[a][b] the one whose up-mask is
+up[a] & up[b].
 
 Each level of lattices is built on demand.  Dedupe keeps the first candidate
 of each class in generation order, so a level can be handed out one lattice
 at a time from the complete level below it, in the same order as when it is
 built whole: `iter_lattices(n)` reads as far as its caller goes, and
-`lattices_of_size(n)` drains the level.
+`lattices_of_size(n)` drains the level.  A level holds its lattices, the
+semilattice down-masks they were built from, and one row table and names
+tuple that all its lattices share: each meet or join row is kept once per
+level, in the level's table, and goes when the level does.
 """
 
 from __future__ import annotations
@@ -37,9 +41,24 @@ def _up_masks(down):
     return up
 
 
-def _profile(down):
-    """(|down(a)|, |up(a)|) for each element a: the invariant behind dedupe."""
-    return [(d.bit_count(), u.bit_count()) for d, u in zip(down, _up_masks(down))]
+def _children(parent, dsets):
+    """(down, up) of the parent poset with one new maximal element, for each
+    of its exclusive down-sets in dsets.
+
+    The parent's up-masks are walked once; in a child, the new element
+    joins the up-set of each element of its down-set.
+    """
+    ups = _up_masks(parent)
+    new = 1 << len(parent)
+    for dset in dsets:
+        yield parent + (dset | new,), tuple([u | new if dset >> b & 1 else u for b, u in enumerate(ups)] + [new])
+
+
+def _profile(down, up):
+    """|down(a)| * (m + 1) + |up(a)| for each element a of an m-element poset,
+    one int per element that stands for the pair: the invariant behind dedupe."""
+    k = len(down) + 1
+    return tuple([d.bit_count() * k + u.bit_count() for d, u in zip(down, up)])
 
 
 def _poset_isomorphic(down_a, prof_a, down_b, prof_b):
@@ -66,15 +85,18 @@ def _poset_isomorphic(down_a, prof_a, down_b, prof_b):
 
 
 def _dedupe(candidates):
-    """The first candidate of each isomorphism class, in candidate order."""
+    """The first (down, up) of each isomorphism class, in candidate order.
+
+    A bucket entry is the down-masks and the profile of a kept candidate.
+    """
     buckets = {}
-    for down in candidates:
-        prof = _profile(down)
+    for down, up in candidates:
+        prof = _profile(down, up)
         bucket = buckets.setdefault(tuple(sorted(prof)), [])
         if any(_poset_isomorphic(down, prof, other, other_prof) is not None for other, other_prof in bucket):
             continue
         bucket.append((down, prof))
-        yield down
+        yield down, up
 
 
 @lru_cache(maxsize=None)
@@ -86,10 +108,8 @@ def _posets_raw(m):
         return ((1,),)
     candidates = []
     for parent in _posets_raw(m - 1):
-        for dset in _downsets(parent):
-            child = parent + (dset | (1 << (m - 1)),)
-            candidates.append(child)
-    return tuple(_dedupe(candidates))
+        candidates += _children(parent, _downsets(parent))
+    return tuple(down for down, _ in _dedupe(candidates))
 
 
 def posets_up_to_iso(m):
@@ -102,8 +122,9 @@ def posets_up_to_iso(m):
 
 
 def _semilattice_candidates(parents):
-    """Each parent meet-semilattice (element 0 the bottom) with one new
-    maximal element added in every way that keeps it a meet-semilattice.
+    """(down, up) of each parent meet-semilattice (element 0 the bottom) with
+    one new maximal element added in every way that keeps it a
+    meet-semilattice.
 
     A new maximal element with (exclusive) down-set dset needs a meet with
     every existing element d: the down-closed set dset & d must have a
@@ -111,38 +132,43 @@ def _semilattice_candidates(parents):
     """
     for parent in parents:
         down_masks = set(parent)
-        new = 1 << len(parent)
-        for dset in _downsets(parent):
-            if all((dset & d) in down_masks for d in parent):
-                yield parent + (dset | new,)
+        dsets = (dset for dset in _downsets(parent) if all((dset & d) in down_masks for d in parent))
+        yield from _children(parent, dsets)
 
 
-def _lattice_from_semilattice(down):
-    """Adjoin a top to a meet-semilattice and read off both tables.
+def _table(masks, rows):
+    """T[a][b] = the element whose mask is masks[a] & masks[b], each row the
+    copy kept in the row table `rows`."""
+    index = {m: i for i, m in enumerate(masks)}
+    shared = rows.setdefault
+    return tuple([shared(row, row) for row in [tuple([index[a & b] for b in masks]) for a in masks]])
+
+
+def _lattice_from_semilattice(down, up, rows, names):
+    """Adjoin a top to a meet-semilattice with the given down- and up-masks
+    and read off both tables, with the level's row table and names tuple.
 
     meet[a][b] is the element whose down-mask is downs[a] & downs[b], and
-    join[a][b] the element whose up-mask is ups[a] & ups[b].
+    join[a][b] the element whose up-mask is ups[a] & ups[b]; the top joins
+    every up-set.
     """
     n = len(down) + 1
+    top = 1 << (n - 1)
     downs = down + ((1 << n) - 1,)
-    ups = _up_masks(downs)
-    by_down = {d: i for i, d in enumerate(downs)}
-    by_up = {u: i for i, u in enumerate(ups)}
-    meet = tuple(tuple(by_down[da & db] for db in downs) for da in downs)
-    join = tuple(tuple(by_up[ua & ub] for ub in ups) for ua in ups)
-    names = tuple(f"e{i}" for i in range(n))
-    return validate(names, meet, join, 0, n - 1)
+    ups = [u | top for u in up] + [top]
+    return validate(names, _table(downs, rows), _table(ups, rows), 0, n - 1)
 
 
-def _lattice_stream(n):
-    """(semilattice down-masks, lattice) for each lattice of size n, in order.
+def _lattice_stream(n, rows, names):
+    """(semilattice down-masks, lattice) for each lattice of size n, in order,
+    built with the level's row table and names tuple.
 
     The candidates extend each semilattice of the complete level n - 1 by a
     new maximal element; size 2 extends the empty semilattice.
     """
     parents = _level(n - 1).drain().downs if n > 2 else [()]
-    for down in _dedupe(_semilattice_candidates(parents)):
-        yield down, _lattice_from_semilattice(down)
+    for down, up in _dedupe(_semilattice_candidates(parents)):
+        yield down, _lattice_from_semilattice(down, up, rows, names)
 
 
 class _Level:
@@ -150,13 +176,18 @@ class _Level:
 
     `lattices` holds the ones built so far, `downs` the meet-semilattice
     down-masks they were built from, and `_rest` the generator of the others.
+    `rows` is the level's row table: it maps each meet or join row built so
+    far to the one copy that every lattice of the level holds, and `names`
+    is the one names tuple ("e0", ..., "e{n-1}") they all hold.
     """
 
     def __init__(self, n):
         self.n = n
         self.lattices = []
         self.downs = []
-        self._rest = _lattice_stream(n)
+        self.rows = {}
+        self.names = tuple(f"e{i}" for i in range(n))
+        self._rest = _lattice_stream(n, self.rows, self.names)
 
     def grow(self):
         """Build the next lattice; False when the level is complete.

@@ -147,8 +147,28 @@ def surjection_from_embedding(base_sets, phi, L, X):
 
 
 def _check_base(Y, base):
+    """The base in (popcount, mask) order, once it is a valid base of Y."""
+    return _valid_base(Y, tuple(base))[0]
+
+
+def _atom_count(family):
+    """The number of minimal nonempty members of a family of masks in
+    (popcount, mask) order: a member is one when no minimal member found
+    before it lies inside it."""
+    atoms = []
+    for m in family:
+        if m and all(a & ~m for a in atoms):
+            atoms.append(m)
+    return len(atoms)
+
+
+@lru_cache(maxsize=512)
+def _valid_base(Y, base):
+    """(base in (popcount, mask) order, its atom count) for a base of Y, a
+    tuple of masks.  Only valid bases are kept: a refused one raises
+    NotABase again on every call."""
     sset = set(base)
-    base = _by_size(sset)
+    base = tuple(_by_size(sset))
     if 0 not in sset or Y.full not in sset:
         raise NotABase("base must contain the empty and full sets")
     for a in base:
@@ -158,15 +178,16 @@ def _check_base(Y, base):
         raise NotABase("base must be closed under union and intersection")
     if any(_meet_above(base, c, Y.full) != c for c in Y.closed):
         raise NotABase("family does not generate all closed sets by intersection")
-    return base
+    return base, _atom_count(base)
 
 
 @lru_cache(maxsize=512)
 def _closed_rows(X):
-    """(closed, points, covers, holds) for X: its closed sets in (popcount,
-    mask) order; for the k-th of them the points it holds and the mask of
-    the indices of the closed sets u with closed[k] | u = X; and for each
-    point the mask of the indices of the closed sets holding it."""
+    """(closed, points, covers, holds, minimal) for X: its closed sets in
+    (popcount, mask) order; for the k-th of them the points it holds and the
+    mask of the indices of the closed sets u with closed[k] | u = X; for
+    each point the mask of the indices of the closed sets holding it; and
+    the number of minimal nonempty closed sets."""
     closed = tuple(X.closed_sorted())
     holds = [sum(1 << k for k, t in enumerate(closed) if t >> x & 1) for x in range(X.point_count)]
     points, covers = [], []
@@ -176,7 +197,7 @@ def _closed_rows(X):
         for x in _bits(X.full & ~t):
             cover &= holds[x]
         covers.append(cover)
-    return closed, tuple(points), tuple(covers), tuple(holds)
+    return closed, tuple(points), tuple(covers), tuple(holds), _atom_count(closed)
 
 
 def _candidates(i, values, state):
@@ -200,10 +221,17 @@ def find_L_morphism(Y, base, X):
     of X.  After each assignment t, a cover partner keeps only the u with
     t | u = X, and a base set B_j loses every u holding a point x whose
     running meet no longer meets B_j; an emptied mask prunes the branch.
+
+    No search is made when the base has more atoms than X has minimal
+    nonempty closed sets.  Two distinct atoms of the base meet in a smaller
+    member, the empty set, so their images are disjoint nonempty closed
+    sets of X, and each holds a minimal nonempty closed set of its own.
     """
-    base = _check_base(Y, base)
+    base, atoms = _valid_base(Y, tuple(base))
+    closed, points, covers, holds, minimal = _closed_rows(X)
+    if atoms > minimal:
+        return None
     full_y = Y.full
-    closed, points, covers, holds = _closed_rows(X)
     # partners[i]: the j > i with base[j] | base[i] = Y; a pair j <= i was
     # checked when base[i] got its candidates, and base[i] | base[i] = Y only for Y
     partners = [[j for j in range(i + 1, len(base)) if b | base[j] == full_y] for i, b in enumerate(base)]

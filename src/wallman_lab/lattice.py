@@ -526,20 +526,12 @@ def satisfies_HI(L):
     return (True, None) if first is None else (False, PliandFoursome(*first))
 
 
-def satisfies_dim_le1(L):
-    """Two disjoint pairs always admit partition witnesses with vanishing 4-fold meet.
+def _dim_le1_scan(L):
+    """The scan behind `satisfies_dim_le1`, stopped before the witness map.
 
-    Returns (True, witness_map) or (False, (x0,y0,x1,y1)).  The witness for
-    two pairs is the lexicographically least (u0, v0, u1, v1) with ui ^ xi =
-    vi ^ yi = 0, ui v vi = 1 and u0 ^ v0 ^ u1 ^ v1 = 0.
-
-    A witness depends on the pairs only through their keys (perp[xi],
-    perp[yi]), numbered in order of first appearance.  The first pair with
-    key k0 fills k0's row, a list of the witnesses by partner key number.  A
-    row with a gap fails at the gap's first pair, which is the first failing
-    partner in the map's order, since the keys are numbered in that order.
-    Each pair then copies its row into the map, partner by partner, so the
-    map's items and their order are those of a search pair by pair.
+    Returns (False, (x0,y0,x1,y1)), the first failing quadruple, or (True,
+    (disjoint, key_of, rows)): the disjoint pairs in order, each pair's key
+    number, and each key's row of witnesses by partner key number.
     """
     meet = L.meet
     perp, cotop = _masks(L)
@@ -557,29 +549,54 @@ def satisfies_dim_le1(L):
         [(u, v, meet[u][v]) for u in perp_bits[x] for v in cotop_bits[u] if perp[y] >> v & 1] for x, y in first_pair
     ]
     hits = {}  # hits[w][k]: key k's first (u, v) with u^v^w = 0, or None
-
-    def row_of(k0):
-        """Partner key k1 takes the first (u0, v0) of k0 whose meet w some
-        (u1, v1) of k1 clears, with the first such (u1, v1)."""
+    rows = []
+    for parts in partitions:
+        # partner key k1 takes the first (u0, v0) of k0 whose meet w some
+        # (u1, v1) of k1 clears, with the first such (u1, v1)
         row = [None] * len(partitions)
-        for u0, v0, w in partitions[k0]:
+        for u0, v0, w in parts:
             if w not in hits:
                 pw = perp[w]
-                hits[w] = [next(((u, v) for u, v, m in parts if pw >> m & 1), None) for parts in partitions]
+                hits[w] = [next(((u, v) for u, v, m in ps if pw >> m & 1), None) for ps in partitions]
             row = [(u0, v0) + h if r is None and h is not None else r for r, h in zip(row, hits[w])]
             if None not in row:
                 break
-        return row
+        if None in row:
+            return False, first_pair[len(rows)] + first_pair[row.index(None)]
+        rows.append(row)
+    return True, (disjoint, key_of, rows)
 
-    rows = [None] * len(partitions)
+
+def dim_le1_holds(L):
+    """The verdict of `satisfies_dim_le1`, without building the witness map."""
+    return _dim_le1_scan(L)[0]
+
+
+def satisfies_dim_le1(L):
+    """Two disjoint pairs always admit partition witnesses with vanishing 4-fold meet.
+
+    Returns (True, witness_map) or (False, (x0,y0,x1,y1)).  The witness for
+    two pairs is the lexicographically least (u0, v0, u1, v1) with ui ^ xi =
+    vi ^ yi = 0, ui v vi = 1 and u0 ^ v0 ^ u1 ^ v1 = 0.
+
+    A witness depends on the pairs only through their keys (perp[xi],
+    perp[yi]), numbered in order of first appearance.  The first pair with
+    key k0 fills k0's row, a list of the witnesses by partner key number.  A
+    row with a gap fails at the gap's first pair, which is the first failing
+    partner in the map's order, since the keys are numbered in that order;
+    and the rows are filled in key order, so the first row with a gap gives
+    the first failing quadruple.  Each pair then copies its row into the
+    map, partner by partner, so the map's items and their order are those
+    of a search pair by pair.
+    """
+    ok, found = _dim_le1_scan(L)
+    if not ok:
+        return False, found
+    disjoint, key_of, rows = found
     xs, ys = [x for x, _ in disjoint], [y for _, y in disjoint]
     witnesses = {}
     for (x0, y0), k0 in zip(disjoint, key_of):
         row = rows[k0]
-        if row is None:
-            row = rows[k0] = row_of(k0)
-            if None in row:
-                return False, (x0, y0) + first_pair[row.index(None)]
         witnesses.update(zip(zip(itertools.repeat(x0), itertools.repeat(y0), xs, ys), map(row.__getitem__, key_of)))
     return True, witnesses
 
@@ -673,13 +690,13 @@ def lattice_isomorphism(A, B):
     An order isomorphism between lattices keeps meets, joins and the bounds,
     so this is the poset search on the down-masks read off the meet tables.
     """
-    from .enumeration import _poset_isomorphic, _profile
+    from .enumeration import _poset_isomorphic, _profile, _up_masks
 
     if A.n != B.n:
         return None
     # down[a] has bit b when b <= a, that is when meet[a][b] == b
     down_a, down_b = ([sum(1 << b for b, m in enumerate(row) if m == b) for row in L.meet] for L in (A, B))
-    prof_a, prof_b = _profile(down_a), _profile(down_b)
+    prof_a, prof_b = (_profile(down, _up_masks(down)) for down in (down_a, down_b))
     if sorted(prof_a) != sorted(prof_b):
         return None
     mapping = _poset_isomorphic(down_a, prof_a, down_b, prof_b)

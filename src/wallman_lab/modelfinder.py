@@ -48,11 +48,11 @@ from .lattice import (
     _first_assignment,
     _masks,
     conn,
+    dim_le1_holds,
     is_disjunctive,
     is_distributive,
     is_normal,
     satisfies_HI,
-    satisfies_dim_le1,
 )
 from .spaces import closed_set_lattice
 from .wallman import wallman_space
@@ -172,11 +172,14 @@ def _deciders():
         builtin_normality(): lambda L: is_normal(L)[0],
         builtin_conn(): lambda L: conn(L, L.top)[0],
         builtin_HI(): lambda L: satisfies_HI(L)[0],
-        builtin_dim_le1(): lambda L: satisfies_dim_le1(L)[0],
+        builtin_dim_le1(): dim_le1_holds,
     }
 
 
-@lru_cache(maxsize=256)
+# Room for the plans of several large theories: the diagram of a 16-element
+# lattice alone has 640 sentences, and the preimage theories of all spaces on
+# 4 points have 2,663 distinct (sentence, constants) pairs.
+@lru_cache(maxsize=4096)
 def _plan(sentence, consts):
     """(depth, plan) of a sentence against the constants: the _Filter the
     sentence is, or (cost, width, test), the cost being its quantifier count

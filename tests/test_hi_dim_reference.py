@@ -25,6 +25,7 @@ from wallman_lab.lattice import (
     _masks,
     _maximal_foursomes,
     chicane_identities_hold,
+    dim_le1_holds,
     find_chicane,
     is_pliand,
     powerset_lattice,
@@ -172,6 +173,12 @@ def test_hi_matches_reference_on_small_lattices():
 def test_dim_le1_matches_reference_on_small_lattices():
     for n, i, L in small_lattices(8):
         assert satisfies_dim_le1(L) == reference_dim_le1(L), (n, i)
+
+
+def test_the_dim_le1_verdict_alone_agrees_with_the_full_decision():
+    for n in range(2, 10):
+        for L in lattices_of_size(n):
+            assert dim_le1_holds(L) is satisfies_dim_le1(L)[0], (n, L.meet)
 
 
 def test_dim_le1_matches_the_tuple_keyed_search():

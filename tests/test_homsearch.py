@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,32 @@ class TestLMorphism:
         Y = discrete_space(2)
         with pytest.raises(NotABase):
             find_L_morphism(Y, [0, Y.full], Y)
+
+    def test_a_refused_base_is_refused_on_every_call(self):
+        Y = space_from_sets(2, [[], [1], [0, 1]])
+        for bad, message in (([0, 1, 3], r"\[0\] is not closed"), ([0, 3], "does not generate")):
+            for _ in range(2):
+                with pytest.raises(NotABase, match=message):
+                    find_L_morphism(Y, bad, Y)
+
+    def test_a_base_is_validated_once(self, monkeypatch):
+        from wallman_lab import homsearch
+
+        Y, X = discrete_space(3), discrete_space(4)
+        base = Y.closed_sorted()
+        find_L_morphism(Y, base, X)
+        checked = []
+        monkeypatch.setattr(homsearch, "_is_lattice_family", lambda family: checked.append(family) or True)
+        assert find_L_morphism(Y, list(reversed(base)), X) is not None
+        assert find_L_morphism(Y, base, X) is not None
+        assert len(checked) == 1  # the reversed list is a new key; the base in order is kept
+
+    def test_more_atoms_than_minimal_closed_sets_is_refuted_at_once(self):
+        # the search onto discrete(8) took 123 s before the count refuted it
+        Y = discrete_space(9)
+        started = time.perf_counter()
+        assert find_L_morphism(Y, Y.closed_sorted(), discrete_space(8)) is None
+        assert time.perf_counter() - started < 1
 
     def test_non_singleton_intersection_diagnosed(self):
         # a deliberately bad morphism on the Sierpinski-type space

@@ -474,7 +474,7 @@ class TestStreamedLevels:
         lattices_of_size(8)
         profiled = []
         real = enumeration._profile
-        monkeypatch.setattr(enumeration, "_profile", lambda down: profiled.append(down) or real(down))
+        monkeypatch.setattr(enumeration, "_profile", lambda down, up: profiled.append(down) or real(down, up))
         next(iter_lattices(9))
         first = len(profiled)
         lattices_of_size(9)
@@ -516,6 +516,36 @@ class TestStreamedLevels:
         result = modelfinder.find_model(Theory((), (parse(three_middles),)), modelfinder.SearchBudget(max_size=5))
         assert result.lattice.n == 5 and whole == [2, 3]
 
+    def test_the_lattices_of_one_size_share_their_rows_and_names(self, cold_levels):
+        for n in range(2, 9):
+            level = enumeration._level(n).drain()
+            first = {}  # each distinct row, as the first lattice that has it holds it
+            for L in level.lattices:
+                assert L.names is level.names == tuple(f"e{i}" for i in range(n))
+                for row in L.meet + L.join:
+                    assert first.setdefault(row, row) is row
+                    assert level.rows[row] is row
+            assert len(first) == len(level.rows)
+
+    def test_a_level_starts_with_an_empty_row_table(self, cold_levels):
+        level = enumeration._level(7)
+        assert level.rows == {} and level.lattices == []
+        first = next(iter_lattices(7))
+        assert all(level.rows[row] is row for row in first.meet + first.join)
+        assert enumeration._level(6).rows  # built whole, as the parents of size 7
+
+    def test_derived_up_masks_match_a_walk_of_the_down_masks(self, cold_levels):
+        candidates = []
+        for n in range(2, 9):
+            parents = enumeration._level(n - 1).drain().downs if n > 2 else [()]
+            candidates += enumeration._semilattice_candidates(parents)
+        for m in range(1, 8):
+            for parent in enumeration._posets_raw(m - 1):
+                candidates += enumeration._children(parent, enumeration._downsets(parent))
+        assert len(candidates) > 5_000
+        for down, up in candidates:
+            assert list(up) == enumeration._up_masks(down), down
+
     @staticmethod
     def fail_on_third(monkeypatch, size):
         """Make validate raise on the third lattice of the given size it builds."""
@@ -540,6 +570,20 @@ class TestStreamedLevels:
         assert sorted(enumeration._LEVELS) == [5]
         monkeypatch.setattr(enumeration, "validate", real)
         assert [enumeration_digest(lattices_of_size(n)) for n in (6, 7)] == want
+
+    def test_a_level_built_again_gets_a_fresh_row_table(self, cold_levels, monkeypatch):
+        lattices_of_size(5)
+        failed = enumeration._level(6)
+        real = enumeration.validate
+        self.fail_on_third(monkeypatch, 6)
+        with pytest.raises(RuntimeError, match="validate failed"):
+            lattices_of_size(6)
+        assert failed.rows and 6 not in enumeration._LEVELS
+        monkeypatch.setattr(enumeration, "validate", real)
+        rebuilt = enumeration._level(6)
+        assert rebuilt.rows == {} and rebuilt.rows is not failed.rows
+        rows = [row for L in lattices_of_size(6) for row in L.meet + L.join]
+        assert all(rebuilt.rows[row] is row and failed.rows.get(row) is not row for row in rows)
 
     def test_a_reader_of_an_abandoned_level_raises_again(self, cold_levels, monkeypatch):
         reader = iter_lattices(7)

@@ -334,6 +334,17 @@ class TestDomainFilters:
         assert len(normal_forms) == len(second.sentences) - len(closed)
         assert not set(closed) & set(normal_forms)
 
+    def test_a_large_theory_is_planned_once(self, monkeypatch):
+        theory = hi_preimage_theory(powerset_lattice(4))
+        assert len(theory.sentences) == 640  # more than twice the 256 plans the cache once held
+        budget = SearchBudget(max_size=4)
+        first = find_model(theory, budget)
+        normal_forms = []
+        normal_form = modelfinder._normal_form
+        monkeypatch.setattr(modelfinder, "_normal_form", lambda s, names: normal_forms.append(s) or normal_form(s, names))
+        assert find_model(theory, budget) == first
+        assert normal_forms == []
+
     @pytest.mark.parametrize("closed, binds", [("A x. x = 0", False), ("E x. x = 0", True)])
     def test_later_stages_are_bound_only_once_the_closed_stage_holds(self, monkeypatch, closed, binds):
         bound = []

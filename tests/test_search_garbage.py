@@ -24,7 +24,7 @@ def poset_search_inputs():
     # the down-masks of M3 against themselves: the same call as one dedupe test,
     # made directly, since an enumeration level built earlier would be cached
     down = tuple(sum(1 << b for b, m in enumerate(row) if m == b) for row in diamond_m3().meet)
-    prof = enumeration._profile(down)
+    prof = enumeration._profile(down, enumeration._up_masks(down))
     return down, prof, down, prof
 
 
