@@ -7,9 +7,11 @@ the separation property transfers, and how connectedness transfers.
 """
 
 import argparse
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
+from wallman_lab.cli import quiet_on_closed_pipe
 from wallman_lab.lattice import conn, enumerate_distributive, is_disjunctive
 from wallman_lab.wallman import (
     canonical_hom_report,
@@ -60,4 +62,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(quiet_on_closed_pipe(main))

@@ -16,8 +16,10 @@ benchmark played both ways round.
 
 import argparse
 import hashlib
+import sys
 import time
 
+from wallman_lab.cli import quiet_on_closed_pipe
 from wallman_lab.ef import ef_equivalent, strategy_to_sentence
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.fol import print_formula
@@ -57,4 +59,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(quiet_on_closed_pipe(main))

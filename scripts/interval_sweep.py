@@ -23,9 +23,11 @@ import argparse
 import collections
 import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
 
+from wallman_lab.cli import quiet_on_closed_pipe
 from wallman_lab.intervals import disjunctive_witness, join, meet, normality_witness, refute_partition, riset
 
 POOL = 2000
@@ -86,4 +88,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(quiet_on_closed_pipe(main))

@@ -18,6 +18,7 @@ import resource
 import sys
 import time
 
+from wallman_lab.cli import quiet_on_closed_pipe
 from wallman_lab.enumeration import lattices_of_size
 
 # OEIS A006966, lattices on n unlabelled elements (Heitzig & Reinhold 2002)
@@ -64,4 +65,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(quiet_on_closed_pipe(main))

@@ -18,8 +18,10 @@ With --discrete K it also times the discrete K-point space onto itself.
 
 import argparse
 import hashlib
+import sys
 import time
 
+from wallman_lab.cli import quiet_on_closed_pipe
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.homsearch import find_L_morphism, find_lattice_embedding
 from wallman_lab.lattice import powerset_lattice
@@ -71,4 +73,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(quiet_on_closed_pipe(main))

@@ -11,8 +11,10 @@ Two searches:
 """
 
 import argparse
+import sys
 import time
 
+from wallman_lab.cli import quiet_on_closed_pipe
 from wallman_lab.fol import Not, Theory, builtin_normality, print_formula
 from wallman_lab.modelfinder import Model, SearchBudget, find_model, kappa_constants_theory
 
@@ -59,4 +61,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(quiet_on_closed_pipe(main))

@@ -20,10 +20,11 @@ the elapsed time.  Only the indiscrete space has a model (on 2 elements):
 
 import argparse
 import json
+import sys
 import time
 from collections import Counter
 
-from wallman_lab.cli import load_space
+from wallman_lab.cli import load_space, quiet_on_closed_pipe
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.modelfinder import Model, SearchBudget, build_preimage
 from wallman_lab.spaces import all_spaces, discrete_space
@@ -80,4 +81,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(quiet_on_closed_pipe(main))

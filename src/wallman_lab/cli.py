@@ -451,20 +451,27 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def quiet_on_closed_pipe(fn, *args):
+    """fn(*args) with stdout flushed after it, or EXIT_PIPE when the reader
+    of stdout stopped early (`... | head`), which is not a bug."""
     try:
-        status = args.fn(args)
+        status = fn(*args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return status
     except BrokenPipeError:
-        # The reader stopped early.  Point stdout at the null device so that
-        # the flush at shutdown does not fail again.
+        # Point stdout at the null device so that the flush at shutdown does
+        # not fail again.
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
         return EXIT_PIPE
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return quiet_on_closed_pipe(args.fn, args)
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -398,7 +398,18 @@ def _element_constant_names(B):
 def hi_preimage_theory(B):
     """The finite-scale preimage theory: a distributive disjunctive normal
     connected lattice satisfying the chicane and dimension formulas, into
-    which B embeds (its full diagram, one constant per element)."""
+    which B embeds (its full diagram, one constant per element).
+
+    Its only finite model is the 2-element lattice, so it has one only when
+    B has 2 elements.  A finite distributive disjunctive lattice is Boolean:
+    were some join-irreducible j not an atom, its unique lower cover j'
+    would be nonzero, and disjunctivity (j is not <= j') would give a
+    nonzero c <= j with c ^ j' = 0; every element below j other than j is
+    <= j', so c = j, but j ^ j' = j' is not 0.  So every join-irreducible
+    is an atom, and by Birkhoff's representation the lattice is 2^k.  For
+    k >= 2 an atom and its complement are disjoint, nonzero and join to the
+    top, so conn(top) fails.
+    """
     names = _element_constant_names(B)
     diag = diagram(B, {nm: el for el, nm in enumerate(names)})
     sentences = (

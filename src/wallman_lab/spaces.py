@@ -3,6 +3,10 @@
 Point sets are int bitmasks throughout; helpers convert to/from index lists
 at the boundary.  The closed-set family always contains the empty set and the
 full set and is closed under pairwise union and intersection.
+
+`all_spaces(n)` lists every such family on n points by a depth-first search
+over the other masks (see `_topologies`), and refuses more than
+SPACE_POINT_CAP = 6 points: 209,527 spaces there, 9.5 M on 7.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import (
     NotSurjective,
     PreconditionViolated,
 )
-from .lattice import _by_size, _first_without_chicane, _mask_lattice
+from .lattice import _bits, _by_size, _first_without_chicane, _mask_lattice
 
 CONTINUA_POINT_CAP = 12
 
@@ -310,15 +314,61 @@ def is_weakly_confluent(f, X, Y):
     return True, None
 
 
+SPACE_POINT_CAP = 6
+
+
+def _admit(m, fam, apart):
+    """The family fam (a bitset over masks) with m put in and the
+    intersections that forces, or 0 when a union with m was left out.
+
+    apart is the bitset of the masks above m that do not contain m: only
+    they give a union other than themselves and an intersection other than m.
+    """
+    fam |= 1 << m
+    rest = fam & apart
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        if not fam >> (a | m) & 1:
+            return 0
+        fam |= 1 << (a & m)
+    return fam
+
+
+def _topologies(n):
+    """Every closed-set family on n labeled points, in ascending order of
+    the binary number whose bit i says whether the i-th smallest proper
+    mask (neither empty nor full) is closed.
+
+    A depth-first search decides the masks from the largest down, each left
+    out before it is put in.  Every mask above m is decided when m is put in:
+    a union with m is a superset, so the branch dies if that union was left
+    out, and an intersection is a subset, still open, which is forced in.
+    Each leaf is closed under union and intersection, and every such family
+    is a leaf.
+    """
+    full = (1 << n) - 1
+    apart = [sum(1 << a for a in range(m + 1, full) if m & ~a) for m in range(full)]
+    stack = [(full - 1, 1 | 1 << full, False)]  # (next mask, family so far, put it in)
+    while stack:
+        m, fam, put = stack.pop()
+        while m > 0:
+            if put or fam >> m & 1:
+                fam = _admit(m, fam, apart[m])
+                if not fam:
+                    break
+            else:
+                stack.append((m, fam, True))
+            m, put = m - 1, False
+        else:
+            yield frozenset(_bits(fam))
+
+
 @lru_cache(maxsize=None)
 def all_spaces(n):
-    """Every topology on n labeled points, as closed-set families."""
-    full = (1 << n) - 1
-    others = [m for m in range(1 << n) if m not in (0, full)]
-    out = []
-    for pick in range(1 << len(others)):
-        fam = {0, full}
-        fam.update(others[i] for i in range(len(others)) if pick >> i & 1)
-        if _is_lattice_family(fam):
-            out.append(FiniteSpace(n, frozenset(fam)))
-    return tuple(out)
+    """Every topology on n labeled points, as closed-set families, in the
+    order of `_topologies`; PreconditionViolated beyond SPACE_POINT_CAP."""
+    if not 0 <= n <= SPACE_POINT_CAP:
+        raise PreconditionViolated(f"all_spaces takes 0 to {SPACE_POINT_CAP} points, not {n}")
+    return tuple(FiniteSpace(n, fam) for fam in _topologies(n))

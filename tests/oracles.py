@@ -2,7 +2,8 @@
 every labeled lattice on n elements, an exhaustive search over point maps
 set against `find_L_morphism`, the plain pebble game that `ef` refines,
 the two `homsearch` searches without forward checking, and the `intervals`
-operations and `satisfies_dim_le1` as they were before integer keys.
+operations and `satisfies_dim_le1` as they were before integer keys, and
+`all_spaces` as it was before the pruned search.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from wallman_lab.fol import BOT, TOP, And, Eq, Exists, Forall, Join, Meet, Not, 
 from wallman_lab.homsearch import LMorphism, _check_base, find_L_morphism
 from wallman_lab.errors import NonCanonicalInput, NotApplicable, NotDisjoint, PostconditionFailed
 from wallman_lab.lattice import _bits, _first_assignment, _masks, validate
-from wallman_lab.spaces import is_continuous, is_surjective
+from wallman_lab.spaces import FiniteSpace, _is_lattice_family, is_continuous, is_surjective
 
 
 def all_labeled_lattices(n):
@@ -411,3 +412,18 @@ def frozen_dim_le1(L):
             else:
                 return False, (x0, y0, x1, y1)
     return True, witnesses
+
+
+def brute_force_spaces(n):
+    """`all_spaces` before the pruned search: every subfamily of the proper
+    masks, in order of `pick`, kept when it is closed under union and
+    intersection."""
+    full = (1 << n) - 1
+    others = [m for m in range(1 << n) if m not in (0, full)]
+    out = []
+    for pick in range(1 << len(others)):
+        fam = {0, full}
+        fam.update(others[i] for i in range(len(others)) if pick >> i & 1)
+        if _is_lattice_family(fam):
+            out.append(FiniteSpace(n, frozenset(fam)))
+    return tuple(out)

@@ -347,6 +347,39 @@ class TestClosedPipe:
         assert proc.returncode == cli.EXIT_PIPE
         assert proc.stderr == b""
 
+    @staticmethod
+    def first_line_then_close(args):
+        """(exit status, stderr) of a fresh interpreter whose reader closes
+        after the first line."""
+        proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
+
+    def test_a_program_through_the_helper(self):
+        code = (
+            "import sys\n"
+            "from wallman_lab.cli import quiet_on_closed_pipe\n"
+            "def main():\n"
+            "    for i in range(10 ** 6):\n"
+            "        print(i)\n"
+            "sys.exit(quiet_on_closed_pipe(main))\n"
+        )
+        assert self.first_line_then_close(["-c", code]) == (cli.EXIT_PIPE, b"")
+
+    def test_a_script_whose_reader_closes_after_the_first_line(self):
+        # each later size takes longer to build, so the reader is gone by then
+        script = Path(__file__).resolve().parents[1] / "scripts" / "lattice_census.py"
+        assert self.first_line_then_close([str(script), "--max-size", "10"]) == (cli.EXIT_PIPE, b"")
+
+    def test_every_script_goes_through_the_helper(self):
+        scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+        assert scripts
+        for script in scripts:
+            assert script.read_text().endswith("\n    sys.exit(quiet_on_closed_pipe(main))\n"), script.name
+
 
 class TestWallmanAndStone:
     def test_wallman_points_of_boolean_four(self, fixtures):

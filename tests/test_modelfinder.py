@@ -29,7 +29,16 @@ from wallman_lab.fol import (
     free_variables,
     parse,
 )
-from wallman_lab.lattice import chain, is_normal, lattice_isomorphism, powerset_lattice
+from wallman_lab.lattice import (
+    chain,
+    conn,
+    is_disjunctive,
+    is_distributive,
+    is_normal,
+    lattice_isomorphism,
+    powerset_lattice,
+    satisfies_HI,
+)
 from wallman_lab.modelfinder import (
     _Budget,
     _domain,
@@ -497,6 +506,19 @@ class TestHiPreimage:
         result = find_model(theory, SearchBudget(max_size=6))
         # connectedness + disjunctivity + a nontrivial named element
         assert result == ExhaustedNoModel(6)
+
+    def test_distributive_disjunctive_and_connected_only_on_two_elements(self):
+        # so a finite model of the theory has 2 elements (see its docstring)
+        lattices = [L for n in range(2, 9) for L in lattices_of_size(n)]
+        assert len(lattices) == 299
+        both = [L.n for L in lattices if is_distributive(L)[0] and is_disjunctive(L)[0] and conn(L, L.top)[0]]
+        assert both == [2]
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_a_powerset_fails_only_connectedness(self, k):
+        L = powerset_lattice(k)
+        assert satisfies_HI(L)[0] and is_distributive(L)[0] and is_disjunctive(L)[0]
+        assert not conn(L, L.top)[0]
 
 
 class TestBuildPreimage:

@@ -1,5 +1,11 @@
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+from oracles import brute_force_spaces
 from wallman_lab.errors import (
     MalformedTables,
     NotClosed,
@@ -190,6 +196,44 @@ class TestSpaceSweep:
         assert len(all_spaces(1)) == 1
         assert len(all_spaces(2)) == 4
         assert len(all_spaces(3)) == 29
+        assert len(all_spaces(4)) == 355
+        assert len(all_spaces(5)) == 6942
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_all_spaces_is_the_brute_force_loop(self, n):
+        # same spaces in the same order as the loop over every subfamily
+        assert all_spaces(n) == brute_force_spaces(n)
+
+    def test_make_space_accepts_every_five_point_space(self):
+        for X in all_spaces(5):
+            assert make_space(5, X.closed) == X
+
+    def test_five_points_take_under_half_a_second(self):
+        started = time.perf_counter()
+        spaces = all_spaces.__wrapped__(5)  # uncached
+        assert time.perf_counter() - started < 0.5
+        assert len(spaces) == 6942
+
+    @pytest.mark.parametrize("n", [-1, 7, 64])
+    def test_all_spaces_refuses_point_counts_beyond_its_cap(self, n):
+        # 7 points would be 9.5 M spaces; the old loop would run 2^126 times
+        started = time.perf_counter()
+        with pytest.raises(PreconditionViolated):
+            all_spaces(n)
+        assert time.perf_counter() - started < 0.1
+
+    def test_the_space_census_agrees_with_a000798(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "space_census.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--max-points", "5"], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+        assert [(row[1], row[2]) for row in rows] == [
+            ("1", "ok"), ("1", "ok"), ("4", "ok"), ("29", "ok"), ("355", "ok"), ("6942", "ok")
+        ]
+        assert rows[4][5] == "83cdc3f75163cb395b33129c0e39d7faaf84b20c46056ec600123885671f7137"
+        assert rows[5][5] == "59ee98d6224b1d929ed19e7b7dd4f0315fedeb17e077b6c93f142a764e9bcdbe"
 
     def test_discrete_connectedness_matches_lattice_conn(self):
         for n in range(1, 5):
