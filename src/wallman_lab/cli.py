@@ -53,7 +53,8 @@ def _read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError: not UTF-8, bad JSON, or an integer past int()'s digit limit
         raise InputError(f"{path}: {err}")
 
 
@@ -177,16 +178,6 @@ def wallman_dot(W):
 # ---------------------------------------------------------------- reports
 
 
-def _report(args_list, digests, outcome, started):
-    return {
-        "command": args_list,
-        "inputs": digests,
-        "outcome": outcome,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-        "version": __version__,
-    }
-
-
 def _emit(report):
     """Write the report in one piece (json.dump writes thousands of small
     ones).  Under python -u the bytes go to the file unbuffered, and a write
@@ -198,8 +189,20 @@ def _emit(report):
         rest = rest[sys.stdout.buffer.write(rest) :]
 
 
-def _mask_json(mask):
-    return points_of(mask)
+def _finish(args, started, paths, outcome, holds=True):
+    """Write the command's report on its input files, in path order, and
+    return its exit status: EXIT_ASSERT when --assert was given and the
+    outcome does not hold."""
+    _emit(
+        {
+            "command": sys.argv[1:],
+            "inputs": {path: _digest(path) for path in paths},
+            "outcome": outcome,
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+            "version": __version__,
+        }
+    )
+    return EXIT_ASSERT if not holds and args.assert_ else EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
@@ -238,10 +241,7 @@ def cmd_check(args):
     for nm in names:
         verdict, witness = _PREDICATES[nm](L)
         outcome[nm] = {"holds": verdict, "witness": _witness_json(witness)}
-    _emit(_report(sys.argv[1:], {args.lattice: _digest(args.lattice)}, outcome, started))
-    if args.assert_ and not all(p["holds"] for p in outcome.values()):
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _finish(args, started, [args.lattice], outcome, all(p["holds"] for p in outcome.values()))
 
 
 def cmd_wallman(args, stone=False):
@@ -252,14 +252,16 @@ def cmd_wallman(args, stone=False):
     W = stone_space(L) if stone else wallman_space(L)
     outcome = {
         "points": [sorted(u.members) for u in W.points],
-        "base": {L.name(a): _mask_json(W.base[a]) for a in L.elements()},
+        "base": {L.name(a): points_of(W.base[a]) for a in L.elements()},
     }
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(hasse_dot(L))
-            fh.write(wallman_dot(W))
-    _emit(_report(sys.argv[1:], {args.lattice: _digest(args.lattice)}, outcome, started))
-    return EXIT_OK
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(hasse_dot(L))
+                fh.write(wallman_dot(W))
+        except OSError as err:
+            raise InputError(f"{args.dot}: {err}")
+    return _finish(args, started, [args.lattice], outcome)
 
 
 def cmd_eval(args):
@@ -276,17 +278,15 @@ def cmd_eval(args):
         name, _, value = item.partition("=")
         if not name or name in interp:
             raise InputError(f"--let {item}: the name must be non-empty and given once")
-        if not (value.isdigit() and int(value) < L.n):
+        try:
+            index = int(value) if value.isdecimal() else L.n
+        except ValueError:  # more digits than int() converts
+            index = L.n
+        if index >= L.n:
             raise InputError(f"--let {item}: the value must be an element index in 0..{L.n - 1}")
-        interp[name] = int(value)
+        interp[name] = index
     value = eval_formula(L, formula, interp)
-    report = _report(
-        sys.argv[1:], {args.structure: _digest(args.structure)}, {"value": value}, started
-    )
-    _emit(report)
-    if args.assert_ and not value:
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _finish(args, started, [args.structure], {"value": value}, value)
 
 
 def cmd_ef(args):
@@ -302,11 +302,7 @@ def cmd_ef(args):
     outcome = {"equivalent": equivalent, "rounds": args.rounds}
     if not equivalent:
         outcome["separating_sentence"] = print_formula(strategy_to_sentence(A, B, strategy))
-    digests = {args.a: _digest(args.a), args.b: _digest(args.b)}
-    _emit(_report(sys.argv[1:], digests, outcome, started))
-    if args.assert_ and not equivalent:
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _finish(args, started, [args.a, args.b], outcome, equivalent)
 
 
 def cmd_find_model(args):
@@ -333,10 +329,7 @@ def cmd_find_model(args):
         }
     else:
         outcome = {"result": type(result).__name__}
-    _emit(_report(sys.argv[1:], {args.theory: _digest(args.theory)}, outcome, started))
-    if args.assert_ and outcome["result"] != "model":
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _finish(args, started, [args.theory], outcome, isinstance(result, Model))
 
 
 def cmd_surject(args):
@@ -357,15 +350,11 @@ def cmd_surject(args):
             "found": True,
             "map": f,
             "morphism": {
-                str(_mask_json(b)): _mask_json(m) for b, m in sorted(morphism.assignment.items())
+                str(points_of(b)): points_of(m) for b, m in sorted(morphism.assignment.items())
             },
             **verification,
         }
-    digests = {args.x: _digest(args.x), args.y: _digest(args.y)}
-    _emit(_report(sys.argv[1:], digests, outcome, started))
-    if args.assert_ and not outcome["found"]:
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _finish(args, started, [args.x, args.y], outcome, morphism is not None)
 
 
 def cmd_embed(args):
@@ -382,11 +371,7 @@ def cmd_embed(args):
             "found": True,
             "assignment": {B.name(e): L.name(t) for e, t in sorted(emb.items())},
         }
-    digests = {args.b: _digest(args.b), args.l: _digest(args.l)}
-    _emit(_report(sys.argv[1:], digests, outcome, started))
-    if args.assert_ and not outcome["found"]:
-        return EXIT_ASSERT
-    return EXIT_OK
+    return _finish(args, started, [args.b, args.l], outcome, emb is not None)
 
 
 # ---------------------------------------------------------------- driver

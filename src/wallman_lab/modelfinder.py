@@ -9,12 +9,12 @@ constant c of a few shapes (c = 0, x ^ c = 0, x v c = 1, c = x, c <= x,
 c = x ^ y, their negations; see `_filter_table`) becomes a bitmask filter
 on the domain of c, as in SEM and Mace4; every other sentence is compiled
 and checked as soon as the constants it mentions are assigned.  A closed
-sentence is decided at most once per lattice (`_verdicts`), a builtin one by
-its direct decider in `lattice`, and the other tests are bound to a lattice
-only once every closed sentence holds there.  Each lattice and each value
-tried at a reached prefix is one budget node, filtered or not, so neither
-the filters nor the verdicts change the node count or the first model.
-Outcomes are values, never exceptions.
+sentence is decided at most once per lattice (`_closed_plan`), a builtin
+one by its direct decider in `lattice`, and the other tests are bound to a
+lattice only once every closed sentence holds there.  Each lattice and each
+value tried at a reached prefix is one budget node, filtered or not, so
+neither the filters nor the verdicts change the node count or the first
+model.  Outcomes are values, never exceptions.
 """
 
 from __future__ import annotations
@@ -150,17 +150,6 @@ def _filter_table(a, b, c):
     return None if table is None else (table, x, None)
 
 
-@lru_cache(maxsize=256)
-def _verdicts(sentence):
-    """The verdicts of a closed sentence, shared by every search that runs
-    it: for each size n, (decided, holds), bitmasks over the positions of
-    `iter_lattices(n)`.  A pair is replaced whole, never updated in place,
-    so searches in two threads can at worst decide a lattice twice.  Each
-    plan of the sentence holds its store, so `_plan` and `_closed_plan` are
-    cleared with it."""
-    return {}
-
-
 @lru_cache(maxsize=1)
 def _deciders():
     """decide(L) for each builtin sentence that `lattice` decides directly:
@@ -184,36 +173,35 @@ def _plan(sentence, consts):
     """(depth, plan) of a sentence against the constants: the _Filter the
     sentence is, or (cost, width, test), the cost being its quantifier count
     (one slot each after the constants').  The test is bind of the compiled
-    sentence, or for a closed one (depth 0) (verdicts, decide), with
-    decide(L) its truth in L.
-
-    The plan of a closed sentence does not depend on the constants, so it
-    is taken from `_closed_plan`; a builtin is known to be closed and skips
-    the normal form too."""
-    if consts and sentence in _deciders():
+    sentence, or for a closed one (depth 0) the (verdicts, decide) of
+    `_closed_plan`; a builtin is known to be closed and skips the normal
+    form here."""
+    if sentence in _deciders():
         return _closed_plan(sentence)
     normal, depth, width = _normal_form(sentence, consts)
-    if consts and not depth:
+    if not depth:
         return _closed_plan(sentence)
-    if depth and not isinstance(normal, bool) and normal.kind in ("eq", "ne"):
+    if not isinstance(normal, bool) and normal.kind in ("eq", "ne"):
         for a, b in (normal.args, normal.args[::-1]):
             table = _filter_table(a, b, depth - 1)
             if table is not None:
                 return depth, _Filter(*table, normal.kind == "eq")
-    bind = _maker(normal)
-    if depth:
-        return depth, (width - len(consts), width, bind)
-    decide = _deciders().get(sentence) or (lambda L: bind(L)([0] * width))
-    return depth, (width - len(consts), width, (_verdicts(sentence), decide))
+    return depth, (width - len(consts), width, _maker(normal))
 
 
 @lru_cache(maxsize=256)
 def _closed_plan(sentence):
     """The plan of a closed sentence, made once whatever the constants and
     kept apart from `_plan`, whose entries the many sentences of a large
-    theory's diagram push out.  It holds the sentence's verdict store, so it
-    is cleared with `_verdicts`."""
-    return _plan(sentence, ())
+    theory's diagram push out.  Its test is (verdicts, decide): decide(L) is
+    the sentence's truth in L, and verdicts, shared by every search that
+    runs it, maps each size n to (decided, holds), bitmasks over the
+    positions of `iter_lattices(n)`.  A pair is replaced whole, never
+    updated in place, so two threads can at worst decide a lattice twice."""
+    normal, _, width = _normal_form(sentence, ())
+    bind = _maker(normal)
+    decide = _deciders().get(sentence) or (lambda L: bind(L)([0] * width))
+    return 0, (width, width, ({}, decide))
 
 
 def _schedule(theory):

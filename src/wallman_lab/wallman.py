@@ -1,8 +1,9 @@
 """Ultrafilter enumeration and the represented space of a distributive lattice.
 
 In a finite lattice every filter is principal, so filters are exactly the
-up-sets of nonzero elements and ultrafilters the up-sets of atoms; the
-enumeration below still re-checks the defining properties.
+up-sets of nonzero elements and ultrafilters the up-sets of atoms.  The
+ultrafilters are still found as the maximal filters, not read off the
+atoms, so that `stone_space` checks the one against the other.
 """
 
 from __future__ import annotations
@@ -44,14 +45,8 @@ class WallmanSpace:
 
 def filters(L):
     """All filters: up-sets of nonzero elements, sorted by member set."""
-    out = []
-    for a in L.elements():
-        if a == L.bottom:
-            continue
-        members = frozenset(b for b in L.elements() if L.leq(a, b))
-        out.append(Filter(members))
-    uniq = {f.members: f for f in out}
-    return sorted(uniq.values(), key=lambda f: sorted(f.members))
+    ups = (frozenset(b for b in L.elements() if L.leq(a, b)) for a in L.elements() if a != L.bottom)
+    return sorted(map(Filter, ups), key=lambda f: sorted(f.members))
 
 
 def is_filter(L, members):
@@ -70,12 +65,7 @@ def is_filter(L, members):
 def ultrafilters(L):
     """Maximal filters, canonical order."""
     fs = filters(L)
-    out = [
-        f
-        for f in fs
-        if not any(g is not f and f.members < g.members for g in fs)
-    ]
-    return sorted(out, key=lambda f: sorted(f.members))
+    return [f for f in fs if not any(f.members < g.members for g in fs)]
 
 
 def wallman_space(L):

@@ -151,6 +151,19 @@ class TestInputHandling:
         proc = run_cli("check", fixtures["not_json"])
         assert proc.returncode == 2
 
+    # not UTF-8, an integer past int()'s 4,300-digit limit, arrays nested past the recursion limit
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"elements": ["\xff"]}', b"[" + b"7" * 5000 + b"]", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "long-integer", "deep-array"],
+    )
+    def test_an_undecodable_file_is_input_error(self, fixtures, content):
+        path = fixtures["tmp"] / "undecodable.json"
+        path.write_bytes(content)
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"input error: {path}: ") and proc.stderr.count("\n") == 1
+
     def test_incomplete_lattice_tables(self, fixtures):
         proc = run_cli("check", str(fixtures["broken"]))
         assert proc.returncode == 2
@@ -407,6 +420,13 @@ class TestWallmanAndStone:
         assert "digraph hasse" in text and "graph wallman" in text
         assert text.count("->") == 4  # the Hasse diagram of a 4-element square
 
+    @pytest.mark.parametrize("command", ["wallman", "stone"])
+    def test_dot_in_a_missing_directory_is_input_error(self, fixtures, command):
+        out = fixtures["tmp"] / "absent" / "w.dot"
+        proc = run_cli(command, fixtures["ba4"], "--dot", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"input error: {out}: ") and proc.stderr.count("\n") == 1
+
 
 class TestEval:
     def test_closed_formula(self, fixtures):
@@ -425,12 +445,20 @@ class TestEval:
         proc = run_cli("eval", fixtures["ba4"], "a = 0")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "4"])
+    # "²" is a digit that int() refuses; 5,000 digits pass int()'s limit
+    @pytest.mark.parametrize("value", ["abc", "-1", "4", "²", pytest.param("1" * 5000, id="5000-digits")])
     def test_let_value_must_be_an_element_index(self, fixtures, value):
         # ba4 has the elements 0..3; -1 must not reach the top through negative indexing
         proc = run_cli("eval", fixtures["ba4"], "a = 1", "--let", f"a={value}")
         assert proc.returncode == 2
         assert "element index in 0..3" in proc.stderr
+
+    # ASCII, a leading zero, Arabic-Indic and Persian digits
+    @pytest.mark.parametrize("value", ["1", "01", "١", "۱"])
+    def test_let_value_binds_the_index_its_decimal_digits_spell(self, fixtures, value):
+        for other, equal in (("1", True), ("2", False)):
+            report = report_of(run_cli("eval", fixtures["ba4"], "a = b", "--let", f"a={value}", "--let", f"b={other}"))
+            assert report["outcome"]["value"] is equal
 
     @pytest.mark.parametrize("lets", [["=1"], ["a=1", "a=0"]])
     def test_let_name_must_be_non_empty_and_unique(self, fixtures, lets):
@@ -563,6 +591,29 @@ class TestEmbed:
         report = report_of(run_cli("embed", fixtures["ba4"], fixtures["ba4"]))
         assert report["outcome"]["found"]
         assert report["outcome"]["assignment"]["bot"] == "bot"
+
+
+class TestAssert:
+    """--assert exits 0 when the outcome holds and 1 when it does not, and
+    the report is printed either way."""
+
+    # per command: arguments whose outcome holds, then arguments whose outcome fails
+    CASES = {
+        "check": (["ba4", "--predicates", "normal"], ["ba4", "--predicates", "connected"]),
+        "eval": (["ba4", "0 = 0"], ["ba4", "0 = 1"]),
+        "ef": (["ba4", "ba4"], ["ba4", "chain3"]),
+        "find-model": (["theory", "--max-size", "4"], ["bad_theory", "--max-size", "2"]),
+        "surject": (["x3", "y2"], ["y2", "x3"]),
+        "embed": (["ba4", "ba4"], ["chain3", "ba4"]),
+    }
+
+    @pytest.mark.parametrize("holds", [True, False])
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_exit_status_follows_the_outcome(self, fixtures, command, holds):
+        args = [command, *(fixtures.get(a, a) for a in self.CASES[command][not holds]), "--assert"]
+        proc = run_cli(*args)
+        assert proc.returncode == (0 if holds else 1), proc.stderr
+        assert report_of(proc)["command"] == args
 
 
 class TestDeterminism:

@@ -41,10 +41,10 @@ from wallman_lab.lattice import (
 )
 from wallman_lab.modelfinder import (
     _Budget,
+    _closed_plan,
     _domain,
     _Filter,
     _plan,
-    _verdicts,
     BudgetExceeded,
     ExhaustedNoModel,
     Model,
@@ -251,10 +251,9 @@ def preimage_theories():
 
 
 def forget_verdicts():
-    """Empty the verdict store, and the plans that hold its entries."""
+    """Empty the verdict stores, and the plans that hold them."""
     _plan.cache_clear()
-    modelfinder._closed_plan.cache_clear()
-    _verdicts.cache_clear()
+    _closed_plan.cache_clear()
 
 
 class TestDomainFilters:
@@ -295,9 +294,9 @@ class TestDomainFilters:
         sentences = [builtin() for builtin in builtins]
         # all but the indiscrete spaces exhaust size 7, so the cheapest sentence is decided everywhere
         for n in range(2, 8):
-            assert (1 << len(lattices_of_size(n))) - 1 in (_verdicts(s).get(n, (0, 0))[0] for s in sentences)
+            assert (1 << len(lattices_of_size(n))) - 1 in (_closed_plan(s)[1][2][0].get(n, (0, 0))[0] for s in sentences)
         for sentence in sentences:
-            for n, (decided, holds) in _verdicts(sentence).items():
+            for n, (decided, holds) in _closed_plan(sentence)[1][2][0].items():
                 assert holds & ~decided == 0
                 for position, L in enumerate(lattices_of_size(n)):
                     if decided >> position & 1:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.errors import (
     NonSingletonFiber,
     NotBoolean,
@@ -53,6 +54,16 @@ class TestFilters:
         fs = [sorted(f.members) for f in filters(L)]
         assert fs == [[1, 2], [2]]
         assert [sorted(u.members) for u in ultrafilters(L)] == [[1, 2]]
+
+    def test_filters_are_the_up_sets_of_nonzero_elements_and_ultrafilters_of_atoms(self):
+        for n in range(2, 9):
+            for L in lattices_of_size(n):
+                up = {a: frozenset(b for b in L.elements() if L.leq(a, b)) for a in L.elements()}
+                fs = [f.members for f in filters(L)]
+                assert len(fs) == L.n - 1 and set(fs) == {up[a] for a in L.elements() if a != L.bottom}
+                assert fs == sorted(fs, key=sorted)
+                us = [u.members for u in ultrafilters(L)]
+                assert us == sorted((up[a] for a in atoms(L)), key=sorted), L.meet
 
     def test_enumerated_filters_pass_the_definition(self):
         for L in (chain(4), powerset_lattice(3), diamond_m3()):
