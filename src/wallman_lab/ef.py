@@ -4,8 +4,9 @@ A position is a partial bijection f: A -> B between two lattices, with the
 bounds pre-placed.  It is live when the pebbled elements satisfy the same
 atomic formulas: for pebbled x, y the meet (join) of x and y is pebbled
 exactly when the meet (join) of f(x), f(y) is, and f maps the one to the
-other.  When the challenger wins, the winning move tree converts to a
-sentence separating the lattices.
+other.  The start is live, as 0 != 1 on both sides and the meets and joins
+of bounds are bounds.  When the challenger wins, the winning move tree
+converts to a sentence separating the lattices.
 
 The game is forward-checked: once per position, each challenger move gets a
 mask of the replies that leave the position live, read off per-lattice
@@ -47,23 +48,6 @@ class SpoilerStrategy:
     side: str
     element: int
     responses: tuple  # tuple of SpoilerStrategy, indexed by the reply element
-
-
-def _consistent(A, B, pairs):
-    """Do the pebbled tuples satisfy the same atomic formulas?  O(k^2)."""
-    pairs = set(pairs)
-    f = dict(pairs)
-    image = set(f.values())
-    if len(f) != len(pairs) or len(image) != len(pairs):
-        return False  # not a partial bijection
-    for x, fx in f.items():
-        for y, fy in f.items():
-            for ta, tb in ((A.meet, B.meet), (A.join, B.join)):
-                # pebbled on both sides and matched by f, or on neither
-                mb = tb[fx][fy]
-                if f.get(ta[x][y], -1) != (mb if mb in image else -1):
-                    return False
-    return True
 
 
 def _reply_masks(L, M, pre_M, f):
@@ -205,11 +189,8 @@ def ef_equivalent(A, B, rounds):
     if rounds < 0:
         raise ValueError(f"rounds must be non-negative, not {rounds}")
     rounds = min(rounds, min(A.n, B.n) + 1)
-    start = ((A.bottom, B.bottom), (A.top, B.top))
-    if not _consistent(A, B, start):
-        return False, None  # dead before the first round
     game = _Game(A, B)
-    code = game.code(start)
+    code = game.code(((A.bottom, B.bottom), (A.top, B.top)))
     if game.matcher_wins(code, rounds):
         return True, None
     return False, _extract(game, code, rounds)

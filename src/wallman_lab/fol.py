@@ -44,7 +44,7 @@ from .errors import (
     MissingConstant,
     UnboundVariable,
 )
-from .lattice import _kept_hash
+from .lattice import _check_elements, _kept_hash
 
 # ---------------------------------------------------------------- AST
 
@@ -750,115 +750,58 @@ _compiled = lru_cache(maxsize=256)(compile_sentence)
 def eval_formula(L, sentence, constant_interpretation=None):
     """Tarskian truth over all of L; raises on unbound names."""
     interp = dict(constant_interpretation or {})
+    _check_elements(L, interp.values())
     compiled = _compiled(sentence, tuple(interp))
     slots = list(interp.values()) + [0] * (compiled.width - len(interp))
     return compiled.bind(L)(slots)
 
 # ---------------------------------------------------------------- builtins
+#
+# Each builtin is a fixed text, parsed on its first call (builtin_conn: once
+# for each term a); every later call returns the same tree.
 
 
-def _conj(*formulas):
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = And(out, f)
-    return out
-
-
-def _meets(*terms):
-    out = terms[0]
-    for t in terms[1:]:
-        out = Meet(out, t)
-    return out
-
-
-def _joins(*terms):
-    out = terms[0]
-    for t in terms[1:]:
-        out = Join(out, t)
-    return out
-
-
+@lru_cache(maxsize=1)
 def builtin_normality():
     """Every disjoint pair separates: the represented space is Hausdorff."""
-    x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
-    matrix = Implies(
-        Eq(Meet(x, y), BOT),
-        _conj(Eq(Meet(x, u), BOT), Eq(Meet(y, v), BOT), Eq(Join(u, v), TOP)),
-    )
-    return Forall("x", Forall("y", Exists("u", Exists("v", matrix))))
+    return parse("A x. A y. E u. E v. (x ^ y = 0 -> x ^ u = 0 & y ^ v = 0 & u v v = 1)")
 
 
+@lru_cache(maxsize=None)
 def builtin_conn(a=TOP):
     """No nontrivial complemented splitting of a (connectedness of a)."""
-    x, y = Var("x"), Var("y")
-    matrix = Implies(
-        And(Eq(Meet(x, y), BOT), Eq(Join(x, y), a)),
-        Or(Eq(x, BOT), Eq(x, a)),
-    )
-    return Forall("x", Forall("y", matrix))
+    sentence = parse("A x. A y. (x ^ y = 0 & x v y = a -> x = 0 | x = a)")
+    return _walk(sentence, lambda t, bound: a if t.name == "a" else t)
 
 
+@lru_cache(maxsize=1)
 def builtin_HI():
     """A chicane for every pliand foursome: hereditary indecomposability."""
-    x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
-    z1, z2, z3 = Var("z1"), Var("z2"), Var("z3")
-    matrix = Implies(
-        _conj(Eq(Meet(x, y), BOT), Eq(Meet(x, u), BOT), Eq(Meet(y, v), BOT)),
-        _conj(
-            Eq(Meet(x, Join(z2, z3)), BOT),
-            Eq(Meet(y, Join(z1, z2)), BOT),
-            Eq(Meet(z1, z3), BOT),
-            Eq(_meets(z1, z2, v), BOT),
-            Eq(_meets(z2, z3, u), BOT),
-            Eq(_joins(z1, z2, z3), TOP),
-        ),
+    return parse(
+        "A x. A y. A u. A v. E z1. E z2. E z3. (x ^ y = 0 & x ^ u = 0 & y ^ v = 0"
+        " -> x ^ (z2 v z3) = 0 & y ^ (z1 v z2) = 0 & z1 ^ z3 = 0"
+        " & z1 ^ z2 ^ v = 0 & z2 ^ z3 ^ u = 0 & z1 v z2 v z3 = 1)"
     )
-    out = Exists("z1", Exists("z2", Exists("z3", matrix)))
-    for name in ("v", "u", "y", "x"):
-        out = Forall(name, out)
-    return out
 
 
+@lru_cache(maxsize=1)
 def builtin_dim_le1():
     """Two disjoint pairs admit partitions meeting in the empty set: dim <= 1."""
-    x0, y0, x1, y1 = Var("x0"), Var("y0"), Var("x1"), Var("y1")
-    u0, v0, u1, v1 = Var("u0"), Var("v0"), Var("u1"), Var("v1")
-    matrix = Implies(
-        And(Eq(Meet(x0, y0), BOT), Eq(Meet(x1, y1), BOT)),
-        _conj(
-            Eq(Meet(x0, u0), BOT),
-            Eq(Meet(y0, v0), BOT),
-            Eq(Meet(x1, u1), BOT),
-            Eq(Meet(y1, v1), BOT),
-            Eq(Join(u0, v0), TOP),
-            Eq(Join(u1, v1), TOP),
-            Eq(_meets(u0, v0, u1, v1), BOT),
-        ),
+    return parse(
+        "A x0. A y0. A x1. A y1. E u0. E v0. E u1. E v1. (x0 ^ y0 = 0 & x1 ^ y1 = 0"
+        " -> x0 ^ u0 = 0 & y0 ^ v0 = 0 & x1 ^ u1 = 0 & y1 ^ v1 = 0"
+        " & u0 v v0 = 1 & u1 v v1 = 1 & u0 ^ v0 ^ u1 ^ v1 = 0)"
     )
-    out = matrix
-    for name in ("v1", "u1", "v0", "u0"):
-        out = Exists(name, out)
-    for name in ("y1", "x1", "y0", "x0"):
-        out = Forall(name, out)
-    return out
 
 
+@lru_cache(maxsize=1)
 def builtin_distributive():
-    x, y, z = Var("x"), Var("y"), Var("z")
-    body = Eq(Meet(x, Join(y, z)), Join(Meet(x, y), Meet(x, z)))
-    return Forall("x", Forall("y", Forall("z", body)))
+    return parse("A x. A y. A z. x ^ (y v z) = (x ^ y) v (x ^ z)")
 
 
+@lru_cache(maxsize=1)
 def builtin_disjunctive():
-    x, y, c = Var("x"), Var("y"), Var("c")
-    matrix = Implies(
-        Not(Leq(x, y)),
-        Exists(
-            "c",
-            _conj(Not(Eq(c, BOT)), Leq(c, x), Eq(Meet(c, y), BOT)),
-        ),
-    )
-    return Forall("x", Forall("y", matrix))
+    return parse("A x. A y. (!(x <= y) -> E c. !(c = 0) & c <= x & c ^ y = 0)")
 
 # ---------------------------------------------------------------- diagrams
 
@@ -877,6 +820,7 @@ def diagram(L, named_elements):
             dup = next(nm for nm in names_only if names_only.count(nm) > 1)
             raise DuplicateName(dup)
         named_elements = dict(pairs)
+    _check_elements(L, named_elements.values())
     items = sorted(named_elements.items())
     by_element = {}
     for nm, el in items:

@@ -146,11 +146,6 @@ def surjection_from_embedding(base_sets, phi, L, X):
 # ---------------------------------------------------------------- L-morphisms
 
 
-def _check_base(Y, base):
-    """The base in (popcount, mask) order, once it is a valid base of Y."""
-    return _valid_base(Y, tuple(base))[0]
-
-
 def _atom_count(family):
     """The number of minimal nonempty members of a family of masks in
     (popcount, mask) order: a member is one when no minimal member found
@@ -309,5 +304,5 @@ def preimage_morphism(f, X, Y, base=None):
     """The LMorphism induced by a continuous surjection: F -> f^{-1}[F]."""
     if base is None:
         base = Y.closed_sorted()
-    base = _check_base(Y, base)
+    base = _valid_base(Y, tuple(base))[0]
     return LMorphism(tuple(base), {b: _preimage_mask(f, b) for b in base})

@@ -114,6 +114,13 @@ def _is_index(v, n):
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
+def _check_elements(L, values):
+    """Raise PreconditionViolated unless every value is an element index of L."""
+    for v in values:
+        if not _is_index(v, L.n):
+            raise PreconditionViolated(f"{v!r} is not an element index in 0..{L.n - 1}")
+
+
 def table_violations(names, meet, join, bottom, top):
     """Return the complete list of (law, witness) pairs violated by the tables.
 
@@ -349,6 +356,7 @@ def is_normal(L):
 
 def conn(L, a):
     """No splitting of a into two disjoint nonzero pieces joining to a."""
+    _check_elements(L, (a,))
     meet, join = L.meet, L.join
     bot = L.bottom
     for x in L.elements():
@@ -455,8 +463,7 @@ def _least_chicane(L, masks, c, d, f, g):
 
 def find_chicane(L, fs):
     """Lexicographically least chicane for a pliand foursome, or None."""
-    if not all(_is_index(x, L.n) for x in (fs.c, fs.d, fs.f, fs.g)):
-        raise PreconditionViolated(f"foursome {fs} has an index outside 0..{L.n - 1}")
+    _check_elements(L, (fs.c, fs.d, fs.f, fs.g))
     if not is_pliand(L, fs):
         raise NotPliand(f"foursome {fs} violates the pliand identities")
     return _least_chicane(L, _masks(L), fs.c, fs.d, fs.f, fs.g)

@@ -27,11 +27,6 @@ from typing import NamedTuple
 from .enumeration import iter_lattices, lattices_of_size
 from .errors import NotDistributive, PostconditionFailed, PreconditionViolated
 from .fol import (
-    BOT,
-    Const,
-    Eq,
-    Meet,
-    Not,
     Theory,
     builtin_HI,
     builtin_conn,
@@ -39,8 +34,10 @@ from .fol import (
     builtin_disjunctive,
     builtin_distributive,
     builtin_normality,
+    bind_constants,
     diagram,
     eval_formula,
+    parse,
     _maker,
     _normal_form,
 )
@@ -345,32 +342,23 @@ def find_model(theory, budget=SearchBudget()):
 # ---------------------------------------------------------------- theories
 
 
+@lru_cache(maxsize=None)
 def kappa_constants_theory(t):
     """Two families of t constants: componentwise disjoint, yet every meet
-    of a-constants and b-constants with disjoint index sets is nonzero."""
+    of a-constants and b-constants with disjoint index sets is nonzero.
+
+    After the t disjointness sentences comes one per nonzero pick in
+    1..3^t - 1, whose base-3 digits, least significant first, take a_i (1),
+    b_i (2) or neither (0), the a-constants first.  Parsed once per t."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    a = [Const(f"a{i}") for i in range(1, t + 1)]
-    b = [Const(f"b{i}") for i in range(1, t + 1)]
-    sentences = [Eq(Meet(a[i], b[i]), BOT) for i in range(t)]
-    indices = list(range(t))
-    for pr in range(3**t):
-        p, q = [], []
-        rest = pr
-        for i in indices:
-            rest, which = divmod(rest, 3)
-            if which == 1:
-                p.append(i)
-            elif which == 2:
-                q.append(i)
-        if not p and not q:
-            continue
-        terms = [a[i] for i in p] + [b[j] for j in q]
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = Meet(acc, term)
-        sentences.append(Not(Eq(acc, BOT)))
-    return Theory(tuple(c.name for c in a + b), tuple(sentences))
+    texts = [f"a{i} ^ b{i} = 0" for i in range(1, t + 1)]
+    for pick in range(1, 3**t):
+        digits = [pick // 3**i % 3 for i in range(t)]
+        terms = [f"{side}{i + 1}" for d, side in ((1, "a"), (2, "b")) for i in range(t) if digits[i] == d]
+        texts.append(f"!({' ^ '.join(terms)} = 0)")
+    names = [f"{c}{i}" for c in "ab" for i in range(1, t + 1)]
+    return Theory(tuple(names), tuple(bind_constants(parse(s), names) for s in texts))
 
 
 def _element_constant_names(B):

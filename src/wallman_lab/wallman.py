@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonSingletonFiber, NotABase, NotBoolean, NotDistributive, PostconditionFailed
-from .lattice import FiniteLattice, _mask_lattice, is_distributive
+from .lattice import FiniteLattice, _check_elements, _mask_lattice, is_distributive
 from .spaces import (
     _fiber_point,
     _lattice_closure,
@@ -50,6 +50,7 @@ def filters(L):
 
 
 def is_filter(L, members):
+    _check_elements(L, members)
     if L.bottom in members or not members:
         return False
     for a in members:

@@ -2,16 +2,18 @@
 every labeled lattice on n elements, an exhaustive search over point maps
 set against `find_L_morphism`, the plain pebble game that `ef` refines,
 the two `homsearch` searches without forward checking, and the `intervals`
-operations and `satisfies_dim_le1` as they were before integer keys, and
-`all_spaces` as it was before the pruned search.
+operations and `satisfies_dim_le1` as they were before integer keys,
+`all_spaces` as it was before the pruned search, and the `fol` builtins and
+`kappa_constants_theory` as they were built before they were written as
+text.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from wallman_lab.ef import SpoilerStrategy
-from wallman_lab.fol import BOT, TOP, And, Eq, Exists, Forall, Join, Meet, Not, Or, Var
-from wallman_lab.homsearch import LMorphism, _check_base, find_L_morphism
+from wallman_lab.fol import BOT, TOP, And, Const, Eq, Exists, Forall, Implies, Join, Leq, Meet, Not, Or, Theory, Var
+from wallman_lab.homsearch import LMorphism, _valid_base, find_L_morphism
 from wallman_lab.errors import NonCanonicalInput, NotApplicable, NotDisjoint, PostconditionFailed
 from wallman_lab.lattice import _bits, _first_assignment, _masks, validate
 from wallman_lab.spaces import FiniteSpace, _is_lattice_family, is_continuous, is_surjective
@@ -218,7 +220,7 @@ def plain_lattice_embedding(B, L):
 
 def plain_L_morphism(Y, base, X):
     """`homsearch.find_L_morphism` without forward checking."""
-    base = _check_base(Y, base)
+    base = _valid_base(Y, tuple(base))[0]
     full_y, full_x = Y.full, X.full
     # partners[i]: the j <= i with base[j] | base[i] = Y; the empty set has none to check
     partners = [[j for j in range(i + 1) if b | base[j] == full_y] if b else [] for i, b in enumerate(base)]
@@ -427,3 +429,131 @@ def brute_force_spaces(n):
         if _is_lattice_family(fam):
             out.append(FiniteSpace(n, frozenset(fam)))
     return tuple(out)
+
+
+# ---------------------------------------------------------------- sentences
+# The builtins and kappa(t) as they were put together from AST constructors.
+
+
+def _conj(*formulas):
+    out = formulas[0]
+    for f in formulas[1:]:
+        out = And(out, f)
+    return out
+
+
+def _meets(*terms):
+    out = terms[0]
+    for t in terms[1:]:
+        out = Meet(out, t)
+    return out
+
+
+def _joins(*terms):
+    out = terms[0]
+    for t in terms[1:]:
+        out = Join(out, t)
+    return out
+
+
+def built_normality():
+    x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
+    matrix = Implies(
+        Eq(Meet(x, y), BOT),
+        _conj(Eq(Meet(x, u), BOT), Eq(Meet(y, v), BOT), Eq(Join(u, v), TOP)),
+    )
+    return Forall("x", Forall("y", Exists("u", Exists("v", matrix))))
+
+
+def built_conn(a=TOP):
+    x, y = Var("x"), Var("y")
+    matrix = Implies(
+        And(Eq(Meet(x, y), BOT), Eq(Join(x, y), a)),
+        Or(Eq(x, BOT), Eq(x, a)),
+    )
+    return Forall("x", Forall("y", matrix))
+
+
+def built_HI():
+    x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
+    z1, z2, z3 = Var("z1"), Var("z2"), Var("z3")
+    matrix = Implies(
+        _conj(Eq(Meet(x, y), BOT), Eq(Meet(x, u), BOT), Eq(Meet(y, v), BOT)),
+        _conj(
+            Eq(Meet(x, Join(z2, z3)), BOT),
+            Eq(Meet(y, Join(z1, z2)), BOT),
+            Eq(Meet(z1, z3), BOT),
+            Eq(_meets(z1, z2, v), BOT),
+            Eq(_meets(z2, z3, u), BOT),
+            Eq(_joins(z1, z2, z3), TOP),
+        ),
+    )
+    out = Exists("z1", Exists("z2", Exists("z3", matrix)))
+    for name in ("v", "u", "y", "x"):
+        out = Forall(name, out)
+    return out
+
+
+def built_dim_le1():
+    x0, y0, x1, y1 = Var("x0"), Var("y0"), Var("x1"), Var("y1")
+    u0, v0, u1, v1 = Var("u0"), Var("v0"), Var("u1"), Var("v1")
+    matrix = Implies(
+        And(Eq(Meet(x0, y0), BOT), Eq(Meet(x1, y1), BOT)),
+        _conj(
+            Eq(Meet(x0, u0), BOT),
+            Eq(Meet(y0, v0), BOT),
+            Eq(Meet(x1, u1), BOT),
+            Eq(Meet(y1, v1), BOT),
+            Eq(Join(u0, v0), TOP),
+            Eq(Join(u1, v1), TOP),
+            Eq(_meets(u0, v0, u1, v1), BOT),
+        ),
+    )
+    out = matrix
+    for name in ("v1", "u1", "v0", "u0"):
+        out = Exists(name, out)
+    for name in ("y1", "x1", "y0", "x0"):
+        out = Forall(name, out)
+    return out
+
+
+def built_distributive():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    body = Eq(Meet(x, Join(y, z)), Join(Meet(x, y), Meet(x, z)))
+    return Forall("x", Forall("y", Forall("z", body)))
+
+
+def built_disjunctive():
+    x, y, c = Var("x"), Var("y"), Var("c")
+    matrix = Implies(
+        Not(Leq(x, y)),
+        Exists(
+            "c",
+            _conj(Not(Eq(c, BOT)), Leq(c, x), Eq(Meet(c, y), BOT)),
+        ),
+    )
+    return Forall("x", Forall("y", matrix))
+
+
+def built_kappa_constants_theory(t):
+    a = [Const(f"a{i}") for i in range(1, t + 1)]
+    b = [Const(f"b{i}") for i in range(1, t + 1)]
+    sentences = [Eq(Meet(a[i], b[i]), BOT) for i in range(t)]
+    indices = list(range(t))
+    for pr in range(3**t):
+        p, q = [], []
+        rest = pr
+        for i in indices:
+            rest, which = divmod(rest, 3)
+            if which == 1:
+                p.append(i)
+            elif which == 2:
+                q.append(i)
+        if not p and not q:
+            continue
+        terms = [a[i] for i in p] + [b[j] for j in q]
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = Meet(acc, term)
+        sentences.append(Not(Eq(acc, BOT)))
+    return Theory(tuple(c.name for c in a + b), tuple(sentences))

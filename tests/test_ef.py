@@ -8,7 +8,6 @@ import pytest
 from oracles import reference_consistent, reference_ef_equivalent, reference_sentence
 from wallman_lab import ef
 from wallman_lab.ef import (
-    _consistent,
     ef_equivalent,
     elementarily_equivalent_finite,
     strategy_to_sentence,
@@ -173,14 +172,6 @@ class TestAgainstThePlainGame:
             assert ef_equivalent(L, P, 4) == (True, None)
             for other in lattices[:6]:
                 assert same_as_reference(P, other, 3) and same_as_reference(other, P, 3)
-
-    def test_consistent_is_the_triple_check(self):
-        rng = random.Random(3)
-        lattices = up_to(6)
-        for _ in range(3000):
-            A, B = rng.choice(lattices), rng.choice(lattices)
-            pairs = frozenset((rng.randrange(A.n), rng.randrange(B.n)) for _ in range(rng.randrange(1, 6)))
-            assert _consistent(A, B, pairs) == reference_consistent(A, B, pairs), (A.meet, B.meet, pairs)
 
 
 class RecordedGame(ef._Game):

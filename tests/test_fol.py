@@ -1,3 +1,4 @@
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from wallman_lab.errors import (
     DuplicateName,
     FormulaSyntaxError,
     MissingConstant,
+    PreconditionViolated,
     UnboundVariable,
 )
 from wallman_lab.enumeration import lattices_of_size
@@ -364,6 +366,14 @@ class TestEval:
             assert eval_formula(L, f, {"a": 1, "b": 2}) is True
             assert eval_formula(L, f, {"b": 1, "a": 2}) is False
 
+    def test_a_value_that_is_not_an_element_is_refused(self):
+        L, f = chain(3), parse("A x. x <= a")
+        for bad in (-1, L.n, True):
+            with pytest.raises(PreconditionViolated):
+                eval_formula(L, f, {"a": bad})
+        assert eval_formula(L, f, {"a": 2}) is True
+        assert eval_formula(L, f, {"a": 1}) is False
+
     def test_leq_elaborates_to_meet_equation(self):
         L = chain(3)
         f = bind_constants(parse("a <= b"), ("a", "b"))
@@ -395,6 +405,30 @@ class TestBuiltinAgreement:
         assert eval_formula(L, builtin_conn(Const("a")), {"a": 0b11}) is False
 
 
+BUILTINS = (
+    (builtin_normality, oracles.built_normality),
+    (builtin_conn, oracles.built_conn),
+    (builtin_HI, oracles.built_HI),
+    (builtin_dim_le1, oracles.built_dim_le1),
+    (builtin_distributive, oracles.built_distributive),
+    (builtin_disjunctive, oracles.built_disjunctive),
+)
+
+
+class TestBuiltinTexts:
+    @pytest.mark.parametrize("builtin, built", BUILTINS, ids=lambda f: f.__name__)
+    def test_the_parsed_text_is_the_constructor_built_tree(self, builtin, built):
+        assert builtin() == built()
+
+    def test_conn_of_a_term_substitutes_it(self):
+        assert builtin_conn(Const("a")) == oracles.built_conn(Const("a"))
+        assert builtin_conn(Var("a")) == oracles.built_conn(Var("a"))
+
+    @pytest.mark.parametrize("builtin", [b for b, _ in BUILTINS], ids=lambda f: f.__name__)
+    def test_every_call_returns_the_one_parsed_tree(self, builtin):
+        assert builtin() is builtin()
+
+
 class TestDiagram:
     def test_two_element_diagram_contents(self):
         th = diagram(chain(2), {"z": 0, "o": 1})
@@ -419,6 +453,19 @@ class TestDiagram:
     def test_duplicate_names_rejected(self):
         with pytest.raises(DuplicateName):
             diagram(chain(2), [("z", 0), ("z", 1)])
+
+    def test_a_value_that_is_not_an_element_is_refused(self):
+        L = chain(3)
+        for bad in (-1, L.n, True):
+            with pytest.raises(PreconditionViolated):
+                diagram(L, {"x": bad})
+            with pytest.raises(PreconditionViolated):
+                diagram(L, [("x", 0), ("y", bad)])
+        assert diagram(L, {"x": 2}).sentences == (
+            Eq(Meet(Const("x"), Const("x")), Const("x")),
+            Eq(Join(Const("x"), Const("x")), Const("x")),
+            Eq(Const("x"), TOP),
+        )
 
 
 class TestTheoryPlumbing:

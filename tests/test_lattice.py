@@ -252,6 +252,13 @@ class TestConn:
         L = powerset_lattice(2)
         assert conn(L, 0b01)[0]
 
+    def test_a_value_that_is_not_an_element_is_refused(self):
+        L = chain(3)
+        for bad in (-1, L.n, True):
+            with pytest.raises(PreconditionViolated):
+                conn(L, bad)
+        assert conn(L, 2) == (True, None) and conn(L, 0) == (True, None)
+
 
 class TestChicane:
     def test_rejects_non_pliand(self):

@@ -56,6 +56,7 @@ from wallman_lab.modelfinder import (
     kappa_constants_theory,
 )
 
+from oracles import built_kappa_constants_theory
 from unfiltered_search import find_model_naive, find_model_unfiltered
 
 
@@ -445,6 +446,10 @@ class TestKappaConstants:
         theory = kappa_constants_theory(1)
         assert theory.constants == ("a1", "b1")
         assert len(theory.sentences) == 3
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_the_parsed_texts_are_the_constructor_built_theory(self, t):
+        assert kappa_constants_theory(t) == built_kappa_constants_theory(t)
 
     def test_t2_has_a_model(self):
         result = find_model(

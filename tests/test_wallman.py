@@ -7,6 +7,7 @@ from wallman_lab.errors import (
     NonSingletonFiber,
     NotBoolean,
     NotDistributive,
+    PreconditionViolated,
 )
 from wallman_lab.lattice import (
     chain,
@@ -69,6 +70,13 @@ class TestFilters:
         for L in (chain(4), powerset_lattice(3), diamond_m3()):
             for f in filters(L):
                 assert is_filter(L, f.members)
+
+    def test_a_member_that_is_not_an_element_is_refused(self):
+        L = chain(3)
+        for bad in (-1, L.n, True):
+            with pytest.raises(PreconditionViolated):
+                is_filter(L, {2, bad})
+        assert is_filter(L, {1, 2}) and not is_filter(L, {1}) and not is_filter(L, set())
 
     def test_filters_are_complete(self):
         # brute force over all subsets agrees with the principal enumeration
