@@ -9,7 +9,6 @@ the separation property transfers, and how connectedness transfers.
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from wallman_lab.cli import quiet_on_closed_pipe
 from wallman_lab.lattice import conn, enumerate_distributive, is_disjunctive
@@ -21,14 +20,9 @@ from wallman_lab.wallman import (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_size: int = 6
-
-
-def sweep(config):
+def sweep(max_size):
     tally = Counter()
-    for L in enumerate_distributive(config.max_size):
+    for L in enumerate_distributive(max_size):
         tally["lattices"] += 1
         tally["points", len(wallman_space(L).points)] += 1
         hom = canonical_hom_report(L)
@@ -51,7 +45,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-size", type=int, default=6)
     args = parser.parse_args()
-    tally = sweep(SweepConfig(max_size=args.max_size))
+    tally = sweep(args.max_size)
     print(f"distributive lattices up to size {args.max_size}: {tally['lattices']}")
     print(f"  canonical map injective (= disjunctive): {tally['injective']}")
     print(f"  normal: {tally['normal']}")

@@ -21,6 +21,8 @@ from . import __version__
 from .errors import PostconditionFailed, WallmanLabError
 from .lattice import (
     Poset,
+    _bits,
+    _masks,
     conn,
     downset_lattice,
     is_disjunctive,
@@ -151,17 +153,20 @@ def load_theory(path):
 # ---------------------------------------------------------------- DOT
 
 
+def _dot_quoted(text):
+    """text as a DOT string: in quotes, with each backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def hasse_dot(L):
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for i, name in enumerate(L.names):
-        lines.append(f'  n{i} [label="{name}"];')
-    for a in L.elements():
-        for b in L.elements():
-            if a == b or not L.leq(a, b):
-                continue
-            if any(c not in (a, b) and L.leq(a, c) and L.leq(c, b) for c in L.elements()):
-                continue
-            lines.append(f"  n{a} -> n{b};")
+        lines.append(f"  n{i} [label={_dot_quoted(name)}];")
+    _, _, down, up = _masks(L)
+    for a, ua in enumerate(up):
+        for b in _bits(ua):
+            if (ua & down[b]).bit_count() == 2:  # b covers a: the interval [a, b] is {a, b}
+                lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -170,7 +175,7 @@ def wallman_dot(W):
     lines = ["graph wallman {"]
     for i, u in enumerate(W.points):
         label = ",".join(W.lattice.name(a) for a in sorted(u.members))
-        lines.append(f'  p{i} [label="{{{label}}}"];')
+        lines.append(f"  p{i} [label={_dot_quoted('{' + label + '}')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

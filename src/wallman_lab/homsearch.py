@@ -300,9 +300,7 @@ def surjection_from_morphism(Y, phi, X):
     return f, report
 
 
-def preimage_morphism(f, X, Y, base=None):
+def preimage_morphism(f, X, Y):
     """The LMorphism induced by a continuous surjection: F -> f^{-1}[F]."""
-    if base is None:
-        base = Y.closed_sorted()
-    base = _valid_base(Y, tuple(base))[0]
+    base = _valid_base(Y, tuple(Y.closed_sorted()))[0]
     return LMorphism(tuple(base), {b: _preimage_mask(f, b) for b in base})

@@ -63,9 +63,6 @@ class FiniteLattice:
     def name(self, a):
         return self.names[a]
 
-    def index_of(self, name):
-        return self.names.index(name)
-
     def __repr__(self):
         return f"FiniteLattice(n={self.n}, names={self.names!r})"
 
@@ -310,17 +307,11 @@ def is_distributive(L):
 
 def is_disjunctive(L):
     """Separativity: a not<= b implies some nonzero c <= a with c^b = 0."""
-    meet = L.meet
-    bot = L.bottom
-    for a in L.elements():
-        for b in L.elements():
-            if L.leq(a, b):
-                continue
-            ok = any(
-                c != bot and meet[c][a] == c and meet[c][b] == bot
-                for c in L.elements()
-            )
-            if not ok:
+    perp, _, down, up = _masks(L)
+    only_bottom = 1 << L.bottom
+    for a, (da, ua) in enumerate(zip(down, up)):
+        for b, pb in enumerate(perp):
+            if not ua >> b & 1 and da & pb == only_bottom:
                 return False, (a, b)
     return True, None
 
@@ -331,26 +322,18 @@ def is_normal(L):
     Returns (True, witness_map) where witness_map[(x,y)] = (u,v) for each
     disjoint pair, or (False, (x,y)) for the least pair with no witness.
     """
-    meet, join = L.meet, L.join
-    bot, top = L.bottom, L.top
+    perp, cotop, _, _ = _masks(L)
     witnesses = {}
-    for x in L.elements():
-        for y in L.elements():
-            if meet[x][y] != bot:
-                continue
-            found = None
-            for u in L.elements():
-                if meet[x][u] != bot:
-                    continue
-                for v in L.elements():
-                    if meet[y][v] == bot and join[u][v] == top:
-                        found = (u, v)
-                        break
-                if found:
+    for x, px in enumerate(perp):
+        for y in _bits(px):
+            py = perp[y]
+            for u in _bits(px):  # the first u with some v, and the least such v
+                vs = py & cotop[u]
+                if vs:
+                    witnesses[x, y] = u, next(_bits(vs))
                     break
-            if found is None:
+            else:
                 return False, (x, y)
-            witnesses[(x, y)] = found
     return True, witnesses
 
 
@@ -409,12 +392,23 @@ def _preimages(L):
 
 
 def _masks(L):
-    """(perp, cotop): for each element x the bitmasks of {y : x^y = 0} and
-    {y : x v y = 1}.  Built per call; nothing is kept on the lattice."""
-    bot, top = L.bottom, L.top
-    perp = [sum(1 << y for y, m in enumerate(row) if m == bot) for row in L.meet]
+    """(perp, cotop, down, up): for each element x the bitmasks of
+    {y : x^y = 0}, {y : x v y = 1}, {y : y <= x} and {y : x <= y}.  Built
+    per call, in one pass over the meet table and one over the join table;
+    nothing is kept on the lattice."""
+    bot, top, n = L.bottom, L.top, L.n
+    perp, down, up = [0] * n, [0] * n, [0] * n
+    for x, row in enumerate(L.meet):
+        bit, p, u = 1 << x, 0, 0
+        for y, m in enumerate(row):
+            if m == bot:
+                p |= 1 << y
+            if m == x:
+                u |= 1 << y
+                down[y] |= bit
+        perp[x], up[x] = p, u
     cotop = [sum(1 << y for y, j in enumerate(row) if j == top) for row in L.join]
-    return perp, cotop
+    return perp, cotop, down, up
 
 
 def _maximal_foursomes(perp, above):
@@ -445,7 +439,7 @@ def _least_chicane(L, masks, c, d, f, g):
     z1 ^ z3 = 0, and z3 must join z1 v z2 to the top.
     """
     meet, join = L.meet, L.join
-    perp, cotop = masks
+    perp, cotop, _, _ = masks
     pc, pd, pf, pg = perp[c], perp[d], perp[f], perp[g]
     pcd = pc & pd
     for z1 in _bits(pd):
@@ -528,8 +522,9 @@ def _first_without_chicane(perp, above, has_chicane):
 def satisfies_HI(L):
     """Every pliand foursome admits a chicane; else the least offending foursome."""
     masks = _masks(L)
-    above = [sum(1 << y for y, m in enumerate(row) if m == x != y) for x, row in enumerate(L.meet)]
-    first = _first_without_chicane(masks[0], above, lambda q: _least_chicane(L, masks, *q) is not None)
+    perp, _, _, up = masks
+    above = [u ^ 1 << x for x, u in enumerate(up)]
+    first = _first_without_chicane(perp, above, lambda q: _least_chicane(L, masks, *q) is not None)
     return (True, None) if first is None else (False, PliandFoursome(*first))
 
 
@@ -541,7 +536,7 @@ def _dim_le1_scan(L):
     number, and each key's row of witnesses by partner key number.
     """
     meet = L.meet
-    perp, cotop = _masks(L)
+    perp, cotop, _, _ = _masks(L)
     perp_bits = [list(_bits(m)) for m in perp]
     cotop_bits = [list(_bits(m)) for m in cotop]
     disjoint = [(x, y) for x, ys in enumerate(perp_bits) for y in ys]
@@ -639,14 +634,14 @@ def downset_lattice(P, max_elements=None):
 
 
 def join_irreducibles(L):
+    down = _masks(L)[2]
     out = []
-    for e in L.elements():
+    for e, d in enumerate(down):
         if e == L.bottom:
             continue
-        strictly_below = [a for a in L.elements() if a != e and L.leq(a, e)]
         # e is join-irreducible iff the join of everything strictly below stays below e
         acc = L.bottom
-        for a in strictly_below:
+        for a in _bits(d ^ 1 << e):
             acc = L.join[acc][a]
         if acc != e:
             out.append(e)
@@ -659,9 +654,9 @@ def birkhoff_poset(L):
     if not ok:
         raise NotDistributive(f"witness triple {witness}")
     irr = join_irreducibles(L)
-    m = len(irr)
-    le = tuple(tuple(L.leq(irr[a], irr[b]) for b in range(m)) for a in range(m))
-    return Poset(m, le).validate()
+    down = _masks(L)[2]
+    le = tuple(tuple(bool(down[b] >> a & 1) for b in irr) for a in irr)
+    return Poset(len(irr), le).validate()
 
 
 def _first_assignment(domains, step, state):
@@ -695,15 +690,14 @@ def lattice_isomorphism(A, B):
     """An isomorphism (index map) between bounded lattices, or None.
 
     An order isomorphism between lattices keeps meets, joins and the bounds,
-    so this is the poset search on the down-masks read off the meet tables.
+    so this is the poset search on the lattices' down-masks.
     """
-    from .enumeration import _poset_isomorphic, _profile, _up_masks
+    from .enumeration import _poset_isomorphic, _profile
 
     if A.n != B.n:
         return None
-    # down[a] has bit b when b <= a, that is when meet[a][b] == b
-    down_a, down_b = ([sum(1 << b for b, m in enumerate(row) if m == b) for row in L.meet] for L in (A, B))
-    prof_a, prof_b = (_profile(down, _up_masks(down)) for down in (down_a, down_b))
+    (down_a, up_a), (down_b, up_b) = (_masks(L)[2:] for L in (A, B))
+    prof_a, prof_b = _profile(down_a, up_a), _profile(down_b, up_b)
     if sorted(prof_a) != sorted(prof_b):
         return None
     mapping = _poset_isomorphic(down_a, prof_a, down_b, prof_b)

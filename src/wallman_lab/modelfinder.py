@@ -235,13 +235,8 @@ def _rows(L, table, holds, cache):
         if not holds:
             full = (1 << L.n) - 1
             cache[key] = [full ^ row for row in _rows(L, table, True, cache)]
-        elif table in ("perp", "cotop"):
-            cache["perp", True], cache["cotop", True] = _masks(L)
-        else:  # down[x]: the v with meet[x][v] == v; up[x]: those with meet[x][v] == x
-            cache[key] = [
-                sum(1 << v for v, m in enumerate(row) if m == (v if table == "down" else x))
-                for x, row in enumerate(L.meet)
-            ]
+        else:
+            cache.update(zip((("perp", True), ("cotop", True), ("down", True), ("up", True)), _masks(L)))
     return cache[key]
 
 

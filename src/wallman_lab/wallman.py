@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonSingletonFiber, NotABase, NotBoolean, NotDistributive, PostconditionFailed
-from .lattice import FiniteLattice, _check_elements, _mask_lattice, is_distributive
+from .lattice import FiniteLattice, _bits, _check_elements, _mask_lattice, _masks, is_distributive
 from .spaces import (
     _fiber_point,
     _lattice_closure,
@@ -45,7 +45,7 @@ class WallmanSpace:
 
 def filters(L):
     """All filters: up-sets of nonzero elements, sorted by member set."""
-    ups = (frozenset(b for b in L.elements() if L.leq(a, b)) for a in L.elements() if a != L.bottom)
+    ups = (frozenset(_bits(u)) for a, u in enumerate(_masks(L)[3]) if a != L.bottom)
     return sorted(map(Filter, ups), key=lambda f: sorted(f.members))
 
 
@@ -53,12 +53,13 @@ def is_filter(L, members):
     _check_elements(L, members)
     if L.bottom in members or not members:
         return False
+    up = _masks(L)[3]
+    inside = sum(1 << a for a in set(members))
     for a in members:
+        if up[a] & ~inside:
+            return False
         for b in members:
-            if L.meet[a][b] not in members:
-                return False
-        for b in L.elements():
-            if L.leq(a, b) and b not in members:
+            if not inside >> L.meet[a][b] & 1:
                 return False
     return True
 
@@ -152,27 +153,17 @@ def self_representation_check(X):
     return True, None
 
 
-def _complement(L, a):
-    """The first b with a ^ b = 0 and a v b = 1, or None."""
-    return next(
-        (b for b in L.elements() if L.meet[a][b] == L.bottom and L.join[a][b] == L.top), None
-    )
-
-
 def is_boolean(L):
     ok, _ = is_distributive(L)
     if not ok:
         return False
-    return all(_complement(L, a) is not None for a in L.elements())
+    perp, cotop, _, _ = _masks(L)
+    return all(p & c for p, c in zip(perp, cotop))  # every element has a complement
 
 
 def atoms(L):
-    return [
-        a
-        for a in L.elements()
-        if a != L.bottom
-        and not any(b != L.bottom and b != a and L.leq(b, a) for b in L.elements())
-    ]
+    # down[a] always holds the bottom and a, so it is {bottom, a} iff it has two members
+    return [a for a, d in enumerate(_masks(L)[2]) if d.bit_count() == 2]
 
 
 def stone_space(B):
@@ -182,8 +173,9 @@ def stone_space(B):
     W = wallman_space(B)
     npts = len(W.points)
     full = (1 << npts) - 1
-    for a in B.elements():
-        if W.base[_complement(B, a)] != full & ~W.base[a]:
+    perp, cotop, _, _ = _masks(B)
+    for a, (p, c) in enumerate(zip(perp, cotop)):
+        if W.base[next(_bits(p & c))] != full & ~W.base[a]:
             raise PostconditionFailed(f"Stone base set of {a} is not clopen")
     if npts != len(atoms(B)):
         raise PostconditionFailed("Stone space has not one point per atom")

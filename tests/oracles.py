@@ -3,9 +3,10 @@ every labeled lattice on n elements, an exhaustive search over point maps
 set against `find_L_morphism`, the plain pebble game that `ef` refines,
 the two `homsearch` searches without forward checking, and the `intervals`
 operations and `satisfies_dim_le1` as they were before integer keys,
-`all_spaces` as it was before the pruned search, and the `fol` builtins and
+`all_spaces` as it was before the pruned search, the `fol` builtins and
 `kappa_constants_theory` as they were built before they were written as
-text.
+text, and the lattice predicates, Wallman helpers and Hasse diagram as they
+read the tables before they read `lattice._masks`.
 """
 
 from dataclasses import dataclass
@@ -14,9 +15,11 @@ from fractions import Fraction
 from wallman_lab.ef import SpoilerStrategy
 from wallman_lab.fol import BOT, TOP, And, Const, Eq, Exists, Forall, Implies, Join, Leq, Meet, Not, Or, Theory, Var
 from wallman_lab.homsearch import LMorphism, _valid_base, find_L_morphism
-from wallman_lab.errors import NonCanonicalInput, NotApplicable, NotDisjoint, PostconditionFailed
-from wallman_lab.lattice import _bits, _first_assignment, _masks, validate
+from wallman_lab.enumeration import _poset_isomorphic, _profile, _up_masks
+from wallman_lab.errors import NonCanonicalInput, NotApplicable, NotDisjoint, NotDistributive, PostconditionFailed
+from wallman_lab.lattice import Poset, _bits, _first_assignment, _masks, is_distributive, validate
 from wallman_lab.spaces import FiniteSpace, _is_lattice_family, is_continuous, is_surjective
+from wallman_lab.wallman import Filter
 
 
 def all_labeled_lattices(n):
@@ -384,7 +387,7 @@ def reference_refute_partition(x, y):
 def frozen_dim_le1(L):
     """`lattice.satisfies_dim_le1` with its memo keyed by tuples."""
     meet = L.meet
-    perp, cotop = _masks(L)
+    perp, cotop, _, _ = _masks(L)
     partitions = {}  # (perp[x], perp[y]) -> [(u, v, u^v)] in lexicographic order
     first = {}  # (w, key) -> the first (u, v) of key's partitions with u^v^w = 0, or None
 
@@ -557,3 +560,142 @@ def built_kappa_constants_theory(t):
             acc = Meet(acc, term)
         sentences.append(Not(Eq(acc, BOT)))
     return Theory(tuple(c.name for c in a + b), tuple(sentences))
+
+
+# ---------------------------------------------------------------- per-element masks
+# The readers of `lattice._masks` as they were when each built its own masks
+# or walked `leq` element by element.
+
+
+def frozen_two_masks(L):
+    """`lattice._masks` when it built only (perp, cotop)."""
+    bot, top = L.bottom, L.top
+    perp = [sum(1 << y for y, m in enumerate(row) if m == bot) for row in L.meet]
+    cotop = [sum(1 << y for y, j in enumerate(row) if j == top) for row in L.join]
+    return perp, cotop
+
+
+def frozen_is_normal(L):
+    meet, join = L.meet, L.join
+    bot, top = L.bottom, L.top
+    witnesses = {}
+    for x in L.elements():
+        for y in L.elements():
+            if meet[x][y] != bot:
+                continue
+            found = None
+            for u in L.elements():
+                if meet[x][u] != bot:
+                    continue
+                for v in L.elements():
+                    if meet[y][v] == bot and join[u][v] == top:
+                        found = (u, v)
+                        break
+                if found:
+                    break
+            if found is None:
+                return False, (x, y)
+            witnesses[(x, y)] = found
+    return True, witnesses
+
+
+def frozen_is_disjunctive(L):
+    meet = L.meet
+    bot = L.bottom
+    for a in L.elements():
+        for b in L.elements():
+            if L.leq(a, b):
+                continue
+            ok = any(c != bot and meet[c][a] == c and meet[c][b] == bot for c in L.elements())
+            if not ok:
+                return False, (a, b)
+    return True, None
+
+
+def frozen_join_irreducibles(L):
+    out = []
+    for e in L.elements():
+        if e == L.bottom:
+            continue
+        strictly_below = [a for a in L.elements() if a != e and L.leq(a, e)]
+        acc = L.bottom
+        for a in strictly_below:
+            acc = L.join[acc][a]
+        if acc != e:
+            out.append(e)
+    return out
+
+
+def frozen_birkhoff_poset(L):
+    ok, witness = is_distributive(L)
+    if not ok:
+        raise NotDistributive(f"witness triple {witness}")
+    irr = frozen_join_irreducibles(L)
+    m = len(irr)
+    le = tuple(tuple(L.leq(irr[a], irr[b]) for b in range(m)) for a in range(m))
+    return Poset(m, le).validate()
+
+
+def frozen_lattice_isomorphism(A, B):
+    if A.n != B.n:
+        return None
+    down_a, down_b = ([sum(1 << b for b, m in enumerate(row) if m == b) for row in L.meet] for L in (A, B))
+    prof_a, prof_b = (_profile(down, _up_masks(down)) for down in (down_a, down_b))
+    if sorted(prof_a) != sorted(prof_b):
+        return None
+    mapping = _poset_isomorphic(down_a, prof_a, down_b, prof_b)
+    return None if mapping is None else dict(enumerate(mapping))
+
+
+def frozen_filters(L):
+    ups = (frozenset(b for b in L.elements() if L.leq(a, b)) for a in L.elements() if a != L.bottom)
+    return sorted(map(Filter, ups), key=lambda f: sorted(f.members))
+
+
+def frozen_is_filter(L, members):
+    if L.bottom in members or not members:
+        return False
+    for a in members:
+        for b in members:
+            if L.meet[a][b] not in members:
+                return False
+        for b in L.elements():
+            if L.leq(a, b) and b not in members:
+                return False
+    return True
+
+
+def _frozen_complement(L, a):
+    return next((b for b in L.elements() if L.meet[a][b] == L.bottom and L.join[a][b] == L.top), None)
+
+
+def frozen_is_boolean(L):
+    ok, _ = is_distributive(L)
+    if not ok:
+        return False
+    return all(_frozen_complement(L, a) is not None for a in L.elements())
+
+
+def frozen_atoms(L):
+    return [
+        a
+        for a in L.elements()
+        if a != L.bottom and not any(b != L.bottom and b != a and L.leq(b, a) for b in L.elements())
+    ]
+
+
+def frozen_hasse_dot(L):
+    """`cli.hasse_dot` before it escaped its labels; equal to it on names
+    with no backslash or quote."""
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    for i, name in enumerate(L.names):
+        lines.append(f'  n{i} [label="{name}"];')
+    for a in L.elements():
+        for b in L.elements():
+            if a == b or not L.leq(a, b):
+                continue
+            if any(c not in (a, b) and L.leq(a, c) and L.leq(c, b) for c in L.elements()):
+                continue
+            lines.append(f"  n{a} -> n{b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -38,7 +38,6 @@ from wallman_lab.intervals import (
     riset,
 )
 from wallman_lab.lattice import (
-    Chicane,
     PliandFoursome,
     conn,
     enumerate_distributive,

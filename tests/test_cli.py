@@ -420,6 +420,29 @@ class TestWallmanAndStone:
         assert "digraph hasse" in text and "graph wallman" in text
         assert text.count("->") == 4  # the Hasse diagram of a 4-element square
 
+    def test_dot_labels_escape_quotes_and_backslashes(self, fixtures):
+        chain = fixtures["tmp"] / "named.json"
+        chain.write_text(
+            json.dumps(
+                {
+                    "elements": ['a"b', "c\\", "d"],
+                    "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+                    "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+                    "bottom": 0,
+                    "top": 2,
+                }
+            )
+        )
+        out = fixtures["tmp"] / "named.dot"
+        report_of(run_cli("wallman", str(chain), "--dot", str(out)))
+        labels = [line for line in out.read_text().splitlines() if "label=" in line]
+        assert labels == [
+            '  n0 [label="a\\"b"];',
+            '  n1 [label="c\\\\"];',
+            '  n2 [label="d"];',
+            '  p0 [label="{c\\\\,d}"];',
+        ]
+
     @pytest.mark.parametrize("command", ["wallman", "stone"])
     def test_dot_in_a_missing_directory_is_input_error(self, fixtures, command):
         out = fixtures["tmp"] / "absent" / "w.dot"

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-module-level function or class is referenced somewhere in the package.
+"""Every module of the package, every test module and every script uses each
+name it imports, and every private module-level function or class of the
+package is referenced somewhere in the package.
 
 No linter ships with the test dependencies, so these checks read each
 module's syntax tree: a name bound by an import must appear somewhere as a
@@ -15,6 +16,8 @@ import pytest
 import wallman_lab
 
 MODULES = sorted(Path(wallman_lab.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def unused_imports(source):
@@ -34,7 +37,11 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["a", "os", "r", "z"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS_AND_SCRIPTS,
+    ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

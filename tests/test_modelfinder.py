@@ -9,7 +9,6 @@ from wallman_lab import enumeration, modelfinder
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.errors import PreconditionViolated
 from wallman_lab.fol import (
-    And,
     BOT,
     Const,
     Eq,
@@ -35,7 +34,6 @@ from wallman_lab.lattice import (
     is_disjunctive,
     is_distributive,
     is_normal,
-    lattice_isomorphism,
     powerset_lattice,
     satisfies_HI,
 )

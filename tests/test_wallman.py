@@ -144,7 +144,6 @@ class TestDualityReports:
 
     def test_connectedness_sweep(self):
         from wallman_lab.lattice import conn
-        from wallman_lab.spaces import is_connected
 
         for L in enumerate_distributive(6):
             if not is_disjunctive(L)[0]:
