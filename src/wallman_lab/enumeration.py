@@ -8,9 +8,8 @@ isomorphism search, which keeps the whole pipeline deterministic: a candidate's
 up-masks are derived once from its parent's (the new maximal element joins the
 up-set of each element of its down-set) and give the profile (|down(a)|,
 |up(a)|) per element that keys the bucket and restricts the isomorphism
-search.  Lattice tables are read off by mask lookup: meet[a][b] is the element
-whose down-mask is down[a] & down[b], and join[a][b] the one whose up-mask is
-up[a] & up[b].
+search.  Lattice tables are read off the down- and up-masks by mask lookup,
+`lattice._table`.
 
 Each level of lattices is built on demand.  Dedupe keeps the first candidate
 of each class in generation order, so a level can be handed out one lattice
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import Poset, _downsets, _first_assignment, validate
+from .lattice import Poset, _downsets, _first_assignment, _table, validate
 
 
 def _up_masks(down):
@@ -136,22 +135,10 @@ def _semilattice_candidates(parents):
         yield from _children(parent, dsets)
 
 
-def _table(masks, rows):
-    """T[a][b] = the element whose mask is masks[a] & masks[b], each row the
-    copy kept in the row table `rows`."""
-    index = {m: i for i, m in enumerate(masks)}
-    shared = rows.setdefault
-    return tuple([shared(row, row) for row in [tuple([index[a & b] for b in masks]) for a in masks]])
-
-
 def _lattice_from_semilattice(down, up, rows, names):
     """Adjoin a top to a meet-semilattice with the given down- and up-masks
-    and read off both tables, with the level's row table and names tuple.
-
-    meet[a][b] is the element whose down-mask is downs[a] & downs[b], and
-    join[a][b] the element whose up-mask is ups[a] & ups[b]; the top joins
-    every up-set.
-    """
+    (the top joins every up-set) and read off both tables with `_table`,
+    the level's row table and names tuple."""
     n = len(down) + 1
     top = 1 << (n - 1)
     downs = down + ((1 << n) - 1,)

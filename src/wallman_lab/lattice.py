@@ -226,6 +226,24 @@ def _by_size(masks):
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
+def _table(masks, rows):
+    """T[a][b] = the element whose mask is masks[a] & masks[b], each row the
+    copy kept in the row table `rows`.
+
+    A lattice is fixed by its order: a ^ b is the element whose down-set is
+    down(a) & down(b), and a v b the one whose up-set is up(a) & up(b).  So
+    each constructor passes a mask per element for the meet table and one
+    for the join table: `chain` (2 << i) - 1 and -1 << i, `diamond_m3` its
+    down- and up-sets, `powerset_lattice` and `_mask_lattice` each set m and
+    its complement ~m (as ~(a | b) = ~a & ~b), the enumeration a
+    semilattice's masks with a top adjoined.  Masks are only ANDed, so
+    negative ones need no full set.
+    """
+    index = {m: i for i, m in enumerate(masks)}
+    shared = rows.setdefault
+    return tuple([shared(row, row) for row in [tuple([index[a & b] for b in masks]) for a in masks]])
+
+
 def _mask_lattice(family, prefix=""):
     """The lattice of a union/intersection-closed family of masks holding 0
     and the full set, validated, with the family in element order.
@@ -234,64 +252,33 @@ def _mask_lattice(family, prefix=""):
     bit after `prefix`: "{0,2}", or "{p0,p2}" with prefix "p".
     """
     members = _by_size(family)
-    idx = {m: i for i, m in enumerate(members)}
-    k = len(members)
     names = tuple(
         "{" + ",".join(f"{prefix}{b}" for b in range(m.bit_length()) if m >> b & 1) + "}"
         for m in members
     )
-    meet = tuple(tuple(idx[members[i] & members[j]] for j in range(k)) for i in range(k))
-    join = tuple(tuple(idx[members[i] | members[j]] for j in range(k)) for i in range(k))
-    return validate(names, meet, join, 0, k - 1), members
+    meet, join = _table(members, {}), _table([~m for m in members], {})
+    return validate(names, meet, join, 0, len(members) - 1), members
 
 
 def chain(k):
     """The k-element chain 0 < 1 < ... < k-1."""
     names = tuple(f"c{i}" for i in range(k))
-    meet = tuple(tuple(min(a, b) for b in range(k)) for a in range(k))
-    join = tuple(tuple(max(a, b) for b in range(k)) for a in range(k))
-    return validate(names, meet, join, 0, k - 1)
+    down, up = [(2 << i) - 1 for i in range(k)], [-1 << i for i in range(k)]
+    return validate(names, _table(down, {}), _table(up, {}), 0, k - 1)
 
 
 def powerset_lattice(k):
     """2^{0..k-1}; element index == subset bitmask."""
     n = 1 << k
     names = tuple("{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in range(n))
-    meet = tuple(tuple(a & b for b in range(n)) for a in range(n))
-    join = tuple(tuple(a | b for b in range(n)) for a in range(n))
-    return validate(names, meet, join, 0, n - 1)
+    return validate(names, _table(range(n), {}), _table([~m for m in range(n)], {}), 0, n - 1)
 
 
 def diamond_m3():
     """M3: bottom, three incomparable midpoints, top."""
-    names = ("0", "a", "b", "c", "1")
-    n = 5
-
-    def mt(a, b):
-        if a == b:
-            return a
-        if a == 0 or b == 0:
-            return 0
-        if a == 4:
-            return b
-        if b == 4:
-            return a
-        return 0
-
-    def jn(a, b):
-        if a == b:
-            return a
-        if a == 4 or b == 4:
-            return 4
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        return 4
-
-    meet = tuple(tuple(mt(a, b) for b in range(n)) for a in range(n))
-    join = tuple(tuple(jn(a, b) for b in range(n)) for a in range(n))
-    return validate(names, meet, join, 0, 4)
+    down = (0b00001, 0b00011, 0b00101, 0b01001, 0b11111)
+    up = (0b11111, 0b10010, 0b10100, 0b11000, 0b10000)
+    return validate(("0", "a", "b", "c", "1"), _table(down, {}), _table(up, {}), 0, 4)
 
 
 def is_distributive(L):
@@ -350,11 +337,13 @@ def conn(L, a):
 
 
 def is_pliand(L, fs):
+    _check_elements(L, (fs.c, fs.d, fs.f, fs.g))
     meet, bot = L.meet, L.bottom
     return meet[fs.c][fs.d] == bot and meet[fs.c][fs.f] == bot and meet[fs.d][fs.g] == bot
 
 
 def chicane_identities_hold(L, fs, ch):
+    _check_elements(L, (fs.c, fs.d, fs.f, fs.g, ch.z1, ch.z2, ch.z3))
     meet, join = L.meet, L.join
     bot = L.bottom
     return (
@@ -457,7 +446,6 @@ def _least_chicane(L, masks, c, d, f, g):
 
 def find_chicane(L, fs):
     """Lexicographically least chicane for a pliand foursome, or None."""
-    _check_elements(L, (fs.c, fs.d, fs.f, fs.g))
     if not is_pliand(L, fs):
         raise NotPliand(f"foursome {fs} violates the pliand identities")
     return _least_chicane(L, _masks(L), fs.c, fs.d, fs.f, fs.g)

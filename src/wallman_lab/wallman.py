@@ -11,7 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonSingletonFiber, NotABase, NotBoolean, NotDistributive, PostconditionFailed
-from .lattice import FiniteLattice, _bits, _check_elements, _mask_lattice, _masks, is_distributive
+from .lattice import (
+    FiniteLattice,
+    _bits,
+    _check_elements,
+    _mask_lattice,
+    _masks,
+    is_disjunctive,
+    is_distributive,
+    is_normal,
+)
 from .spaces import (
     _fiber_point,
     _lattice_closure,
@@ -97,8 +106,6 @@ def wallman_space(L):
 
 def canonical_hom_report(L):
     """Injectivity of a -> c(a) versus disjunctivity; the two must agree."""
-    from .lattice import is_disjunctive
-
     W = wallman_space(L)
     injective = len(set(W.base)) == L.n
     disjunctive, _ = is_disjunctive(L)
@@ -111,8 +118,6 @@ def canonical_hom_report(L):
 
 def hausdorff_normal_report(L):
     """Hausdorffness of the represented space versus lattice normality."""
-    from .lattice import is_normal
-
     W = wallman_space(L)
     X = W.space()
     normal, _ = is_normal(L)

@@ -5,8 +5,9 @@ the two `homsearch` searches without forward checking, and the `intervals`
 operations and `satisfies_dim_le1` as they were before integer keys,
 `all_spaces` as it was before the pruned search, the `fol` builtins and
 `kappa_constants_theory` as they were built before they were written as
-text, and the lattice predicates, Wallman helpers and Hasse diagram as they
-read the tables before they read `lattice._masks`.
+text, the lattice predicates, Wallman helpers and Hasse diagram as they
+read the tables before they read `lattice._masks`, and the lattice
+constructors as they built their tables before `lattice._table`.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from wallman_lab.fol import BOT, TOP, And, Const, Eq, Exists, Forall, Implies, J
 from wallman_lab.homsearch import LMorphism, _valid_base, find_L_morphism
 from wallman_lab.enumeration import _poset_isomorphic, _profile, _up_masks
 from wallman_lab.errors import NonCanonicalInput, NotApplicable, NotDisjoint, NotDistributive, PostconditionFailed
-from wallman_lab.lattice import Poset, _bits, _first_assignment, _masks, is_distributive, validate
+from wallman_lab.lattice import Poset, _bits, _by_size, _first_assignment, _masks, is_distributive, validate
 from wallman_lab.spaces import FiniteSpace, _is_lattice_family, is_continuous, is_surjective
 from wallman_lab.wallman import Filter
 
@@ -699,3 +700,67 @@ def frozen_hasse_dot(L):
             lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------- lattice constructors
+# `chain`, `powerset_lattice`, `diamond_m3` and `_mask_lattice` as they built
+# their tables before they read them off masks with `lattice._table`.
+
+
+def frozen_mask_lattice(family, prefix=""):
+    members = _by_size(family)
+    idx = {m: i for i, m in enumerate(members)}
+    k = len(members)
+    names = tuple(
+        "{" + ",".join(f"{prefix}{b}" for b in range(m.bit_length()) if m >> b & 1) + "}"
+        for m in members
+    )
+    meet = tuple(tuple(idx[members[i] & members[j]] for j in range(k)) for i in range(k))
+    join = tuple(tuple(idx[members[i] | members[j]] for j in range(k)) for i in range(k))
+    return validate(names, meet, join, 0, k - 1), members
+
+
+def frozen_chain(k):
+    names = tuple(f"c{i}" for i in range(k))
+    meet = tuple(tuple(min(a, b) for b in range(k)) for a in range(k))
+    join = tuple(tuple(max(a, b) for b in range(k)) for a in range(k))
+    return validate(names, meet, join, 0, k - 1)
+
+
+def frozen_powerset_lattice(k):
+    n = 1 << k
+    names = tuple("{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in range(n))
+    meet = tuple(tuple(a & b for b in range(n)) for a in range(n))
+    join = tuple(tuple(a | b for b in range(n)) for a in range(n))
+    return validate(names, meet, join, 0, n - 1)
+
+
+def frozen_diamond_m3():
+    names = ("0", "a", "b", "c", "1")
+    n = 5
+
+    def mt(a, b):
+        if a == b:
+            return a
+        if a == 0 or b == 0:
+            return 0
+        if a == 4:
+            return b
+        if b == 4:
+            return a
+        return 0
+
+    def jn(a, b):
+        if a == b:
+            return a
+        if a == 4 or b == 4:
+            return 4
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        return 4
+
+    meet = tuple(tuple(mt(a, b) for b in range(n)) for a in range(n))
+    join = tuple(tuple(jn(a, b) for b in range(n)) for a in range(n))
+    return validate(names, meet, join, 0, 4)

@@ -1,11 +1,13 @@
 """Every module of the package, every test module and every script uses each
-name it imports, and every private module-level function or class of the
+name it imports and imports inside a function only from modules it does not
+import at top level, and every private module-level function or class of the
 package is referenced somewhere in the package.
 
 No linter ships with the test dependencies, so these checks read each
 module's syntax tree: a name bound by an import must appear somewhere as a
-name, and a private helper must appear as a name, an attribute or an import
-outside its own definition.
+name, an import inside a function must import from a module that no
+top-level import names, and a private helper must appear as a name, an
+attribute or an import outside its own definition.
 """
 
 import ast
@@ -18,6 +20,11 @@ import wallman_lab
 MODULES = sorted(Path(wallman_lab.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
 TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+EVERY_FILE = pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS_AND_SCRIPTS,
+    ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}",
+)
 
 
 def unused_imports(source):
@@ -37,13 +44,45 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["a", "os", "r", "z"]
 
 
-@pytest.mark.parametrize(
-    "path",
-    MODULES + TESTS_AND_SCRIPTS,
-    ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}",
-)
+@EVERY_FILE
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _imported_modules(node):
+    """The modules an import statement imports from, relative ones with their dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return []
+
+
+def repeated_lazy_imports(source):
+    """Line numbers of the imports inside a function from a module that the
+    file already imports at top level: such an import breaks no cycle and
+    defers no start-up cost."""
+    tree = ast.parse(source)
+    top = {module for stmt in tree.body for module in _imported_modules(stmt)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(inner.lineno for inner in ast.walk(node) if top.intersection(_imported_modules(inner)))
+    return sorted(lines)
+
+
+def test_checker_finds_repeated_lazy_imports():
+    source = (
+        "import os\nfrom .a import b\nfrom p import q\n\n"
+        "def f():\n    import os.path\n    from .a import c\n    from .d import e\n\n"
+        "    def g():\n        from p import r\n        import sys\n"
+    )
+    assert repeated_lazy_imports(source) == [7, 11]
+
+
+@EVERY_FILE
+def test_no_function_level_import_from_a_module_imported_at_top_level(path):
+    assert repeated_lazy_imports(path.read_text()) == []
 
 
 def orphaned_helpers(sources):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallman_lab import enumeration
+from wallman_lab import enumeration, modelfinder
 from wallman_lab.enumeration import (
     iter_lattices,
     lattices_of_size,
@@ -26,6 +26,7 @@ from wallman_lab.lattice import (
     FiniteLattice,
     PliandFoursome,
     Poset,
+    _downsets,
     _law_violations,
     _mask_lattice,
     birkhoff_poset,
@@ -39,6 +40,7 @@ from wallman_lab.lattice import (
     is_disjunctive,
     is_distributive,
     is_normal,
+    is_pliand,
     join_irreducibles,
     lattice_isomorphism,
     powerset_lattice,
@@ -47,8 +49,15 @@ from wallman_lab.lattice import (
     table_violations,
     validate,
 )
+from wallman_lab.spaces import all_spaces
 
-from oracles import all_labeled_lattices
+from oracles import (
+    all_labeled_lattices,
+    frozen_chain,
+    frozen_diamond_m3,
+    frozen_mask_lattice,
+    frozen_powerset_lattice,
+)
 
 
 A006966 = {2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994}
@@ -176,6 +185,44 @@ class TestStandardExamples:
         assert is_distributive(powerset_lattice(3)) == (True, None)
 
 
+def _built(construct, *args):
+    """The fields of a constructor's lattice, then the members it returns
+    with it, if any; or the type and message of what it raised."""
+    try:
+        out = construct(*args)
+    except Exception as err:
+        return type(err), str(err)
+    L, *rest = out if isinstance(out, tuple) else (out,)
+    return (L.names, L.meet, L.join, L.bottom, L.top, *rest)
+
+
+class TestConstructorsMatchTheFrozenCopies:
+    """The constructors that read their tables off masks build what the
+    frozen copies built from min/max, & and |, case functions and index
+    lookups, and raise what they raised."""
+
+    def test_chains(self):
+        for k in range(-2, 13):
+            assert _built(chain, k) == _built(frozen_chain, k), k
+
+    def test_power_sets_and_m3(self):
+        for k in range(7):
+            assert _built(powerset_lattice, k) == _built(frozen_powerset_lattice, k), k
+        assert _built(diamond_m3) == _built(frozen_diamond_m3)
+
+    def test_families_of_sets(self):
+        families = [[], [0], [0, 1]] + [X.closed for n in range(6) for X in all_spaces(n)]
+        for family in families:
+            for prefix in ("", "p"):
+                assert _built(_mask_lattice, family, prefix) == _built(frozen_mask_lattice, family, prefix), family
+
+    def test_down_set_families_of_posets(self):
+        for m in range(7):
+            for down in enumeration._posets_raw(m):
+                family = _downsets(down)
+                assert _built(_mask_lattice, family, "p") == _built(frozen_mask_lattice, family, "p"), down
+
+
 class TestDisjunctive:
     def test_powerset_disjunctive(self):
         assert is_disjunctive(powerset_lattice(2))[0]
@@ -265,6 +312,20 @@ class TestChicane:
         L = powerset_lattice(2)
         with pytest.raises(NotPliand):
             find_chicane(L, PliandFoursome(1, 1, 0, 0))
+
+    @pytest.mark.parametrize("bad", [-1, 3, True])
+    def test_a_value_that_is_not_an_element_is_refused(self, bad):
+        L = chain(3)
+        for i in range(7):
+            values = [bad if j == i else 0 for j in range(7)]
+            fs, ch = PliandFoursome(*values[:4]), Chicane(*values[4:])
+            calls = [lambda: chicane_identities_hold(L, fs, ch)]
+            if i < 4:
+                calls += [lambda: is_pliand(L, fs), lambda: find_chicane(L, fs)]
+            for call in calls:
+                with pytest.raises(PreconditionViolated) as info:
+                    call()
+                assert str(info.value) == f"{bad!r} is not an element index in 0..2"
 
     def test_powerset_chicane_exists(self):
         L = powerset_lattice(3)
@@ -510,7 +571,6 @@ class TestStreamedLevels:
         assert enumeration_digest(lattices_of_size(10)) == PINNED_DIGESTS[2][1]
 
     def test_a_model_search_reads_the_sizes_below_the_streamed_ones_whole(self, monkeypatch):
-        from wallman_lab import modelfinder
         from wallman_lab.fol import Theory, parse
 
         whole = []

@@ -175,17 +175,13 @@ class TestFindModel:
         assert result == ExhaustedNoModel(6)
 
     def test_negated_separation_finds_minimal_non_normal(self):
-        from wallman_lab.fol import Not as FNot
-
-        theory = Theory((), (FNot(builtin_normality()),))
+        theory = Theory((), (Not(builtin_normality()),))
         result = find_model(theory, SearchBudget(max_size=6))
         assert isinstance(result, Model)
         assert result.lattice.n == 5
         assert not is_normal(result.lattice)[0]
 
     def test_models_reverify_under_eval(self):
-        from wallman_lab.fol import bind_constants
-
         sentences = tuple(
             bind_constants(parse(text), ("a",))
             for text in ("!(a = 0)", "!(a = 1)")

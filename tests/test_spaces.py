@@ -8,6 +8,7 @@ import pytest
 from oracles import brute_force_spaces
 from wallman_lab.errors import (
     MalformedTables,
+    NotABase,
     NotClosed,
     NotContinuous,
     PreconditionViolated,
@@ -32,6 +33,7 @@ from wallman_lab.spaces import (
     is_weakly_confluent,
     make_space,
     mask_of,
+    points_of,
     space_chicane,
     space_from_sets,
 )
@@ -139,8 +141,6 @@ class TestBaseRestrictedHI:
         assert base_restricted_HI(X, X.closed_sorted())[0]
 
     def test_rejects_non_base(self):
-        from wallman_lab.errors import NotABase
-
         X = discrete_space(2)
         with pytest.raises(NotABase):
             base_restricted_HI(X, [0, X.full])
@@ -242,6 +242,4 @@ class TestSpaceSweep:
             assert conn(L, L.top)[0] == (n <= 1) == is_connected(X, X.full)
 
     def test_mask_round_trip(self):
-        from wallman_lab.spaces import points_of
-
         assert points_of(mask_of([0, 2, 5])) == [0, 2, 5]

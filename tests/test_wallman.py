@@ -11,6 +11,7 @@ from wallman_lab.errors import (
 )
 from wallman_lab.lattice import (
     chain,
+    conn,
     diamond_m3,
     enumerate_distributive,
     is_disjunctive,
@@ -143,8 +144,6 @@ class TestDualityReports:
             assert not (report["L_normal"] and not report["wL_hausdorff"])
 
     def test_connectedness_sweep(self):
-        from wallman_lab.lattice import conn
-
         for L in enumerate_distributive(6):
             if not is_disjunctive(L)[0]:
                 continue
