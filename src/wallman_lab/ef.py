@@ -186,8 +186,8 @@ def ef_equivalent(A, B, rounds):
     quantifier rank n + 1, so no verdict changes past min(A.n, B.n) + 1
     rounds and the game is played with at most that many.
     """
-    if rounds < 0:
-        raise ValueError(f"rounds must be non-negative, not {rounds}")
+    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
+        raise ValueError(f"rounds must be a non-negative integer, not {rounds!r}")
     rounds = min(rounds, min(A.n, B.n) + 1)
     game = _Game(A, B)
     code = game.code(((A.bottom, B.bottom), (A.top, B.top)))

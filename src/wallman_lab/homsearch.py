@@ -21,18 +21,16 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .errors import NotABase
-from .lattice import _bits, _by_size, _first_assignment, _preimages
+from .lattice import _bits, _by_size, _check_elements, _first_assignment, _preimages
 from .spaces import (
-    _fiber_point,
     _is_lattice_family,
     _meet_above,
+    _point_map,
     _preimage_mask,
     is_continuous,
     is_surjective,
-    mask_of,
     points_of,
 )
-from .wallman import ultrafilters
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,8 @@ def find_lattice_embedding(B, L):
     return None if values is None else dict(zip(order, values))
 
 
-def surjection_from_embedding(base_sets, phi, L, X):
-    """Map the ultrafilter space of L onto X through an embedded closed base.
+def surjection_from_embedding(base_sets, phi, W, X):
+    """Map W = wallman_space(L) onto X through an embedded closed base.
 
     base_sets: masks of X, union/intersection-closed with 0 and the full set,
     indexed as a lattice; phi: index -> element of L, an embedding of that
@@ -129,16 +127,11 @@ def surjection_from_embedding(base_sets, phi, L, X):
     the intersection of the base sets whose phi-value lies in p.
     Returns (f, report) with f indexed by ultrafilter position.
     """
-    points = ultrafilters(L)
-    f = [
-        _fiber_point(X.full, (c for i, c in enumerate(base_sets) if phi[i] in p.members))
-        for p in points
-    ]
+    _check_elements(W.lattice, (phi[i] for i in range(len(base_sets))))
+    pairs = [(c, W.base[phi[i]]) for i, c in enumerate(base_sets)]
+    f = _point_map(len(W.points), pairs, X.full)
     onto = set(f) == set(range(X.point_count))
-    preimage_identity = all(
-        _preimage_mask(f, c) == mask_of(k for k, p in enumerate(points) if phi[i] in p.members)
-        for i, c in enumerate(base_sets)
-    )
+    preimage_identity = all(_preimage_mask(f, c) == s for c, s in pairs)
     report = {"onto": onto, "preimage_identity": preimage_identity}
     return f, report
 
@@ -277,10 +270,7 @@ def surjection_from_morphism(Y, phi, X):
     f^{-1}[F] = intersection of {phi(G) : F inside Int G} for closed F.
     """
     base = list(phi.base)
-    f = [
-        _fiber_point(Y.full, (b for b in base if phi.assignment[b] >> x & 1))
-        for x in range(X.point_count)
-    ]
+    f = _point_map(X.point_count, [(b, phi.assignment[b]) for b in base], Y.full)
     continuous = is_continuous(f, X, Y)
     onto = is_surjective(f, X, Y)
     interiors = [Y.interior(b) for b in base]

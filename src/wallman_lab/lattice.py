@@ -269,7 +269,7 @@ def chain(k):
 
 def powerset_lattice(k):
     """2^{0..k-1}; element index == subset bitmask."""
-    n = 1 << k
+    n = int(2**k)  # 0 for k < 0: no elements, which validate refuses
     names = tuple("{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in range(n))
     return validate(names, _table(range(n), {}), _table([~m for m in range(n)], {}), 0, n - 1)
 

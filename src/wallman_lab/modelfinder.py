@@ -422,7 +422,7 @@ def build_preimage(X, budget=SearchBudget(), theory=None):
     base_sets = X.closed_sorted()
     phi = {i: result.interpretation[names[i]] for i in range(B.n)}
     try:
-        f, verification = surjection_from_embedding(base_sets, phi, result.lattice, X)
+        f, verification = surjection_from_embedding(base_sets, phi, W, X)
         report["surjection"] = {"map": f, **verification}
     except Exception as err:  # diagnostic stage, never a crash
         report["surjection"] = {"error": f"{type(err).__name__}: {err}"}

@@ -23,7 +23,7 @@ from .errors import (
     NotSurjective,
     PreconditionViolated,
 )
-from .lattice import _bits, _by_size, _first_without_chicane, _mask_lattice
+from .lattice import _bits, _by_size, _first_without_chicane, _is_index, _mask_lattice
 
 CONTINUA_POINT_CAP = 12
 
@@ -93,6 +93,13 @@ def _fiber_point(full, masks):
     if inter == 0 or inter & (inter - 1):
         raise NonSingletonFiber(f"intersection {points_of(inter)} is not a singleton")
     return inter.bit_length() - 1
+
+
+def _point_map(count, pairs, full):
+    """The point map through a base: each p in 0..count-1 goes to the one
+    point (within full) of the meet of the masks c of the (c, s) pairs whose
+    s holds p.  NonSingletonFiber at the first p where that meet is not one."""
+    return [_fiber_point(full, (c for c, s in pairs if s >> p & 1)) for p in range(count)]
 
 
 @dataclass(frozen=True)
@@ -365,10 +372,11 @@ def _topologies(n):
             yield frozenset(_bits(fam))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: all_spaces(True) must not hit all_spaces(1)
 def all_spaces(n):
     """Every topology on n labeled points, as closed-set families, in the
-    order of `_topologies`; PreconditionViolated beyond SPACE_POINT_CAP."""
-    if not 0 <= n <= SPACE_POINT_CAP:
-        raise PreconditionViolated(f"all_spaces takes 0 to {SPACE_POINT_CAP} points, not {n}")
+    order of `_topologies`; PreconditionViolated for anything but an int in
+    0..SPACE_POINT_CAP."""
+    if not _is_index(n, SPACE_POINT_CAP + 1):
+        raise PreconditionViolated(f"all_spaces takes 0 to {SPACE_POINT_CAP} points, not {n!r}")
     return tuple(FiniteSpace(n, fam) for fam in _topologies(n))

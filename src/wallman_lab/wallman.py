@@ -22,15 +22,17 @@ from .lattice import (
     is_normal,
 )
 from .spaces import (
-    _fiber_point,
     _lattice_closure,
     _meet_above,
+    _point_map,
     closed_set_lattice,
+    image_mask,
     is_connected,
     is_continuous,
     is_discrete,
     is_surjective,
     make_space,
+    mask_of,
 )
 
 
@@ -85,14 +87,7 @@ def wallman_space(L):
     if not ok:
         raise NotDistributive("Wallman construction needs a distributive lattice")
     points = tuple(ultrafilters(L))
-    base = []
-    for a in L.elements():
-        mask = 0
-        for i, u in enumerate(points):
-            if a in u:
-                mask |= 1 << i
-        base.append(mask)
-    base = tuple(base)
+    base = tuple(mask_of(i for i, u in enumerate(points) if a in u) for a in L.elements())
     for a in L.elements():
         for b in L.elements():
             if base[L.meet[a][b]] != base[a] & base[b]:
@@ -136,24 +131,15 @@ def self_representation_check(X):
     The map sends an ultrafilter to the unique point in its intersection;
     returns (bool, diagnostic).
     """
-    fam = X.closed_sorted()
-    L = closed_set_lattice(X)
-    W = wallman_space(L)
+    W = wallman_space(closed_set_lattice(X))
     # map u -> its point; check bijectivity and that base sets mirror closed sets
     try:
-        point_map = [_fiber_point(X.full, (fam[a] for a in u.members)) for u in W.points]
+        point_map = _point_map(len(W.points), list(zip(X.closed_sorted(), W.base)), X.full)
     except NonSingletonFiber as err:
         return False, f"ultrafilter {err}"
     if sorted(point_map) != list(range(X.point_count)):
         return False, "ultrafilter-to-point map is not a bijection"
-    image_closed = set()
-    for a in L.elements():
-        img = 0
-        for i in range(len(W.points)):
-            if W.base[a] >> i & 1:
-                img |= 1 << point_map[i]
-        image_closed.add(img)
-    if image_closed != set(X.closed):
+    if {image_mask(point_map, b) for b in W.base} != set(X.closed):
         return False, "base sets do not map onto the closed family"
     return True, None
 
@@ -208,7 +194,7 @@ def alexandroff_preimage(X, family):
         raise NotABase("generated algebra cannot present every closed set")
     W = stone_space(algebra)  # also verifies that the base sets are clopen
     Y = W.space()
-    f = [_fiber_point(X.full, (X.closure(members[a]) for a in u.members)) for u in W.points]
+    f = _point_map(len(W.points), [(X.closure(m), b) for m, b in zip(members, W.base)], X.full)
     if not is_continuous(f, Y, X):
         raise PostconditionFailed("Alexandroff preimage map is not continuous")
     if not is_surjective(f, Y, X):

@@ -6,8 +6,9 @@ operations and `satisfies_dim_le1` as they were before integer keys,
 `all_spaces` as it was before the pruned search, the `fol` builtins and
 `kappa_constants_theory` as they were built before they were written as
 text, the lattice predicates, Wallman helpers and Hasse diagram as they
-read the tables before they read `lattice._masks`, and the lattice
-constructors as they built their tables before `lattice._table`.
+read the tables before they read `lattice._masks`, the lattice
+constructors as they built their tables before `lattice._table`, and the
+four point maps through a base as they were before `spaces._point_map`.
 """
 
 from dataclasses import dataclass
@@ -17,10 +18,28 @@ from wallman_lab.ef import SpoilerStrategy
 from wallman_lab.fol import BOT, TOP, And, Const, Eq, Exists, Forall, Implies, Join, Leq, Meet, Not, Or, Theory, Var
 from wallman_lab.homsearch import LMorphism, _valid_base, find_L_morphism
 from wallman_lab.enumeration import _poset_isomorphic, _profile, _up_masks
-from wallman_lab.errors import NonCanonicalInput, NotApplicable, NotDisjoint, NotDistributive, PostconditionFailed
+from wallman_lab.errors import (
+    NonCanonicalInput,
+    NonSingletonFiber,
+    NotABase,
+    NotApplicable,
+    NotDisjoint,
+    NotDistributive,
+    PostconditionFailed,
+)
 from wallman_lab.lattice import Poset, _bits, _by_size, _first_assignment, _masks, is_distributive, validate
-from wallman_lab.spaces import FiniteSpace, _is_lattice_family, is_continuous, is_surjective
-from wallman_lab.wallman import Filter
+from wallman_lab.spaces import (
+    FiniteSpace,
+    _fiber_point,
+    _is_lattice_family,
+    _meet_above,
+    _preimage_mask,
+    closed_set_lattice,
+    is_continuous,
+    is_surjective,
+    mask_of,
+)
+from wallman_lab.wallman import Filter, boolean_subalgebra_generated, stone_space, ultrafilters, wallman_space
 
 
 def all_labeled_lattices(n):
@@ -764,3 +783,97 @@ def frozen_diamond_m3():
     meet = tuple(tuple(mt(a, b) for b in range(n)) for a in range(n))
     join = tuple(tuple(jn(a, b) for b in range(n)) for a in range(n))
     return validate(names, meet, join, 0, 4)
+
+
+# ---------------------------------------------------------------- point maps through a base
+# The four constructions as they wrote out their point maps before
+# `spaces._point_map`, and `wallman_space`'s base loop.  The embedding map
+# still takes the lattice L and enumerates its ultrafilters itself.
+
+
+def frozen_wallman_base(L):
+    points = tuple(ultrafilters(L))
+    base = []
+    for a in L.elements():
+        mask = 0
+        for i, u in enumerate(points):
+            if a in u:
+                mask |= 1 << i
+        base.append(mask)
+    return tuple(base)
+
+
+def frozen_surjection_from_embedding(base_sets, phi, L, X):
+    points = ultrafilters(L)
+    f = [
+        _fiber_point(X.full, (c for i, c in enumerate(base_sets) if phi[i] in p.members))
+        for p in points
+    ]
+    onto = set(f) == set(range(X.point_count))
+    preimage_identity = all(
+        _preimage_mask(f, c) == mask_of(k for k, p in enumerate(points) if phi[i] in p.members)
+        for i, c in enumerate(base_sets)
+    )
+    report = {"onto": onto, "preimage_identity": preimage_identity}
+    return f, report
+
+
+def frozen_surjection_from_morphism(Y, phi, X):
+    base = list(phi.base)
+    f = [
+        _fiber_point(Y.full, (b for b in base if phi.assignment[b] >> x & 1))
+        for x in range(X.point_count)
+    ]
+    continuous = is_continuous(f, X, Y)
+    onto = is_surjective(f, X, Y)
+    interiors = [Y.interior(b) for b in base]
+    identity_ok = True
+    for c in Y.closed:
+        rhs = X.full
+        for b, inner in zip(base, interiors):
+            if c & ~inner == 0:
+                rhs &= phi.assignment[b]
+        if _preimage_mask(f, c) != rhs:
+            identity_ok = False
+    report = {
+        "continuous": continuous,
+        "surjective": onto,
+        "preimage_identity": identity_ok,
+    }
+    return f, report
+
+
+def frozen_self_representation_check(X):
+    fam = X.closed_sorted()
+    L = closed_set_lattice(X)
+    W = wallman_space(L)
+    try:
+        point_map = [_fiber_point(X.full, (fam[a] for a in u.members)) for u in W.points]
+    except NonSingletonFiber as err:
+        return False, f"ultrafilter {err}"
+    if sorted(point_map) != list(range(X.point_count)):
+        return False, "ultrafilter-to-point map is not a bijection"
+    image_closed = set()
+    for a in L.elements():
+        img = 0
+        for i in range(len(W.points)):
+            if W.base[a] >> i & 1:
+                img |= 1 << point_map[i]
+        image_closed.add(img)
+    if image_closed != set(X.closed):
+        return False, "base sets do not map onto the closed family"
+    return True, None
+
+
+def frozen_alexandroff_preimage(X, family):
+    algebra, members = boolean_subalgebra_generated(X.point_count, family)
+    if any(_meet_above(members, c, X.full) != c for c in X.closed):
+        raise NotABase("generated algebra cannot present every closed set")
+    W = stone_space(algebra)
+    Y = W.space()
+    f = [_fiber_point(X.full, (X.closure(members[a]) for a in u.members)) for u in W.points]
+    if not is_continuous(f, Y, X):
+        raise PostconditionFailed("Alexandroff preimage map is not continuous")
+    if not is_surjective(f, Y, X):
+        raise PostconditionFailed("Alexandroff preimage map is not onto")
+    return Y, f

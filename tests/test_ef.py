@@ -57,6 +57,12 @@ class TestGame:
         with pytest.raises(ValueError):
             ef_equivalent(chain(2), chain(2), -1)
 
+    @pytest.mark.parametrize("rounds", [2.5, True, "3"], ids=repr)
+    def test_rounds_that_are_not_an_int_are_rejected(self, rounds):
+        # 2.5 rounds never reach 0 and True would play one round
+        with pytest.raises(ValueError, match="rounds must be a non-negative integer"):
+            ef_equivalent(chain(3), chain(4), rounds)
+
     def test_many_rounds_do_not_exhaust_the_stack(self):
         assert ef_equivalent(chain(2), chain(2), 400) == (True, None)
         ok, strategy = ef_equivalent(chain(2), chain(3), 100000)

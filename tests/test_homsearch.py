@@ -1,3 +1,5 @@
+import random
+import re
 import subprocess
 import sys
 import time
@@ -5,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wallman_lab.errors import NonSingletonFiber, NotABase
+from wallman_lab.errors import NonSingletonFiber, NotABase, PreconditionViolated
 from wallman_lab.homsearch import (
     LMorphism,
     find_L_morphism,
@@ -15,17 +17,28 @@ from wallman_lab.homsearch import (
     surjection_from_morphism,
 )
 from wallman_lab.enumeration import lattices_of_size
-from wallman_lab.lattice import chain, powerset_lattice
+from wallman_lab.lattice import chain, is_distributive, powerset_lattice
 from wallman_lab.spaces import (
     all_spaces,
+    closed_set_lattice,
     discrete_space,
     generate_space,
     is_continuous,
     is_surjective,
     space_from_sets,
 )
+from wallman_lab.wallman import alexandroff_preimage, self_representation_check, wallman_space
 
-from oracles import oracle_surjection_equivalence, plain_L_morphism, plain_lattice_embedding
+from oracles import (
+    frozen_alexandroff_preimage,
+    frozen_self_representation_check,
+    frozen_surjection_from_embedding,
+    frozen_surjection_from_morphism,
+    frozen_wallman_base,
+    oracle_surjection_equivalence,
+    plain_L_morphism,
+    plain_lattice_embedding,
+)
 
 
 class TestEmbedding:
@@ -136,7 +149,7 @@ class TestSurjectionFromEmbedding:
         base = X.closed_sorted()
         L = powerset_lattice(2)  # identical to the closed-set lattice
         phi = {i: m for i, m in enumerate(base)}
-        f, report = surjection_from_embedding(base, phi, L, X)
+        f, report = surjection_from_embedding(base, phi, wallman_space(L), X)
         assert sorted(f) == [0, 1]
         assert report == {"onto": True, "preimage_identity": True}
 
@@ -145,7 +158,7 @@ class TestSurjectionFromEmbedding:
         base = X.closed_sorted()
         L = powerset_lattice(2)
         phi = {0: L.bottom, 1: L.top}
-        f, report = surjection_from_embedding(base, phi, L, X)
+        f, report = surjection_from_embedding(base, phi, wallman_space(L), X)
         assert f == [0, 0] and report["onto"]
 
     def test_fattened_embedding_still_onto(self):
@@ -159,9 +172,19 @@ class TestSurjectionFromEmbedding:
             if c >> 2 & 1:
                 img |= 0b1000
             phi[i] = img
-        f, report = surjection_from_embedding(base, phi, L, X)
+        f, report = surjection_from_embedding(base, phi, wallman_space(L), X)
         assert report["onto"] and report["preimage_identity"]
         assert sorted(set(f)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("bad", [-1, 4, True], ids=repr)
+    def test_a_value_that_is_not_an_element_is_refused(self, bad):
+        # -1 would read the top's base set, 4 lies past the last element and
+        # True would be read as element 1
+        X = discrete_space(2)
+        phi = {0: 0, 1: bad, 2: 2, 3: 3}
+        message = f"^{re.escape(repr(bad))} is not an element index in 0..3$"
+        with pytest.raises(PreconditionViolated, match=message):
+            surjection_from_embedding(X.closed_sorted(), phi, wallman_space(powerset_lattice(2)), X)
 
 
 class TestLMorphism:
@@ -366,6 +389,76 @@ class TestRoundTrip:
         phi = preimage_morphism([0, 1, 2], X, X)
         f, report = surjection_from_morphism(X, phi, X)
         assert f == [0, 1, 2] and all(report.values())
+
+
+def _outcome(construct, *args):
+    """What a construction returns, or the type and message of what it raised."""
+    try:
+        return construct(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+SMALL_SPACES = [X for n in range(1, 5) for X in all_spaces(n)]
+
+
+class TestPointMapsMatchTheFrozenCopies:
+    """The four constructions that map points through a base with
+    `spaces._point_map` return what their frozen copies returned, and raise
+    what they raised; `wallman_space` builds the base the frozen loop built."""
+
+    def test_wallman_base(self):
+        for L in (L for n in range(2, 9) for L in lattices_of_size(n) if is_distributive(L)[0]):
+            assert wallman_space(L).base == frozen_wallman_base(L), L
+
+    def test_self_representation(self):
+        for X in (X for n in range(6) for X in all_spaces(n)):
+            assert _outcome(self_representation_check, X) == _outcome(frozen_self_representation_check, X), X
+
+    def test_alexandroff_preimage(self):
+        rng = random.Random(1)
+        cases = []
+        for X in SMALL_SPACES:
+            closed, n = sorted(X.closed), X.point_count
+            picked = rng.sample(closed, rng.randint(1, len(closed)))
+            cases.append((X, picked + [rng.randrange(1 << n) for _ in range(rng.randint(0, 2))]))
+        # a preimage exists only over a discrete space, so also every family
+        # of two masks on each discrete space
+        cases += [(discrete_space(n), [a, b]) for n in range(1, 5) for a in range(1 << n) for b in range(a, 1 << n)]
+        for X, family in cases:
+            assert _outcome(alexandroff_preimage, X, family) == _outcome(frozen_alexandroff_preimage, X, family)
+
+    def test_surjection_from_morphism(self):
+        # the pairs of scripts/map_sweep.py
+        bases = [Y for n in range(4) for Y in all_spaces(n)] + [discrete_space(4)]
+        spaces = [X for n in range(5) for X in all_spaces(n)]
+        count = 0
+        for Y in bases:
+            for X in spaces:
+                phi = find_L_morphism(Y, Y.closed_sorted(), X)
+                if phi is not None:
+                    count += 1
+                    assert _outcome(surjection_from_morphism, Y, phi, X) == _outcome(
+                        frozen_surjection_from_morphism, Y, phi, X
+                    ), (Y, X)
+        assert count == 10193
+
+    def test_surjection_from_embedding(self):
+        # the identity embedding of each closed-set lattice, and its first
+        # embedding into 2^3 and into 2^4 for the spaces on at most three points
+        targets = (powerset_lattice(3), powerset_lattice(4))
+        cases = []
+        for X in SMALL_SPACES:
+            B = closed_set_lattice(X)
+            cases.append((X, B, {i: i for i in B.elements()}))
+            if X.point_count < 4:
+                cases += [(X, L, find_lattice_embedding(B, L)) for L in targets]
+        for X, L, phi in cases:
+            if phi is not None:
+                args = (X.closed_sorted(), phi)
+                assert _outcome(surjection_from_embedding, *args, wallman_space(L), X) == _outcome(
+                    frozen_surjection_from_embedding, *args, L, X
+                ), (X, phi)
 
 
 class TestOracle:

@@ -85,16 +85,30 @@ def test_no_function_level_import_from_a_module_imported_at_top_level(path):
     assert repeated_lazy_imports(path.read_text()) == []
 
 
+def _defined_names(stmt):
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
 def orphaned_helpers(sources):
-    """Private top-level functions and classes of `sources` (module name to
-    source text) that nothing references outside their own definition."""
+    """Private top-level names (functions, classes and assigned names) of
+    `sources` (module name to source text) that nothing references outside
+    their own definition."""
     private = {}
     uses = []  # (referenced name, module, top-level statement it occurs in)
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
-                    private[(module, stmt.name)] = stmt
+            for name in _defined_names(stmt):
+                if name.startswith("_") and not name.startswith("__"):
+                    private[(module, name)] = stmt
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     uses.append((node.id, module, stmt))
@@ -110,8 +124,9 @@ def test_orphan_checker_finds_unreferenced_helpers():
     sources = {
         "a": "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\nclass _Gone:\n    pass\n",
         "b": "from .a import _used\n\ndef _by_attribute():\n    pass\n\nx = a._by_attribute\n",
+        "c": "_KEPT = 1\n_LOST: int = 2\n_SELF = [_SELF]\n__version__ = '1'\n\ndef f():\n    return _KEPT\n",
     }
-    assert orphaned_helpers(sources) == ["a._Gone", "a._recursive"]
+    assert orphaned_helpers(sources) == ["a._Gone", "a._recursive", "c._LOST", "c._SELF"]
 
 
 def test_no_orphaned_private_helpers():

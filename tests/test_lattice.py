@@ -210,6 +210,10 @@ class TestConstructorsMatchTheFrozenCopies:
             assert _built(powerset_lattice, k) == _built(frozen_powerset_lattice, k), k
         assert _built(diamond_m3) == _built(frozen_diamond_m3)
 
+    def test_negative_power_sets_are_refused_as_negative_chains_are(self):
+        for k in (-1, -3):
+            assert _built(powerset_lattice, k) == _built(chain, k) == (MalformedTables, "bottom/top out of range")
+
     def test_families_of_sets(self):
         families = [[], [0], [0, 1]] + [X.closed for n in range(6) for X in all_spaces(n)]
         for family in families:

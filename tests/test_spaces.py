@@ -222,6 +222,14 @@ class TestSpaceSweep:
             all_spaces(n)
         assert time.perf_counter() - started < 0.1
 
+    @pytest.mark.parametrize("n", [True, 2.0], ids=repr)
+    def test_all_spaces_refuses_a_point_count_that_is_not_an_int(self, n):
+        # asked after the int of equal value, so a cache keyed on value alone
+        # would hand back its spaces
+        all_spaces(int(n))
+        with pytest.raises(PreconditionViolated, match=f"not {n!r}$"):
+            all_spaces(n)
+
     def test_the_space_census_agrees_with_a000798(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "space_census.py"
         proc = subprocess.run(
