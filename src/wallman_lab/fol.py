@@ -10,7 +10,9 @@ and run, reusing the last 256 compiled (sentence, names) pairs; the model
 finder binds each compiled sentence once per lattice.
 
 Grammar (meet `^` binds tighter than join `v`; `&`, `|`, `!`, `->` are the
-logical connectives; `A x.` / `E x.` quantify)::
+logical connectives; `A x.` / `E x.` quantify; the parser and the printer
+read the infix operators' levels from one table, `_CONNECTIVES` and
+`_OPERATORS`)::
 
     formula := quant | impl
     quant   := ("A" | "E") ident "." formula
@@ -155,8 +157,18 @@ BOT = Bottom()
 TOP = Top()
 
 # ---------------------------------------------------------------- parser
+#
+# The infix operators by level, loosest first, on one scale for the whole
+# language: 0 quantifiers, 4 `!` and atoms, 7 term primaries.  All group to
+# the left but `->`.  The parser climbs these levels; the printer brackets by
+# them.
 
-_TOKEN_RE = re.compile(r"\s*(->|<=|[()=,.&|!^]|[A-Za-z_][A-Za-z0-9_]*|0|1)")
+_CONNECTIVES = {"->": (Implies, 1), "|": (Or, 2), "&": (And, 3)}
+_OPERATORS = {"v": (Join, 5), "^": (Meet, 6)}
+_TERM = 5  # the level of a whole term; a formula sits below it
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(rf"\s*(->|<=|[()=,.&|!^]|{_IDENT_RE.pattern}|0|1)")
 
 
 def _tokenize(text):
@@ -176,7 +188,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -193,43 +204,27 @@ class _Parser:
         tok, pos = self.next()
         if tok != want:
             raise FormulaSyntaxError(f"expected {want!r}, found {tok!r}", pos)
-        return tok
 
-    @staticmethod
-    def _is_ident(tok):
-        return tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) is not None
-
-    # formula level -------------------------------------------------
+    def infix(self, ops, operand, least):
+        """Operands joined by the operators of ops of level least or above, by
+        precedence climbing; the right side of `->` is a whole formula."""
+        out = operand()
+        while (op := ops.get(self.peek())) is not None and op[1] >= least:
+            self.next()
+            node, level = op
+            if node is Implies:
+                return Implies(out, self.formula())
+            out = node(out, self.infix(ops, operand, level + 1))
+        return out
 
     def formula(self):
-        if self.peek() in ("A", "E") and self._is_ident(self.peek(1)) and self.peek(2) == ".":
+        if self.peek() in ("A", "E") and _IDENT_RE.fullmatch(self.peek(1) or "") and self.peek(2) == ".":
             quant, _ = self.next()
             var, _ = self.next()
             self.expect(".")
             body = self.formula()
             return Forall(var, body) if quant == "A" else Exists(var, body)
-        return self.impl()
-
-    def impl(self):
-        left = self.disj()
-        if self.peek() == "->":
-            self.next()
-            return Implies(left, self.formula())
-        return left
-
-    def disj(self):
-        out = self.conj()
-        while self.peek() == "|":
-            self.next()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self):
-        out = self.neg()
-        while self.peek() == "&":
-            self.next()
-            out = And(out, self.neg())
-        return out
+        return self.infix(_CONNECTIVES, self.neg, 1)
 
     def neg(self):
         if self.peek() == "!":
@@ -275,21 +270,8 @@ class _Parser:
                 return body
             raise
 
-    # term level ----------------------------------------------------
-
     def term(self):
-        out = self.factor()
-        while self.peek() == "v":
-            self.next()
-            out = Join(out, self.factor())
-        return out
-
-    def factor(self):
-        out = self.prim()
-        while self.peek() == "^":
-            self.next()
-            out = Meet(out, self.prim())
-        return out
+        return self.infix(_OPERATORS, self.prim, _TERM)
 
     def prim(self):
         tok, pos = self.next()
@@ -301,7 +283,7 @@ class _Parser:
             out = self.term()
             self.expect(")")
             return out
-        if self._is_ident(tok):
+        if _IDENT_RE.fullmatch(tok or ""):
             return Var(tok)
         raise FormulaSyntaxError(f"expected a term, found {tok!r}", pos)
 
@@ -317,54 +299,41 @@ def parse(text):
 
 # ---------------------------------------------------------------- printer
 
+_INFIX = {node: (tok, level) for tok, (node, level) in {**_CONNECTIVES, **_OPERATORS}.items()}
 
-def _print_term(t, level):
-    """level 0 = term (join allowed), 1 = factor (meet allowed), 2 = prim."""
-    if isinstance(t, Bottom):
-        return "0"
-    if isinstance(t, Top):
-        return "1"
-    if isinstance(t, (Var, Const)):
-        return t.name
-    if isinstance(t, Join):
-        s = f"{_print_term(t.left, 0)} v {_print_term(t.right, 1)}"
+
+def _print(f, level):
+    """f as text in a context at `level` (0 a whole formula, 5 a whole term,
+    7 an operand of `^`); an infix node of a looser level is bracketed."""
+    in_term = level >= _TERM
+    tok, own = _INFIX.get(type(f), (None, None))
+    if tok is not None and (own >= _TERM) == in_term:
+        # the left operand groups at the node's own level and the right one
+        # above it; `->` groups the other way
+        left, right = (own + 1, 0) if tok == "->" else (own, own + 1)
+        s = f"{_print(f.left, left)} {tok} {_print(f.right, right)}"
+        return f"({s})" if level > own else s
+    if in_term:
+        if isinstance(f, (Bottom, Top)):
+            return "0" if isinstance(f, Bottom) else "1"
+        if isinstance(f, (Var, Const)):
+            return f.name
+    elif isinstance(f, (Forall, Exists)):
+        s = f"{'A' if isinstance(f, Forall) else 'E'} {f.var}. {_print(f.body, 0)}"
         return f"({s})" if level > 0 else s
-    if isinstance(t, Meet):
-        s = f"{_print_term(t.left, 1)} ^ {_print_term(t.right, 2)}"
-        return f"({s})" if level > 1 else s
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _print_formula(f, level):
-    """level 0 = formula, 1 = impl, 2 = disj, 3 = conj, 4 = neg/atom."""
-    if isinstance(f, (Forall, Exists)):
-        q = "A" if isinstance(f, Forall) else "E"
-        s = f"{q} {f.var}. {_print_formula(f.body, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(f, Implies):
-        s = f"{_print_formula(f.left, 2)} -> {_print_formula(f.right, 0)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(f, Or):
-        s = f"{_print_formula(f.left, 2)} | {_print_formula(f.right, 3)}"
-        return f"({s})" if level > 2 else s
-    if isinstance(f, And):
-        s = f"{_print_formula(f.left, 3)} & {_print_formula(f.right, 4)}"
-        return f"({s})" if level > 3 else s
-    if isinstance(f, Not):
-        return f"!{_print_formula(f.body, 4)}"
-    if isinstance(f, Eq):
-        return f"({_print_term(f.left, 0)} = {_print_term(f.right, 0)})"
-    if isinstance(f, Leq):
-        return f"({_print_term(f.left, 0)} <= {_print_term(f.right, 0)})"
-    if isinstance(f, JPred):
-        return f"J({_print_term(f.left, 0)}, {_print_term(f.right, 0)})"
-    if isinstance(f, MPred):
-        return "M(" + ", ".join(_print_term(t, 0) for t in f.terms) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+    elif isinstance(f, Not):
+        return f"!{_print(f.body, 4)}"
+    elif isinstance(f, (Eq, Leq)):
+        return f"({_print(f.left, _TERM)} {'=' if isinstance(f, Eq) else '<='} {_print(f.right, _TERM)})"
+    elif isinstance(f, JPred):
+        return f"J({_print(f.left, _TERM)}, {_print(f.right, _TERM)})"
+    elif isinstance(f, MPred):
+        return "M(" + ", ".join(_print(t, _TERM) for t in f.terms) + ")"
+    raise TypeError(f"not a term: {f!r}" if in_term else f"not a formula: {f!r}")
 
 
 def print_formula(f):
-    return _print_formula(f, 0)
+    return _print(f, 0)
 
 # ---------------------------------------------------------------- free names
 

@@ -262,6 +262,8 @@ def _mask_lattice(family, prefix=""):
 
 def chain(k):
     """The k-element chain 0 < 1 < ... < k-1."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise PreconditionViolated(f"chain takes an int number of elements, not {k!r}")
     names = tuple(f"c{i}" for i in range(k))
     down, up = [(2 << i) - 1 for i in range(k)], [-1 << i for i in range(k)]
     return validate(names, _table(down, {}), _table(up, {}), 0, k - 1)
@@ -269,6 +271,8 @@ def chain(k):
 
 def powerset_lattice(k):
     """2^{0..k-1}; element index == subset bitmask."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise PreconditionViolated(f"powerset_lattice takes an int number of points, not {k!r}")
     n = int(2**k)  # 0 for k < 0: no elements, which validate refuses
     names = tuple("{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in range(n))
     return validate(names, _table(range(n), {}), _table([~m for m in range(n)], {}), 0, n - 1)

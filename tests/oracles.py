@@ -7,18 +7,43 @@ operations and `satisfies_dim_le1` as they were before integer keys,
 `kappa_constants_theory` as they were built before they were written as
 text, the lattice predicates, Wallman helpers and Hasse diagram as they
 read the tables before they read `lattice._masks`, the lattice
-constructors as they built their tables before `lattice._table`, and the
-four point maps through a base as they were before `spaces._point_map`.
+constructors as they built their tables before `lattice._table`, the
+four point maps through a base as they were before `spaces._point_map`,
+and the formula parser and printer as they were before they read one
+precedence table.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from wallman_lab.ef import SpoilerStrategy
-from wallman_lab.fol import BOT, TOP, And, Const, Eq, Exists, Forall, Implies, Join, Leq, Meet, Not, Or, Theory, Var
+from wallman_lab.fol import (
+    BOT,
+    TOP,
+    And,
+    Bottom,
+    Const,
+    Eq,
+    Exists,
+    Forall,
+    Implies,
+    Join,
+    JPred,
+    Leq,
+    Meet,
+    MPred,
+    Not,
+    Or,
+    Theory,
+    Top,
+    Var,
+    _tokenize,
+)
 from wallman_lab.homsearch import LMorphism, _valid_base, find_L_morphism
 from wallman_lab.enumeration import _poset_isomorphic, _profile, _up_masks
 from wallman_lab.errors import (
+    FormulaSyntaxError,
     NonCanonicalInput,
     NonSingletonFiber,
     NotABase,
@@ -877,3 +902,189 @@ def frozen_alexandroff_preimage(X, family):
     if not is_surjective(f, Y, X):
         raise PostconditionFailed("Alexandroff preimage map is not onto")
     return Y, f
+
+
+# ---------------------------------------------------------------- formula parser and printer
+# `fol`'s parser with one method per precedence level, and its printer with
+# one function for terms and one for formulas, as they were before both read
+# `fol._CONNECTIVES` and `fol._OPERATORS`.
+
+
+class FrozenParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self, ahead=0):
+        j = min(self.i + ahead, len(self.tokens) - 1)
+        return self.tokens[j][0]
+
+    def next(self):
+        tok, pos = self.tokens[self.i]
+        self.i += 1
+        return tok, pos
+
+    def expect(self, want):
+        tok, pos = self.next()
+        if tok != want:
+            raise FormulaSyntaxError(f"expected {want!r}, found {tok!r}", pos)
+        return tok
+
+    @staticmethod
+    def _is_ident(tok):
+        return tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) is not None
+
+    def formula(self):
+        if self.peek() in ("A", "E") and self._is_ident(self.peek(1)) and self.peek(2) == ".":
+            quant, _ = self.next()
+            var, _ = self.next()
+            self.expect(".")
+            body = self.formula()
+            return Forall(var, body) if quant == "A" else Exists(var, body)
+        return self.impl()
+
+    def impl(self):
+        left = self.disj()
+        if self.peek() == "->":
+            self.next()
+            return Implies(left, self.formula())
+        return left
+
+    def disj(self):
+        out = self.conj()
+        while self.peek() == "|":
+            self.next()
+            out = Or(out, self.conj())
+        return out
+
+    def conj(self):
+        out = self.neg()
+        while self.peek() == "&":
+            self.next()
+            out = And(out, self.neg())
+        return out
+
+    def neg(self):
+        if self.peek() == "!":
+            self.next()
+            return Not(self.neg())
+        return self.atom()
+
+    def atom(self):
+        tok = self.peek()
+        if tok == "J" and self.peek(1) == "(":
+            self.next()
+            self.next()
+            left = self.term()
+            self.expect(",")
+            right = self.term()
+            self.expect(")")
+            return JPred(left, right)
+        if tok == "M" and self.peek(1) == "(":
+            self.next()
+            self.next()
+            terms = [self.term()]
+            while self.peek() == ",":
+                self.next()
+                terms.append(self.term())
+            self.expect(")")
+            return MPred(tuple(terms))
+        mark = self.i
+        try:
+            left = self.term()
+            op, pos = self.next()
+            if op not in ("=", "<="):
+                raise FormulaSyntaxError(f"expected '=' or '<=', found {op!r}", pos)
+            right = self.term()
+            return Eq(left, right) if op == "=" else Leq(left, right)
+        except FormulaSyntaxError:
+            self.i = mark
+            if self.peek() == "(":
+                self.next()
+                body = self.formula()
+                self.expect(")")
+                return body
+            raise
+
+    def term(self):
+        out = self.factor()
+        while self.peek() == "v":
+            self.next()
+            out = Join(out, self.factor())
+        return out
+
+    def factor(self):
+        out = self.prim()
+        while self.peek() == "^":
+            self.next()
+            out = Meet(out, self.prim())
+        return out
+
+    def prim(self):
+        tok, pos = self.next()
+        if tok == "0":
+            return BOT
+        if tok == "1":
+            return TOP
+        if tok == "(":
+            out = self.term()
+            self.expect(")")
+            return out
+        if self._is_ident(tok):
+            return Var(tok)
+        raise FormulaSyntaxError(f"expected a term, found {tok!r}", pos)
+
+
+def frozen_parse(text):
+    p = FrozenParser(text)
+    out = p.formula()
+    tok, pos = p.tokens[p.i]
+    if tok is not None:
+        raise FormulaSyntaxError(f"trailing input: {tok!r}", pos)
+    return out
+
+
+def frozen_print_term(t, level):
+    """level 0 = term (join allowed), 1 = factor (meet allowed), 2 = prim."""
+    if isinstance(t, Bottom):
+        return "0"
+    if isinstance(t, Top):
+        return "1"
+    if isinstance(t, (Var, Const)):
+        return t.name
+    if isinstance(t, Join):
+        s = f"{frozen_print_term(t.left, 0)} v {frozen_print_term(t.right, 1)}"
+        return f"({s})" if level > 0 else s
+    if isinstance(t, Meet):
+        s = f"{frozen_print_term(t.left, 1)} ^ {frozen_print_term(t.right, 2)}"
+        return f"({s})" if level > 1 else s
+    raise TypeError(f"not a term: {t!r}")
+
+
+def frozen_print_formula(f, level=0):
+    """level 0 = formula, 1 = impl, 2 = disj, 3 = conj, 4 = neg/atom."""
+    if isinstance(f, (Forall, Exists)):
+        q = "A" if isinstance(f, Forall) else "E"
+        s = f"{q} {f.var}. {frozen_print_formula(f.body, 0)}"
+        return f"({s})" if level > 0 else s
+    if isinstance(f, Implies):
+        s = f"{frozen_print_formula(f.left, 2)} -> {frozen_print_formula(f.right, 0)}"
+        return f"({s})" if level > 1 else s
+    if isinstance(f, Or):
+        s = f"{frozen_print_formula(f.left, 2)} | {frozen_print_formula(f.right, 3)}"
+        return f"({s})" if level > 2 else s
+    if isinstance(f, And):
+        s = f"{frozen_print_formula(f.left, 3)} & {frozen_print_formula(f.right, 4)}"
+        return f"({s})" if level > 3 else s
+    if isinstance(f, Not):
+        return f"!{frozen_print_formula(f.body, 4)}"
+    if isinstance(f, Eq):
+        return f"({frozen_print_term(f.left, 0)} = {frozen_print_term(f.right, 0)})"
+    if isinstance(f, Leq):
+        return f"({frozen_print_term(f.left, 0)} <= {frozen_print_term(f.right, 0)})"
+    if isinstance(f, JPred):
+        return f"J({frozen_print_term(f.left, 0)}, {frozen_print_term(f.right, 0)})"
+    if isinstance(f, MPred):
+        return "M(" + ", ".join(frozen_print_term(t, 0) for t in f.terms) + ")"
+    raise TypeError(f"not a formula: {f!r}")

@@ -496,6 +496,12 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stderr == "input error: the formula nests too deeply to parse\n"
 
+    def test_a_formula_in_200_parentheses_is_evaluated(self, fixtures):
+        # a fresh interpreter, so the recursion limit and stack are the defaults
+        proc = run_cli("eval", fixtures["ba4"], "(" * 200 + "0 = 0" + ")" * 200)
+        assert proc.returncode == 0
+        assert report_of(proc)["outcome"]["value"] is True
+
 
 class TestEf:
     def test_inequivalent_pair_reports_sentence(self, fixtures):

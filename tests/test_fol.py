@@ -46,6 +46,7 @@ from wallman_lab.fol import (
     parse,
     print_formula,
     theory_holds,
+    _tokenize,
 )
 from wallman_lab.lattice import (
     chain,
@@ -178,6 +179,143 @@ def formula_strategy():
 @given(formula_strategy())
 def test_print_parse_round_trip(f):
     assert parse(print_formula(f)) == f
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type, message and position of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+# names that are also keywords or operators where they stand: v, A, E, J, M
+NAMES_AND_KEYWORDS = ["x", "y", "z", "v", "A", "E", "J", "M"]
+VOCABULARY = ["(", ")", "=", "<=", ",", ".", "&", "|", "!", "^", "v", "->", "A", "E", "J", "M", "x", "0", "1", "@"]
+
+
+def random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([BOT, TOP, Var(rng.choice(NAMES_AND_KEYWORDS)), Const("c")])
+    return rng.choice([Meet, Join])(random_term(rng, depth - 1), random_term(rng, depth - 1))
+
+
+def random_formula(rng, depth):
+    kind = rng.randrange(10 if depth else 4)
+    if kind < 3:
+        return (Eq, Leq, JPred)[kind](random_term(rng, 2), random_term(rng, 2))
+    if kind == 3:
+        return MPred(tuple(random_term(rng, 2) for _ in range(rng.randint(1, 3))))
+    if kind == 4:
+        return Not(random_formula(rng, depth - 1))
+    if kind < 8:
+        return (And, Or, Implies)[kind - 5](random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+    return (Forall, Exists)[kind - 8](rng.choice(NAMES_AND_KEYWORDS), random_formula(rng, depth - 1))
+
+
+def mutated(rng, text):
+    """text with one token deleted, repeated, swapped with the next, replaced
+    or preceded by an inserted one, or with the text cut before it; the
+    tokens joined by single spaces."""
+    tokens = [tok for tok, _ in _tokenize(text)[:-1]]
+    i = rng.randrange(len(tokens))
+    how = rng.randrange(6)
+    if how == 0:
+        del tokens[i]
+    elif how == 1:
+        tokens.insert(i, tokens[i])
+    elif how == 2 and i + 1 < len(tokens):
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    elif how == 3:
+        tokens[i] = rng.choice(VOCABULARY)
+    elif how == 4:
+        tokens.insert(i, rng.choice(VOCABULARY))
+    else:
+        del tokens[i:]
+    return " ".join(tokens)
+
+
+def ill_formed(rng, depth, want_term):
+    """A tree in which any child may be of the wrong kind: a formula for a
+    term, a term for a formula, or no node at all."""
+    roll = rng.random()
+    if roll < 0.02:
+        return rng.choice([3, "x", None, (Var("x"),), True])
+    if roll < 0.06:
+        want_term = not want_term
+    if want_term:
+        if depth <= 0 or rng.random() < 0.3:
+            return rng.choice([BOT, TOP, Var("x"), Const("c")])
+        return rng.choice([Meet, Join])(ill_formed(rng, depth - 1, True), ill_formed(rng, depth - 1, True))
+    kind = rng.randrange(10 if depth > 0 else 4)
+    if kind < 3:
+        return (Eq, Leq, JPred)[kind](ill_formed(rng, depth - 1, True), ill_formed(rng, depth - 1, True))
+    if kind == 3:
+        return MPred(tuple(ill_formed(rng, depth - 1, True) for _ in range(rng.randint(0, 2))))
+    if kind == 4:
+        return Not(ill_formed(rng, depth - 1, False))
+    if kind < 8:
+        return (And, Or, Implies)[kind - 5](ill_formed(rng, depth - 1, False), ill_formed(rng, depth - 1, False))
+    return (Forall, Exists)[kind - 8]("x", ill_formed(rng, depth - 1, False))
+
+
+def deepest(parse_text, shape):
+    """The deepest nesting d at which parse_text(shape(d)) returns, searched
+    from this stack depth."""
+    low, high = 1, 4096  # parses at low; not at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            parse_text(shape(mid))
+            low = mid
+        except RecursionError:
+            high = mid
+    return low
+
+
+class TestParserAndPrinterMatchTheFrozenCopies:
+    """The parser and printer that read one precedence table give the trees,
+    texts and errors of the frozen copies with a method per level."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(formula_strategy())
+    def test_hypothesis_formulas_print_and_parse_alike(self, f):
+        text = print_formula(f)
+        assert text == oracles.frozen_print_formula(f)
+        assert parse(text) == oracles.frozen_parse(text) == f
+
+    def test_mutated_texts_give_the_same_tree_or_error(self, rng):
+        refused = 0
+        for _ in range(2000):
+            text = print_formula(random_formula(rng, 4))
+            for candidate in [text] + [mutated(rng, text) for _ in range(5)]:
+                got = _outcome(parse, candidate)
+                assert got == _outcome(oracles.frozen_parse, candidate), candidate
+                refused += isinstance(got, tuple)
+        assert refused > 5000  # most mutations are refused, so the errors are compared
+
+    def test_ill_formed_trees_print_alike_or_are_refused_alike(self, rng):
+        refused = 0
+        for _ in range(10000):
+            f = ill_formed(rng, 4, rng.random() < 0.2)
+            got = _outcome(print_formula, f)
+            assert got == _outcome(oracles.frozen_print_formula, f), f
+            refused += isinstance(got, tuple)
+        assert 2000 < refused < 8000  # both outcomes are compared
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda d: "(" * d + "0 = 0" + ")" * d,
+            lambda d: "(" * d + "0" + ")" * d + " = 0",
+            lambda d: "!(" * d + "0 = 0" + ")" * d,
+        ],
+        ids=["formula-parentheses", "term-parentheses", "negated-parentheses"],
+    )
+    def test_every_nesting_the_frozen_parser_reads_still_parses(self, shape):
+        d = deepest(oracles.frozen_parse, shape)
+        assert deepest(parse, shape) >= d
+        assert parse(shape(d)) == oracles.frozen_parse(shape(d))
 
 
 @settings(max_examples=150, deadline=None)

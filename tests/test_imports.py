@@ -1,13 +1,16 @@
 """Every module of the package, every test module and every script uses each
 name it imports and imports inside a function only from modules it does not
-import at top level, and every private module-level function or class of the
-package is referenced somewhere in the package.
+import at top level, every private module-level function or class of the
+package is referenced somewhere in the package, and every attribute a
+package class sets on `self` is read somewhere.
 
 No linter ships with the test dependencies, so these checks read each
 module's syntax tree: a name bound by an import must appear somewhere as a
 name, an import inside a function must import from a module that no
-top-level import names, and a private helper must appear as a name, an
-attribute or an import outside its own definition.
+top-level import names, a private helper must appear as a name, an
+attribute or an import outside its own definition, and a name assigned as
+`self.<name>` in a package class must be read as `.<name>` in the package,
+the tests or the scripts.
 """
 
 import ast
@@ -27,16 +30,21 @@ EVERY_FILE = pytest.mark.parametrize(
 )
 
 
-def unused_imports(source):
-    tree = ast.parse(source)
+def _imported_names(tree):
+    """The names that the imports anywhere in a syntax tree bind."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+    return imported
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+    return sorted(_imported_names(tree) - used)
 
 
 def test_checker_finds_unused_names():
@@ -131,3 +139,52 @@ def test_orphan_checker_finds_unreferenced_helpers():
 
 def test_no_orphaned_private_helpers():
     assert orphaned_helpers({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def _attribute_reads(source):
+    """The names a source reads as `.<name>`, except on a name it imports:
+    `st.text` reads a module's function, not an instance's attribute."""
+    tree = ast.parse(source)
+    imported = _imported_names(tree)
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id in imported)
+    }
+
+
+def unread_attributes(package, readers):
+    """The attributes, as "Class.name", that a class in the `package` sources
+    assigns as `self.<name>` and that no source in `readers` reads as
+    `.<name>`, on a name it does not import."""
+    assigned = set()
+    for source in package:
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                assigned.update(
+                    (cls.name, node.attr)
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                )
+    read = set().union(*map(_attribute_reads, readers))
+    return sorted(f"{cls}.{name}" for cls, name in assigned if name not in read)
+
+
+def test_attribute_checker_finds_unread_attributes():
+    package = [
+        "class A:\n    def __init__(self, x):\n        self.kept, self.lost = x, x\n        self.count = 0\n"
+        "        self.shown = x\n\n    def tick(self):\n        self.count += 1\n        return self.kept\n",
+        "class B:\n    pass\n\ndef f(b):\n    b.other = 1\n",
+    ]
+    readers = package + ["import st\n\ndef g(a):\n    return a.shown, st.lost\n"]
+    assert unread_attributes(package, readers) == ["A.count", "A.lost"]
+
+
+def test_no_unread_instance_attributes():
+    readers = [path.read_text() for path in MODULES + TESTS_AND_SCRIPTS]
+    assert unread_attributes([path.read_text() for path in MODULES], readers) == []

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,13 @@ class TestConstructorsMatchTheFrozenCopies:
             for down in enumeration._posets_raw(m):
                 family = _downsets(down)
                 assert _built(_mask_lattice, family, "p") == _built(frozen_mask_lattice, family, "p"), down
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "3", None])
+def test_chain_and_power_set_refuse_sizes_that_are_not_ints(k):
+    for construct in (chain, powerset_lattice):
+        with pytest.raises(PreconditionViolated, match=re.escape(repr(k))):
+            construct(k)
 
 
 class TestDisjunctive:
