@@ -32,7 +32,6 @@ from .lattice import (
     satisfies_dim_le1,
     validate,
 )
-from .spaces import is_T1, points_of, space_from_sets
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -121,6 +120,8 @@ def load_lattice(path):
 
 
 def load_space(path):
+    from .spaces import space_from_sets
+
     data = _read_json(path)
     try:
         points = _index(data["points"], None, "points")
@@ -250,6 +251,7 @@ def cmd_check(args):
 
 
 def cmd_wallman(args, stone=False):
+    from .spaces import points_of
     from .wallman import stone_space, wallman_space
 
     started = time.monotonic()
@@ -339,6 +341,7 @@ def cmd_find_model(args):
 
 def cmd_surject(args):
     from .homsearch import find_L_morphism, surjection_from_morphism
+    from .spaces import is_T1, points_of
 
     started = time.monotonic()
     X = load_space(args.x)

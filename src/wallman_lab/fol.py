@@ -9,6 +9,17 @@ quantifier that binds all its variables), and returns a `Compiled` whose
 and run, reusing the last 256 compiled (sentence, names) pairs; the model
 finder binds each compiled sentence once per lattice.
 
+A quantifier node keeps a memo when a slot that changes between its calls
+(bound by a quantifier above it, or in the model finder an earlier
+constant) is not free in it, the one case where the values of its free
+slots recur: its truth is keyed by the values of its free slots, so each
+inner quantifier is worked out once per such value (bounded-variable
+evaluation).  Below a memoed node only its free slots and its own change
+between calls, so a node under it keeps a memo only if it leaves out one of
+those.  The memo is made by `bind(L)`, freed with the test it returns, and
+holds at most n^|fv| entries on an n-element lattice, one per value of the
+free slots that the node was called with.
+
 Grammar (meet `^` binds tighter than join `v`; `&`, `|`, `!`, `->` are the
 logical connectives; `A x.` / `E x.` quantify; the parser and the printer
 read the infix operators' levels from one table, `_CONNECTIVES` and
@@ -630,8 +641,8 @@ def _atom_maker(f):
     return make
 
 
-def _junction_maker(f):
-    makers = [_maker(p) for p in f.args]
+def _junction_maker(f, outer):
+    makers = [_maker(p, outer) for p in f.args]
     conj = f.kind == "and"
 
     def make(L):
@@ -651,42 +662,69 @@ def _junction_maker(f):
     return make
 
 
-def _quantifier_maker(f):
+def _quantifier_maker(f, outer):
+    """make(L) -> run for the quantifier node f, whose run is called with
+    different values in the slots `outer`: those of the quantifiers above
+    it and, in the model finder, of the constants assigned before it runs.
+
+    When a slot of `outer` is not free in f, the values of f's free slots
+    recur across the values of that slot, so the node keeps a memo: its
+    truth keyed by the values of its free slots, at most n^|fv| entries on
+    an n-element lattice, made by make(L) and freed with the run it returns.
+    Its body then runs once per value of those slots, so below it only they
+    and f's own slot change between calls.  The memo is read and written in
+    run's own loop, so it adds no stack frame.
+    """
     slot, body = f.args
     universal = f.kind == "all"
     # after miniscoping the body of an A is never an "and", nor that of an E
     # an "or"; when it is the other junction the loop tests its parts itself,
     # one call fewer per element
     parts = body.args if body.kind == ("or" if universal else "and") else (body,)
-    makers = [_maker(p) for p in parts]
+    makers = [_maker(p, (outer & f.fv) | {slot}) for p in parts]
+    key = None
+    if not outer <= f.fv:
+        key = itemgetter(*sorted(f.fv)) if f.fv else (lambda s: ())
 
     def make(L):
         tests, domain = [m(L) for m in makers], range(L.n)
+        memo = None if key is None else {}
 
         def run(s):
+            if memo is not None:
+                k = key(s)
+                out = memo.get(k)
+                if out is not None:
+                    return out
+            out = universal
             for v in domain:
                 s[slot] = v
                 for test in tests:
                     if test(s) is universal:
                         break  # this element satisfies the body (A) or fails it (E)
                 else:
-                    return not universal
-            return universal
+                    out = not universal
+                    break
+            if memo is not None:
+                memo[k] = out
+            return out
 
         return run
 
     return make
 
 
-def _maker(f):
-    """make(L) -> test, with test(s) the truth of normal form f under slot list s."""
+def _maker(f, outer):
+    """make(L) -> test, with test(s) the truth of normal form f under slot
+    list s; outer holds the slots whose values change between calls of
+    test (see `_quantifier_maker`)."""
     if isinstance(f, bool):
         return lambda L: (lambda s: f)
     if f.kind in ("eq", "ne"):
         return _atom_maker(f)
     if f.kind in ("and", "or"):
-        return _junction_maker(f)
-    return _quantifier_maker(f)
+        return _junction_maker(f, outer)
+    return _quantifier_maker(f, outer)
 
 
 class Compiled(NamedTuple):
@@ -709,7 +747,7 @@ def compile_sentence(sentence, names):
     sentence mentions a name that is neither listed nor bound.
     """
     normal, depth, width = _normal_form(sentence, names)
-    return Compiled(depth, width, _maker(normal))
+    return Compiled(depth, width, _maker(normal, frozenset()))
 
 
 # a raising compile is not cached, so every call with a bad name raises

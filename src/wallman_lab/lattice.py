@@ -626,7 +626,10 @@ def downset_lattice(P, max_elements=None):
 
 
 def join_irreducibles(L):
-    down = _masks(L)[2]
+    return _join_irreducibles(L, _masks(L)[2])
+
+
+def _join_irreducibles(L, down):
     out = []
     for e, d in enumerate(down):
         if e == L.bottom:
@@ -645,8 +648,8 @@ def birkhoff_poset(L):
     ok, witness = is_distributive(L)
     if not ok:
         raise NotDistributive(f"witness triple {witness}")
-    irr = join_irreducibles(L)
     down = _masks(L)[2]
+    irr = _join_irreducibles(L, down)
     le = tuple(tuple(bool(down[b] >> a & 1) for b in irr) for a in irr)
     return Poset(len(irr), le).validate()
 

@@ -183,7 +183,9 @@ def _plan(sentence, consts):
             table = _filter_table(a, b, depth - 1)
             if table is not None:
                 return depth, _Filter(*table, normal.kind == "eq")
-    return depth, (width - len(consts), width, _maker(normal))
+    # the constants after the last one the sentence reads are not yet
+    # assigned when it runs, so only those before change between its calls
+    return depth, (width - len(consts), width, _maker(normal, frozenset(range(depth))))
 
 
 @lru_cache(maxsize=256)
@@ -196,7 +198,7 @@ def _closed_plan(sentence):
     positions of `iter_lattices(n)`.  A pair is replaced whole, never
     updated in place, so two threads can at worst decide a lattice twice."""
     normal, _, width = _normal_form(sentence, ())
-    bind = _maker(normal)
+    bind = _maker(normal, frozenset())
     decide = _deciders().get(sentence) or (lambda L: bind(L)([0] * width))
     return 0, (width, width, ({}, decide))
 

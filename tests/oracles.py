@@ -9,13 +9,16 @@ text, the lattice predicates, Wallman helpers and Hasse diagram as they
 read the tables before they read `lattice._masks`, the lattice
 constructors as they built their tables before `lattice._table`, the
 four point maps through a base as they were before `spaces._point_map`,
-and the formula parser and printer as they were before they read one
-precedence table.
+the formula parser and printer as they were before they read one
+precedence table, the compiled evaluator as it was before its quantifier
+nodes kept memos, and `stone_space` as it was when it built the lattice's
+masks in each helper it called.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from wallman_lab.ef import SpoilerStrategy
 from wallman_lab.fol import (
@@ -38,6 +41,9 @@ from wallman_lab.fol import (
     Theory,
     Top,
     Var,
+    Compiled,
+    _BOUNDS,
+    _normal_form,
     _tokenize,
 )
 from wallman_lab.homsearch import LMorphism, _valid_base, find_L_morphism
@@ -48,6 +54,7 @@ from wallman_lab.errors import (
     NonSingletonFiber,
     NotABase,
     NotApplicable,
+    NotBoolean,
     NotDisjoint,
     NotDistributive,
     PostconditionFailed,
@@ -64,7 +71,15 @@ from wallman_lab.spaces import (
     is_surjective,
     mask_of,
 )
-from wallman_lab.wallman import Filter, boolean_subalgebra_generated, stone_space, ultrafilters, wallman_space
+from wallman_lab.wallman import (
+    Filter,
+    atoms,
+    boolean_subalgebra_generated,
+    is_boolean,
+    stone_space,
+    ultrafilters,
+    wallman_space,
+)
 
 
 def all_labeled_lattices(n):
@@ -1088,3 +1103,149 @@ def frozen_print_formula(f, level=0):
     if isinstance(f, MPred):
         return "M(" + ", ".join(frozen_print_term(t, 0) for t in f.terms) + ")"
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------- compiled evaluator
+# `fol`'s closure makers as they were before a quantifier node kept a memo
+# of its truth: every quantifier reruns its loop on every call.  They bind
+# the normal form of `fol._normal_form`, which they share with the package.
+
+
+def frozen_term_maker(t):
+    if isinstance(t, int):
+        return lambda L: itemgetter(t)
+    op, a, b = t
+    if isinstance(a, int) and isinstance(b, int):
+        def make(L):
+            T = getattr(L, op)
+            return lambda s: T[s[a]][s[b]]
+
+        return make
+    ma, mb = frozen_term_maker(a), frozen_term_maker(b)
+
+    def make(L):
+        T, ga, gb = getattr(L, op), ma(L), mb(L)
+        return lambda s: T[ga(s)][gb(s)]
+
+    return make
+
+
+def frozen_atom_maker(f):
+    a, b = f.args
+    eq = f.kind == "eq"
+    if b in _BOUNDS:
+        bound = _BOUNDS[b]
+        if isinstance(a, int):
+            def make(L):
+                c = getattr(L, bound)
+                return (lambda s: s[a] == c) if eq else (lambda s: s[a] != c)
+        elif isinstance(a[1], int) and isinstance(a[2], int):
+            op, i, j = a
+
+            def make(L):
+                T, c = getattr(L, op), getattr(L, bound)
+                return (lambda s: T[s[i]][s[j]] == c) if eq else (lambda s: T[s[i]][s[j]] != c)
+        else:
+            ma = frozen_term_maker(a)
+
+            def make(L):
+                ga, c = ma(L), getattr(L, bound)
+                return (lambda s: ga(s) == c) if eq else (lambda s: ga(s) != c)
+        return make
+    if isinstance(a, int) and isinstance(b, int):
+        return lambda L: (lambda s: s[a] == s[b]) if eq else (lambda s: s[a] != s[b])
+    ma, mb = frozen_term_maker(a), frozen_term_maker(b)
+
+    def make(L):
+        ga, gb = ma(L), mb(L)
+        return (lambda s: ga(s) == gb(s)) if eq else (lambda s: ga(s) != gb(s))
+
+    return make
+
+
+def frozen_junction_maker(f):
+    makers = [frozen_maker(p) for p in f.args]
+    conj = f.kind == "and"
+
+    def make(L):
+        tests = [m(L) for m in makers]
+        if len(tests) == 2:
+            t1, t2 = tests
+            return (lambda s: t1(s) and t2(s)) if conj else (lambda s: t1(s) or t2(s))
+
+        def test(s):
+            for t in tests:
+                if t(s) is not conj:
+                    return not conj
+            return conj
+
+        return test
+
+    return make
+
+
+def frozen_quantifier_maker(f):
+    slot, body = f.args
+    universal = f.kind == "all"
+    parts = body.args if body.kind == ("or" if universal else "and") else (body,)
+    makers = [frozen_maker(p) for p in parts]
+
+    def make(L):
+        tests, domain = [m(L) for m in makers], range(L.n)
+
+        def run(s):
+            for v in domain:
+                s[slot] = v
+                for test in tests:
+                    if test(s) is universal:
+                        break
+                else:
+                    return not universal
+            return universal
+
+        return run
+
+    return make
+
+
+def frozen_maker(f):
+    if isinstance(f, bool):
+        return lambda L: (lambda s: f)
+    if f.kind in ("eq", "ne"):
+        return frozen_atom_maker(f)
+    if f.kind in ("and", "or"):
+        return frozen_junction_maker(f)
+    return frozen_quantifier_maker(f)
+
+
+def frozen_compile_sentence(sentence, names):
+    normal, depth, width = _normal_form(sentence, names)
+    return Compiled(depth, width, frozen_maker(normal))
+
+
+def frozen_eval_formula(L, sentence, constant_interpretation=None):
+    interp = dict(constant_interpretation or {})
+    compiled = frozen_compile_sentence(sentence, tuple(interp))
+    slots = list(interp.values()) + [0] * (compiled.width - len(interp))
+    return compiled.bind(L)(slots)
+
+
+# ---------------------------------------------------------------- Stone space
+# `wallman.stone_space` as it was when it built the lattice's masks three
+# times besides `wallman_space`'s own build: in `is_boolean`, in its own
+# clopen check and in `atoms`.
+
+
+def frozen_stone_space(B):
+    if not is_boolean(B):
+        raise NotBoolean("input is not a finite Boolean algebra")
+    W = wallman_space(B)
+    npts = len(W.points)
+    full = (1 << npts) - 1
+    perp, cotop, _, _ = _masks(B)
+    for a, (p, c) in enumerate(zip(perp, cotop)):
+        if W.base[next(_bits(p & c))] != full & ~W.base[a]:
+            raise PostconditionFailed(f"Stone base set of {a} is not clopen")
+    if npts != len(atoms(B)):
+        raise PostconditionFailed("Stone space has not one point per atom")
+    return W

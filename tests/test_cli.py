@@ -645,6 +645,30 @@ class TestAssert:
         assert report_of(proc)["command"] == args
 
 
+class TestLazyImports:
+    """`check` and `eval` never read `spaces`, so a run of either leaves it
+    unimported, and its report is the same whether or not it was imported."""
+
+    RUN = (
+        "import sys\n"
+        "from wallman_lab.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print('wallman_lab.spaces' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    ELAPSED = re.compile(r'^  "elapsed_ms": \d+,$', re.M)
+
+    @pytest.mark.parametrize("command", [["check", "ba4"], ["eval", "m3", "A x. E y. x ^ y = 0"]])
+    def test_a_run_leaves_spaces_unimported_and_writes_the_same_report(self, fixtures, command):
+        args = [fixtures.get(a, a) for a in command]
+        reports = []
+        for preload in ("", "import wallman_lab.spaces\n"):
+            proc = subprocess.run([sys.executable, "-c", preload + self.RUN, *args], capture_output=True, text=True)
+            assert proc.returncode == 0 and proc.stderr == f"{bool(preload)}\n", proc.stderr
+            reports.append(self.ELAPSED.sub("", proc.stdout))
+        assert reports[0] == reports[1] and '"outcome"' in reports[0]
+
+
 class TestDeterminism:
     def test_reports_identical_across_runs(self, fixtures):
         runs = [report_of(run_cli("check", fixtures["ba4"])) for _ in range(3)]

@@ -1,3 +1,9 @@
+import importlib.util
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -60,6 +66,7 @@ from wallman_lab.lattice import (
     satisfies_HI,
     satisfies_dim_le1,
 )
+from wallman_lab.modelfinder import _plan
 
 
 class TestParser:
@@ -565,6 +572,120 @@ class TestBuiltinTexts:
     @pytest.mark.parametrize("builtin", [b for b, _ in BUILTINS], ids=lambda f: f.__name__)
     def test_every_call_returns_the_one_parsed_tree(self, builtin):
         assert builtin() is builtin()
+
+
+LATTICES_TO_SEVEN = [L for n in range(2, 8) for L in lattices_of_size(n)]
+
+
+def memos_of(test):
+    """The memos in a bound test: the `memo` of each closure reached from it
+    through the closures' functions and lists of functions."""
+    found, todo = [], [test]
+    while todo:
+        fn = todo.pop()
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+            value = cell.cell_contents
+            if name == "memo" and value is not None:
+                found.append(value)
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, types.FunctionType):
+                    todo.append(item)
+    return found
+LATTICES_SIX_AND_SEVEN = [L for L in LATTICES_TO_SEVEN if L.n >= 6]
+
+
+class TestQuantifierMemos:
+    """The evaluator, whose inner quantifiers keep a memo of their truth per
+    value of their free slots, against the frozen closure makers that rerun
+    every quantifier on every call."""
+
+    @pytest.mark.parametrize("builtin", [b for b, _ in BUILTINS], ids=lambda f: f.__name__)
+    def test_builtins_agree_on_every_lattice_to_seven(self, builtin):
+        assert len(LATTICES_TO_SEVEN) == 77
+        for L in LATTICES_TO_SEVEN:
+            assert eval_formula(L, builtin()) is oracles.frozen_eval_formula(L, builtin()), L.meet
+
+    @settings(max_examples=300, deadline=None)
+    @given(named_formula_strategy(), st.sampled_from(LATTICES_SIX_AND_SEVEN), st.data())
+    def test_formulas_with_constants_agree(self, f, L, data):
+        interp = {nm: data.draw(st.integers(0, L.n - 1), label=nm) for nm in NAMES}
+        assert eval_formula(L, f, interp) is oracles.frozen_eval_formula(L, f, interp)
+
+    @pytest.mark.parametrize(
+        "text, memos",
+        [
+            ("A x. A y. (x ^ y = 0 -> x = 0 | y = 0)", 0),  # each inner node reads every outer slot
+            ("A x. E y. (x <= y & (A z. (z ^ y = 0 -> z = 0)))", 1),  # A z: x is outer, not free
+            ("A x. E y. (x <= y & (A z. (z ^ x = 0 -> z <= y)))", 0),
+            ("A x. (x = 0 | (!(x = 0) & (E y. !(y = 0 | y = 1))))", 1),  # a closed E y under A x
+            # both A b leave out e; below them only a and b change, so the
+            # four nodes under the second, E x among them, keep none
+            ("A e. A a. A b. A c. A d. (e ^ a = 0 | (e v b = 1 & (E x. (x ^ a = b & x v c = d))))", 2),
+        ],
+    )
+    def test_a_node_keeps_a_memo_only_when_a_changing_slot_is_not_free_in_it(self, text, memos):
+        compiled = compile_sentence(parse(text), ())
+        for L in LATTICES_TO_SEVEN[:8]:
+            test = compiled.bind(L)
+            assert len(memos_of(test)) == memos
+            assert test([0] * compiled.width) is oracles.frozen_eval_formula(L, parse(text))
+
+    @pytest.mark.parametrize(
+        "text, memos",
+        [
+            ("A x. (x ^ b = 0 -> x <= c)", 1),  # run once per (a, b, c): a changes, is not free
+            ("A x. (x ^ b = 0 -> x <= b)", 1),  # run once per (a, b)
+            ("A x. (x ^ a = 0 -> x <= b)", 0),  # c is not assigned yet when it runs
+        ],
+    )
+    def test_a_model_finder_test_keeps_a_memo_only_when_it_leaves_out_an_assigned_constant(self, text, memos):
+        names = ("a", "b", "c")
+        _, (_, _, bind) = _plan(bind_constants(parse(text), names), names)
+        assert len(memos_of(bind(powerset_lattice(2)))) == memos
+
+    def test_a_closed_inner_quantifier_keeps_one_truth(self):
+        # E y has no free slot but sits under A x: its memo has one key
+        f = parse("A x. (x = 0 | (!(x = 0) & (E y. !(y = 0 | y = 1))))")
+        for L in LATTICES_TO_SEVEN:
+            assert eval_formula(L, f) is oracles.frozen_eval_formula(L, f) is (L.n > 2)
+
+
+EVAL_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "eval_sweep.py"
+
+
+def test_the_size_6_eval_sweep_is_pinned():
+    proc = subprocess.run([sys.executable, str(EVAL_SWEEP), "--size", "6"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:12] == [
+        "normality eval holds 12, fails 3; direct holds 12, fails 3",
+        "normality sha256 998ef59ce6d1cb8dc50c27b9379aec8ac18f5719a01557d5819c18c676393e43",
+        "conn eval holds 8, fails 7; direct holds 8, fails 7",
+        "conn sha256 3f403020c18f525d19f188c77873a441c2e5b94bb46b41a50d33a7758f9ac398",
+        "HI eval holds 12, fails 3; direct holds 12, fails 3",
+        "HI sha256 998ef59ce6d1cb8dc50c27b9379aec8ac18f5719a01557d5819c18c676393e43",
+        "dim_le1 eval holds 12, fails 3; direct holds 12, fails 3",
+        "dim_le1 sha256 998ef59ce6d1cb8dc50c27b9379aec8ac18f5719a01557d5819c18c676393e43",
+        "distributive eval holds 5, fails 10; direct holds 5, fails 10",
+        "distributive sha256 d1286da6e3343f769c8b3251deac1c308ec532ed20a64097c249a8077ee81a49",
+        "disjunctive eval holds 2, fails 13; direct holds 2, fails 13",
+        "disjunctive sha256 1b302e8736e50ffd79c2ce3cbd5db77d2bb3a0d88e4deaef353849e9720392c7",
+    ]
+    assert [line.split(" eval ")[0] for line in lines[12:]] == [b.__name__[8:] for b, _ in BUILTINS]
+
+
+def test_the_eval_sweep_exits_1_when_the_paths_disagree(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("eval_sweep", EVAL_SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    deciders = dict(sweep._deciders())
+    deciders[builtin_HI()] = lambda L: L.n != 4
+    monkeypatch.setattr(sweep, "_deciders", lambda: deciders)
+    monkeypatch.setattr(sys, "argv", ["eval_sweep.py", "--size", "4"])
+    assert sweep.main() == 1
+    out = capsys.readouterr().out
+    assert "HI disagrees first on lattice 0: eval True, direct False" in out
+    assert out.count("disagrees") == 1
 
 
 class TestDiagram:

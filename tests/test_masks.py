@@ -4,20 +4,23 @@ own masks or walked `leq` element by element."""
 
 import pytest
 
+from wallman_lab import lattice, wallman
 from wallman_lab.cli import hasse_dot
 from wallman_lab.enumeration import lattices_of_size
-from wallman_lab.errors import NotDistributive
+from wallman_lab.errors import NotDistributive, WallmanLabError
 from wallman_lab.lattice import (
     _bits,
     _masks,
     birkhoff_poset,
     is_disjunctive,
+    is_distributive,
     is_normal,
     join_irreducibles,
     lattice_isomorphism,
+    powerset_lattice,
     validate,
 )
-from wallman_lab.wallman import atoms, filters, is_boolean, is_filter
+from wallman_lab.wallman import atoms, filters, is_boolean, is_filter, stone_space
 
 from oracles import (
     frozen_atoms,
@@ -30,6 +33,7 @@ from oracles import (
     frozen_is_normal,
     frozen_join_irreducibles,
     frozen_lattice_isomorphism,
+    frozen_stone_space,
     frozen_two_masks,
 )
 
@@ -47,6 +51,13 @@ def _birkhoff(decide, L):
         return decide(L)
     except NotDistributive as err:
         return str(err)
+
+
+def _outcome(fn, L):
+    try:
+        return fn(L)
+    except WallmanLabError as err:
+        return type(err), str(err)
 
 
 def _reversed_copy(L):
@@ -108,3 +119,40 @@ def test_lattice_isomorphism_matches_on_every_pair():
     for A in small:
         for B in small:
             assert lattice_isomorphism(A, B) == frozen_lattice_isomorphism(A, B)
+
+
+def _counted_masks(monkeypatch):
+    """A list that gets each lattice the package builds the masks of."""
+    built = []
+
+    def counted(L):
+        built.append(L)
+        return _masks(L)
+
+    for module in (lattice, wallman):
+        monkeypatch.setattr(module, "_masks", counted)
+    return built
+
+
+@pytest.mark.parametrize("fn, builds", [(stone_space, 2), (birkhoff_poset, 1)], ids=["stone_space", "birkhoff_poset"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_call_builds_the_masks_once(fn, builds, k, monkeypatch):
+    # stone_space builds them once for itself and once in wallman_space
+    built = _counted_masks(monkeypatch)
+    fn(powerset_lattice(k))
+    assert len(built) == builds
+
+
+def test_is_boolean_builds_the_masks_only_for_a_distributive_lattice(monkeypatch):
+    built = _counted_masks(monkeypatch)
+    for L in lattices_of_size(5):
+        before = len(built)
+        is_boolean(L)
+        assert len(built) - before == (1 if is_distributive(L)[0] else 0), L.meet
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stone_space_matches_the_frozen_copy(n):
+    for L in lattices_of_size(n):
+        assert _outcome(stone_space, L) == _outcome(frozen_stone_space, L)
+    assert stone_space(powerset_lattice(4)) == frozen_stone_space(powerset_lattice(4))

@@ -414,6 +414,45 @@ class TestDomainFilters:
             find_model(theory, SearchBudget(max_size=3))
 
 
+def nodes_visited(search, theory, max_size):
+    """The nodes a search visits: one less than the least node limit that it
+    finishes within."""
+    def runs_out(limit):
+        return search(theory, SearchBudget(max_size=max_size, node_limit=limit)) == BudgetExceeded("node limit reached")
+
+    lo, hi = 1, 1
+    while runs_out(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if runs_out(mid) else (lo, mid)
+    return hi - 1
+
+
+# a quantified sentence that leaves out a constant before its last one, so
+# its test keeps a memo across the values of that constant
+# over the constants a, b, c
+OMITTING = [
+    ("!(a = 0)", "!(b = 0)", "A x. (x ^ b = 0 -> x <= c)", "!(c = 1)"),
+    ("!(a = 0)", "!(a = 1)", "A x. (x ^ b = 0 -> x <= c)", "!(b = c)", "!(b = 1)"),
+    ("a ^ b = 0", "!(a = 0)", "E x. (!(x = 0) & x <= c & x ^ a = 0)", "!(c = 1)", "!(c = b)"),
+    ("!(a = 0)", "!(b = 0)", "E x. (x ^ a = 0 & !(x = 0) & (A y. (y ^ x = 0 -> y <= c)))", "!(c = 1)"),
+    ("!(b = 0)", "!(b = 1)", "A x. E y. (x ^ y = 0 & (x v y = c | x v y = 1))", "!(a = c)", "!(c = 1)"),
+]
+
+
+class TestQuantifierMemosInTheSearch:
+    @pytest.mark.parametrize("texts", OMITTING, ids="; ".join)
+    def test_the_same_model_and_node_count_as_the_unfiltered_search(self, texts):
+        names = ("a", "b", "c")
+        theory = Theory(names, tuple(bind_constants(parse(t), names) for t in texts))
+        forget_verdicts()
+        found = find_model(theory, SearchBudget(max_size=7))
+        assert isinstance(found, Model)
+        assert outcome(found) == outcome(find_model_unfiltered(theory, SearchBudget(max_size=7)))
+        assert nodes_visited(find_model, theory, 7) == nodes_visited(find_model_unfiltered, theory, 7)
+
+
 class TestNaiveOracleAgreement:
     def test_handpicked_theories(self):
         cases = [

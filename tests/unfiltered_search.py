@@ -3,14 +3,16 @@ its domain filters, and a brute-force satisfiability oracle.
 
 Both run every sentence as a compiled test and charge one budget node per
 value tried, so they share no filter with `modelfinder.find_model`, which
-must return exactly what `find_model_unfiltered` returns.
+must return exactly what `find_model_unfiltered` returns.  They compile with
+the frozen closure makers of `oracles`, so they share no quantifier memo
+with the package either.
 """
 
 import time
 
 from wallman_lab.enumeration import iter_lattices, lattices_of_size
 from wallman_lab.errors import PostconditionFailed
-from wallman_lab.fol import compile_sentence, eval_formula
+from wallman_lab.fol import eval_formula
 from wallman_lab.lattice import _first_assignment
 from wallman_lab.modelfinder import (
     STREAM_FROM_SIZE,
@@ -20,7 +22,7 @@ from wallman_lab.modelfinder import (
     SearchBudget,
 )
 
-from oracles import all_labeled_lattices
+from oracles import all_labeled_lattices, frozen_compile_sentence
 
 
 class OutOfBudget(Exception):
@@ -45,7 +47,7 @@ def schedule(theory):
     stages = [[] for _ in range(len(consts) + 1)]
     width = len(consts)
     for pos, s in enumerate(theory.sentences):
-        compiled = compile_sentence(s, consts)
+        compiled = frozen_compile_sentence(s, consts)
         stages[compiled.depth].append((compiled.width - len(consts), pos, compiled.bind))
         width = max(width, compiled.width)
     return consts, [[bind for _, _, bind in sorted(stage)] for stage in stages], width
