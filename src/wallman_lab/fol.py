@@ -5,20 +5,20 @@ The evaluator compiles a sentence once and then only runs closures:
 list, puts the sentence in negation normal form, pushes each quantifier as
 far in as it goes (miniscoping, so an atom is tested at the outermost
 quantifier that binds all its variables), and returns a `Compiled` whose
-`bind(L)` gives nested closures over L's tables.  `eval_formula` is compile
-and run, reusing the last 256 compiled (sentence, names) pairs; the model
-finder binds each compiled sentence once per lattice.
+`bind(L)` gives nested closures over L's tables.  `eval_formula` and the
+model finder share `_compiled`, a cache of the last 256 compiled (sentence,
+names) pairs; the model finder binds each once per lattice.
 
-A quantifier node keeps a memo when a slot that changes between its calls
-(bound by a quantifier above it, or in the model finder an earlier
-constant) is not free in it, the one case where the values of its free
-slots recur: its truth is keyed by the values of its free slots, so each
-inner quantifier is worked out once per such value (bounded-variable
-evaluation).  Below a memoed node only its free slots and its own change
-between calls, so a node under it keeps a memo only if it leaves out one of
-those.  The memo is made by `bind(L)`, freed with the test it returns, and
-holds at most n^|fv| entries on an n-element lattice, one per value of the
-free slots that the node was called with.
+A quantifier node keeps a memo when a variable bound by a quantifier above
+it is not free in it, the one case where the values of its free slots recur
+in a run: its truth is keyed by the values of its free slots, so each inner
+quantifier is worked out once per such value (bounded-variable evaluation).
+Below a memoed node only its free slots and its own change between calls,
+so a node under it keeps a memo only if it leaves out one of those.  The
+listed names never count, for `eval_formula` and the model finder alike.
+The memo is made by `bind(L)`, freed with the test it returns, and holds at
+most n^|fv| entries on an n-element lattice, one per value of the free
+slots that the node was called with.
 
 Grammar (meet `^` binds tighter than join `v`; `&`, `|`, `!`, `->` are the
 logical connectives; `A x.` / `E x.` quantify; the parser and the printer
@@ -587,6 +587,44 @@ def _normal_form(sentence, names):
     return out, rs.depth, rs.width
 
 
+class _Filter(NamedTuple):
+    """A literal on the newest name's slot c as a filter on the values of c,
+    negated when not holds.  Table "bottom" or "top" (x and y None): c is
+    that bound of L.  Table "perp", "cotop", "down" or "up" (y None): c is
+    in the table's row at the value of slot x.  Table "meet" or "join": c is
+    T[x][y] at the values of slots x and y."""
+
+    table: str
+    x: object
+    y: object
+    holds: bool
+
+
+def _filter_table(a, b, c):
+    """(table, x, y) when a = b is one of the filter shapes on slot c."""
+    if a == c:
+        if b in _BOUNDS:
+            return _BOUNDS[b], None, None
+        return ("meet", b, b) if isinstance(b, int) else None  # c = x ^ x
+    if not (isinstance(a, tuple) and isinstance(a[1], int) and isinstance(a[2], int)):
+        return None
+    op, p, q = a
+    if c not in (p, q):
+        return (op, p, q) if b == c else None  # c = x ^ y or c = x v y
+    x = q if p == c else p
+    table = {("meet", "0"): "perp", ("join", "1"): "cotop", ("meet", c): "down", ("meet", x): "up"}.get((op, b))
+    return None if table is None or x == c else (table, x, None)  # not c ^ c
+
+
+def _literal_filter(f, c):
+    """The _Filter that normal form f is on slot c, or None when it is no
+    literal of a filter shape there."""
+    if isinstance(f, bool) or f.kind not in ("eq", "ne"):
+        return None
+    table = _filter_table(*f.args, c) or _filter_table(*f.args[::-1], c)
+    return None if table is None else _Filter(*table, f.kind == "eq")
+
+
 def _term_maker(t):
     """make(L) -> get, with get(s) the value of term t (not a bound) under
     slot list s."""
@@ -664,8 +702,7 @@ def _junction_maker(f, outer):
 
 def _quantifier_maker(f, outer):
     """make(L) -> run for the quantifier node f, whose run is called with
-    different values in the slots `outer`: those of the quantifiers above
-    it and, in the model finder, of the constants assigned before it runs.
+    different values in the slots `outer`, those of the quantifiers above it.
 
     When a slot of `outer` is not free in f, the values of f's free slots
     recur across the values of that slot, so the node keeps a memo: its
@@ -732,12 +769,15 @@ class Compiled(NamedTuple):
 
     depth: 1 + the highest slot of a listed name it mentions (0 for none);
     width: the length of slot list it needs, the names' slots first;
-    bind: bind(L) -> test, with test(slots) its truth in L.
+    bind: bind(L) -> test, with test(slots) its truth in L;
+    filter: the `_Filter` it is on the slot of its newest listed name, if
+    any, which the model finder applies to that constant's values.
     """
 
     depth: int
     width: int
     bind: object
+    filter: object = None
 
 
 def compile_sentence(sentence, names):
@@ -747,7 +787,7 @@ def compile_sentence(sentence, names):
     sentence mentions a name that is neither listed nor bound.
     """
     normal, depth, width = _normal_form(sentence, names)
-    return Compiled(depth, width, _maker(normal, frozenset()))
+    return Compiled(depth, width, _maker(normal, frozenset()), _literal_filter(normal, depth - 1))
 
 
 # a raising compile is not cached, so every call with a bad name raises

@@ -4,11 +4,12 @@ Candidate lattices come from the isomorph-free enumeration (one per
 isomorphism class, deterministic order), sizes from STREAM_FROM_SIZE on
 built only as far as the search reads them.  Constants are interpreted in
 order on the shared backtracking core, `lattice._first_assignment`.  Each
-sentence is planned once per constant list.  A ground literal on its newest
+sentence is planned once per constant list, from the compiled sentence that
+`eval_formula` reads too (`fol._compiled`).  A ground literal on its newest
 constant c of a few shapes (c = 0, x ^ c = 0, x v c = 1, c = x, c <= x,
-c = x ^ y, their negations; see `_filter_table`) becomes a bitmask filter
-on the domain of c, as in SEM and Mace4; every other sentence is compiled
-and checked as soon as the constants it mentions are assigned.  A closed
+c = x ^ y, their negations; see `fol._literal_filter`) becomes a bitmask
+filter on the domain of c, as in SEM and Mace4; every other sentence is
+checked as soon as the constants it mentions are assigned.  A closed
 sentence is decided at most once per lattice (`_closed_plan`), a builtin
 one by its direct decider in `lattice`, and the other tests are bound to a
 lattice only once every closed sentence holds there.  Each lattice and each
@@ -22,7 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 from .enumeration import iter_lattices, lattices_of_size
 from .errors import NotDistributive, PostconditionFailed, PreconditionViolated
@@ -38,8 +38,8 @@ from .fol import (
     diagram,
     eval_formula,
     parse,
-    _maker,
-    _normal_form,
+    _Filter,
+    _compiled,
 )
 from .lattice import (
     _first_assignment,
@@ -113,40 +113,6 @@ class _OutOfBudget(Exception):
     pass
 
 
-class _Filter(NamedTuple):
-    """A literal on the newest constant c as a filter on its domain, negated
-    when not holds.  Table "bottom" or "top" (x and y None): c is that bound
-    of L.  Table "perp", "cotop", "down" or "up" (y None): c is in the
-    table's row at the value of constant x.  Table "meet" or "join": c is
-    T[x][y] at the values of constants x and y."""
-
-    table: str
-    x: object
-    y: object
-    holds: bool
-
-
-def _filter_table(a, b, c):
-    """(table, x, y) when a = b is one of the filter shapes on slot c."""
-    if a == c:
-        if b in ("0", "1"):
-            return ("bottom" if b == "0" else "top"), None, None
-        return ("meet", b, b) if isinstance(b, int) else None  # c = x ^ x
-    if not isinstance(a, tuple):
-        return None
-    op, p, q = a
-    if not (isinstance(p, int) and isinstance(q, int)):
-        return None
-    if c not in (p, q):
-        return (op, p, q) if b == c else None  # c = x ^ y or c = x v y
-    x = q if p == c else p
-    if x == c:
-        return None
-    shapes = {("meet", "0"): "perp", ("join", "1"): "cotop", ("meet", c): "down", ("meet", x): "up"}
-    table = shapes.get((op, b))
-    return None if table is None else (table, x, None)
-
-
 @lru_cache(maxsize=1)
 def _deciders():
     """decide(L) for each builtin sentence that `lattice` decides directly:
@@ -170,22 +136,15 @@ def _plan(sentence, consts):
     """(depth, plan) of a sentence against the constants: the _Filter the
     sentence is, or (cost, width, test), the cost being its quantifier count
     (one slot each after the constants').  The test is bind of the compiled
-    sentence, or for a closed one (depth 0) the (verdicts, decide) of
-    `_closed_plan`; a builtin is known to be closed and skips the normal
-    form here."""
+    sentence, or for a closed one (depth 0; a builtin is known to be one)
+    the (verdicts, decide) of `_closed_plan`."""
     if sentence in _deciders():
         return _closed_plan(sentence)
-    normal, depth, width = _normal_form(sentence, consts)
-    if not depth:
+    compiled = _compiled(sentence, consts)
+    if not compiled.depth:
         return _closed_plan(sentence)
-    if not isinstance(normal, bool) and normal.kind in ("eq", "ne"):
-        for a, b in (normal.args, normal.args[::-1]):
-            table = _filter_table(a, b, depth - 1)
-            if table is not None:
-                return depth, _Filter(*table, normal.kind == "eq")
-    # the constants after the last one the sentence reads are not yet
-    # assigned when it runs, so only those before change between its calls
-    return depth, (width - len(consts), width, _maker(normal, frozenset(range(depth))))
+    test = compiled.width - len(consts), compiled.width, compiled.bind
+    return compiled.depth, compiled.filter or test
 
 
 @lru_cache(maxsize=256)
@@ -197,10 +156,9 @@ def _closed_plan(sentence):
     runs it, maps each size n to (decided, holds), bitmasks over the
     positions of `iter_lattices(n)`.  A pair is replaced whole, never
     updated in place, so two threads can at worst decide a lattice twice."""
-    normal, _, width = _normal_form(sentence, ())
-    bind = _maker(normal, frozenset())
-    decide = _deciders().get(sentence) or (lambda L: bind(L)([0] * width))
-    return 0, (width, width, ({}, decide))
+    compiled = _compiled(sentence, ())
+    decide = _deciders().get(sentence) or (lambda L: compiled.bind(L)([0] * compiled.width))
+    return 0, (compiled.width, compiled.width, ({}, decide))
 
 
 def _schedule(theory):

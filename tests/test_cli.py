@@ -393,6 +393,13 @@ class TestClosedPipe:
         for script in scripts:
             assert script.read_text().endswith("\n    sys.exit(quiet_on_closed_pipe(main))\n"), script.name
 
+    def test_every_script_has_an_entry_in_the_readme(self):
+        root = Path(__file__).resolve().parents[1]
+        section = (root / "README.md").read_text().split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+        entries = set(re.findall(r"^- `scripts/(\w+\.py)\b", section, re.MULTILINE))
+        scripts = {script.name for script in (root / "scripts").glob("*.py")}
+        assert scripts and scripts <= entries, sorted(scripts - entries)
+
 
 class TestWallmanAndStone:
     def test_wallman_points_of_boolean_four(self, fixtures):

@@ -631,17 +631,21 @@ class TestQuantifierMemos:
             assert test([0] * compiled.width) is oracles.frozen_eval_formula(L, parse(text))
 
     @pytest.mark.parametrize(
-        "text, memos",
+        "text",
         [
-            ("A x. (x ^ b = 0 -> x <= c)", 1),  # run once per (a, b, c): a changes, is not free
-            ("A x. (x ^ b = 0 -> x <= b)", 1),  # run once per (a, b)
-            ("A x. (x ^ a = 0 -> x <= b)", 0),  # c is not assigned yet when it runs
+            "A x. (x ^ b = 0 -> x <= c)",  # leaves out a, the first constant
+            "A x. (x ^ b = 0 -> x <= b)",  # leaves out a and c
+            "A x. (x ^ a = 0 -> x <= b)",  # leaves out c, the last constant
         ],
     )
-    def test_a_model_finder_test_keeps_a_memo_only_when_it_leaves_out_an_assigned_constant(self, text, memos):
+    def test_a_model_finder_test_keeps_the_memos_its_compiled_sentence_keeps(self, text):
+        # a constant left out is no quantifier above the node, so neither
+        # caller keeps a memo for it
         names = ("a", "b", "c")
-        _, (_, _, bind) = _plan(bind_constants(parse(text), names), names)
-        assert len(memos_of(bind(powerset_lattice(2)))) == memos
+        sentence = bind_constants(parse(text), names)
+        _, (_, _, bind) = _plan(sentence, names)
+        L = powerset_lattice(2)
+        assert len(memos_of(bind(L))) == len(memos_of(compile_sentence(sentence, names).bind(L))) == 0
 
     def test_a_closed_inner_quantifier_keeps_one_truth(self):
         # E y has no free slot but sits under A x: its memo has one key

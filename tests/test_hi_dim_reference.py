@@ -209,6 +209,14 @@ def test_sixteen_element_boolean_lattice():
     assert len(witnesses) == 81 * 81
 
 
+def test_the_dim_le1_witness_map_of_2_to_the_5_has_9_to_the_5_entries():
+    # one entry per pair of disjoint pairs, and each coordinate of a disjoint
+    # pair lies in x, in y or in neither: (3^k)^2 entries on 2^k, as 81 * 81
+    # on 2^4 above
+    ok, witnesses = satisfies_dim_le1(powerset_lattice(5))
+    assert ok and len(witnesses) == 9**5 == 59_049
+
+
 def test_closed_set_lattices_and_space_searches_match_reference():
     for X in small_spaces():
         L = closed_set_lattice(X)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wallman_lab import enumeration, modelfinder
+from wallman_lab import enumeration, fol, modelfinder
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.errors import PreconditionViolated
 from wallman_lab.fol import (
@@ -245,6 +245,14 @@ def preimage_theories():
     return [hi_preimage_theory(closed_set_lattice(X)) for n in range(1, 4) for X in all_spaces(n)]
 
 
+def compiles_in_fol(monkeypatch):
+    """The list of the sentences that `fol` compiles from now on, in order."""
+    normal_forms = []
+    normal_form = fol._normal_form
+    monkeypatch.setattr(fol, "_normal_form", lambda s, names: normal_forms.append(s) or normal_form(s, names))
+    return normal_forms
+
+
 def forget_verdicts():
     """Empty the verdict stores, and the plans that hold them."""
     _plan.cache_clear()
@@ -324,10 +332,9 @@ class TestDomainFilters:
         assert first.constants != second.constants
         closed = [s for s in second.sentences if not (constant_names(s) or free_variables(s))]
         assert len(closed) == 6 and all(s in first.sentences for s in closed)
-        normal_forms = []
-        normal_form = modelfinder._normal_form
-        monkeypatch.setattr(modelfinder, "_normal_form", lambda s, names: normal_forms.append(s) or normal_form(s, names))
+        normal_forms = compiles_in_fol(monkeypatch)
         forget_verdicts()
+        fol._compiled.cache_clear()  # so that every plan compiles afresh
         budget = SearchBudget(max_size=4)
         find_model(first, budget)
         assert set(closed) <= set(normal_forms)
@@ -342,11 +349,17 @@ class TestDomainFilters:
         assert len(theory.sentences) == 640  # more than twice the 256 plans the cache once held
         budget = SearchBudget(max_size=4)
         first = find_model(theory, budget)
-        normal_forms = []
-        normal_form = modelfinder._normal_form
-        monkeypatch.setattr(modelfinder, "_normal_form", lambda s, names: normal_forms.append(s) or normal_form(s, names))
+        normal_forms = compiles_in_fol(monkeypatch)
         assert find_model(theory, budget) == first
         assert normal_forms == []
+
+    def test_a_test_is_the_compiled_sentence_that_eval_formula_reads(self):
+        names = ("a", "b")
+        sentence = bind_constants(parse("A x. (x ^ a = 0 -> x <= b)"), names)
+        forget_verdicts()
+        depth, (cost, width, bind) = _plan(sentence, names)
+        assert (depth, cost, width) == (2, 1, 3)
+        assert bind is fol._compiled(sentence, names).bind
 
     @pytest.mark.parametrize("closed, binds", [("A x. x = 0", False), ("E x. x = 0", True)])
     def test_later_stages_are_bound_only_once_the_closed_stage_holds(self, monkeypatch, closed, binds):
