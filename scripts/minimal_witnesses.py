@@ -2,8 +2,9 @@
 """Search for the smallest lattices witnessing selected properties.
 
 Two searches:
-  --non-normal     the least lattice where disjoint elements cannot be
-                   separated by a complementary pair
+  --non-normal     the least lattice that is not normal: it has disjoint
+                   x, y with no u, v such that x ^ u = 0, y ^ v = 0 and
+                   u v v = 1
   --pairs T        the least lattice carrying T disjoint pairs (a_i, b_i)
                    such that every mixed meet avoiding a matched pair is
                    nonzero (T=2 finds a 10-element model in a few

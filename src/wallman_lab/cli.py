@@ -195,16 +195,16 @@ def _emit(report):
         rest = rest[sys.stdout.buffer.write(rest) :]
 
 
-def _finish(args, started, paths, outcome, holds=True):
-    """Write the command's report on its input files, in path order, and
-    return its exit status: EXIT_ASSERT when --assert was given and the
-    outcome does not hold."""
+def _finish(args, paths, outcome, holds=True):
+    """Write the command's report on its input files, in path order, timed
+    from args.started, and return its exit status: EXIT_ASSERT when --assert
+    was given and the outcome does not hold."""
     _emit(
         {
             "command": sys.argv[1:],
             "inputs": {path: _digest(path) for path in paths},
             "outcome": outcome,
-            "elapsed_ms": int((time.monotonic() - started) * 1000),
+            "elapsed_ms": int((time.monotonic() - args.started) * 1000),
             "version": __version__,
         }
     )
@@ -236,7 +236,6 @@ def _witness_json(w):
 
 
 def cmd_check(args):
-    started = time.monotonic()
     L = load_lattice(args.lattice)
     names = args.predicates or sorted(_PREDICATES)
     for nm in names:
@@ -247,14 +246,13 @@ def cmd_check(args):
     for nm in names:
         verdict, witness = _PREDICATES[nm](L)
         outcome[nm] = {"holds": verdict, "witness": _witness_json(witness)}
-    return _finish(args, started, [args.lattice], outcome, all(p["holds"] for p in outcome.values()))
+    return _finish(args, [args.lattice], outcome, all(p["holds"] for p in outcome.values()))
 
 
 def cmd_wallman(args, stone=False):
     from .spaces import points_of
     from .wallman import stone_space, wallman_space
 
-    started = time.monotonic()
     L = load_lattice(args.lattice)
     W = stone_space(L) if stone else wallman_space(L)
     outcome = {
@@ -268,13 +266,12 @@ def cmd_wallman(args, stone=False):
                 fh.write(wallman_dot(W))
         except OSError as err:
             raise InputError(f"{args.dot}: {err}")
-    return _finish(args, started, [args.lattice], outcome)
+    return _finish(args, [args.lattice], outcome)
 
 
 def cmd_eval(args):
     from .fol import eval_formula, parse
 
-    started = time.monotonic()
     L = load_lattice(args.structure)
     try:
         formula = parse(args.formula)
@@ -293,14 +290,13 @@ def cmd_eval(args):
             raise InputError(f"--let {item}: the value must be an element index in 0..{L.n - 1}")
         interp[name] = index
     value = eval_formula(L, formula, interp)
-    return _finish(args, started, [args.structure], {"value": value}, value)
+    return _finish(args, [args.structure], {"value": value}, value)
 
 
 def cmd_ef(args):
     from .ef import ef_equivalent, strategy_to_sentence
     from .fol import print_formula
 
-    started = time.monotonic()
     if args.rounds < 0:
         raise InputError(f"--rounds must be non-negative, not {args.rounds}")
     A = load_lattice(args.a)
@@ -309,13 +305,12 @@ def cmd_ef(args):
     outcome = {"equivalent": equivalent, "rounds": args.rounds}
     if not equivalent:
         outcome["separating_sentence"] = print_formula(strategy_to_sentence(A, B, strategy))
-    return _finish(args, started, [args.a, args.b], outcome, equivalent)
+    return _finish(args, [args.a, args.b], outcome, equivalent)
 
 
 def cmd_find_model(args):
     from .modelfinder import Model, SearchBudget, find_model
 
-    started = time.monotonic()
     theory = load_theory(args.theory)
     try:
         budget = SearchBudget(max_size=args.max_size)
@@ -336,14 +331,13 @@ def cmd_find_model(args):
         }
     else:
         outcome = {"result": type(result).__name__}
-    return _finish(args, started, [args.theory], outcome, isinstance(result, Model))
+    return _finish(args, [args.theory], outcome, isinstance(result, Model))
 
 
 def cmd_surject(args):
     from .homsearch import find_L_morphism, surjection_from_morphism
     from .spaces import is_T1, points_of
 
-    started = time.monotonic()
     X = load_space(args.x)
     Y = load_space(args.y)
     if not is_T1(Y):
@@ -362,13 +356,12 @@ def cmd_surject(args):
             },
             **verification,
         }
-    return _finish(args, started, [args.x, args.y], outcome, morphism is not None)
+    return _finish(args, [args.x, args.y], outcome, morphism is not None)
 
 
 def cmd_embed(args):
     from .homsearch import find_lattice_embedding
 
-    started = time.monotonic()
     B = load_lattice(args.b)
     L = load_lattice(args.l)
     emb = find_lattice_embedding(B, L)
@@ -379,7 +372,7 @@ def cmd_embed(args):
             "found": True,
             "assignment": {B.name(e): L.name(t) for e, t in sorted(emb.items())},
         }
-    return _finish(args, started, [args.b, args.l], outcome, emb is not None)
+    return _finish(args, [args.b, args.l], outcome, emb is not None)
 
 
 # ---------------------------------------------------------------- driver
@@ -396,7 +389,6 @@ def build_parser():
     p = sub.add_parser("check", help="evaluate lattice predicates")
     p.add_argument("lattice")
     p.add_argument("--predicates", nargs="*", metavar="NAME")
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("wallman", help="ultrafilter space of a distributive lattice")
@@ -413,34 +405,31 @@ def build_parser():
     p.add_argument("structure")
     p.add_argument("formula")
     p.add_argument("--let", action="append", default=[], metavar="NAME=INDEX")
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ef", help="pebble-game equivalence of two lattices")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.set_defaults(fn=cmd_ef)
 
     p = sub.add_parser("find-model", help="bounded model search for a theory")
     p.add_argument("theory")
     p.add_argument("--max-size", type=int, default=8)
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.set_defaults(fn=cmd_find_model)
 
     p = sub.add_parser("surject", help="continuous surjection X onto Y via a base morphism")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.set_defaults(fn=cmd_surject)
 
     p = sub.add_parser("embed", help="bounded-lattice embedding search")
     p.add_argument("b")
     p.add_argument("l")
-    p.add_argument("--assert", dest="assert_", action="store_true")
     p.set_defaults(fn=cmd_embed)
 
+    for command in ("check", "eval", "ef", "find-model", "surject", "embed"):
+        sub.choices[command].add_argument("--assert", dest="assert_", action="store_true")
     return parser
 
 
@@ -463,6 +452,7 @@ def quiet_on_closed_pipe(fn, *args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()  # elapsed_ms counts from here
     try:
         return quiet_on_closed_pipe(args.fn, args)
     except InputError as err:

@@ -223,10 +223,12 @@ def _atomic_separator(A, B, pebbles_a, pebbles_b):
 
     Pebble i is the variable p{i}; the bounds enter as the constants 0, 1.
     The atom is the first in the order of a scan over term triples (t1, t2,
-    t3), equality of t1 and t2 before the t3, meet before join at each t3.
-    at_A[e] is the mask of the terms with value e in A, so the t3 at which
-    the meet of t1, t2 tells A from B is the lowest bit of
-    at_A[m_A] ^ at_B[m_B].
+    t3), meet before join at each t3.  at_A[e] is the mask of the terms with
+    value e in A, so the t3 at which the meet of t1, t2 tells A from B is the
+    lowest bit of at_A[m_A] ^ at_B[m_B].  No equality t_i = t_j needs a scan
+    of its own: if it holds in one structure only, the earlier pair (k, k),
+    k = min(i, j), already shows it, as t_k ^ t_k = t_k is read against
+    every term.
     """
     values = list(zip([A.bottom, A.top, *pebbles_a], [B.bottom, B.top, *pebbles_b]))
     at_A, at_B = [0] * A.n, [0] * B.n
@@ -236,9 +238,6 @@ def _atomic_separator(A, B, pebbles_a, pebbles_b):
     for i, (a1, b1) in enumerate(values):
         meet_a, meet_b, join_a, join_b = A.meet[a1], B.meet[b1], A.join[a1], B.join[b1]
         for j, (a2, b2) in enumerate(values):
-            if (a1 == a2) != (b1 == b2):
-                phi = Eq(_term(i), _term(j))
-                return phi if a1 == a2 else Not(phi)
             off_meet = at_A[meet_a[a2]] ^ at_B[meet_b[b2]]
             off = off_meet | at_A[join_a[a2]] ^ at_B[join_b[b2]]
             if off:

@@ -64,10 +64,6 @@ class MissingConstant(WallmanLabError):
     pass
 
 
-class DuplicateName(WallmanLabError):
-    pass
-
-
 class NotClosed(WallmanLabError):
     pass
 

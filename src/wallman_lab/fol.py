@@ -51,12 +51,7 @@ from functools import lru_cache
 from operator import is_, itemgetter
 from typing import NamedTuple
 
-from .errors import (
-    DuplicateName,
-    FormulaSyntaxError,
-    MissingConstant,
-    UnboundVariable,
-)
+from .errors import FormulaSyntaxError, MissingConstant, UnboundVariable
 from .lattice import _check_elements, _kept_hash
 
 # ---------------------------------------------------------------- AST
@@ -856,17 +851,10 @@ def builtin_disjunctive():
 def diagram(L, named_elements):
     """Atomic theory of the named elements; satisfiable iff embeddable.
 
-    named_elements: mapping or (name, element) pairs.  Sentences: every meet
+    named_elements: a mapping from names to elements.  Sentences: every meet
     and join fact whose result is named, a (dis)equality per name pair, and
     identifications with 0/1 for named bounds.
     """
-    if not isinstance(named_elements, dict):
-        pairs = list(named_elements)
-        names_only = [nm for nm, _ in pairs]
-        if len(set(names_only)) != len(names_only):
-            dup = next(nm for nm in names_only if names_only.count(nm) > 1)
-            raise DuplicateName(dup)
-        named_elements = dict(pairs)
     _check_elements(L, named_elements.values())
     items = sorted(named_elements.items())
     by_element = {}

@@ -122,10 +122,6 @@ def riset(*pairs):
     return _merged(items)
 
 
-def is_bottom(a):
-    return a.is_empty()
-
-
 def join(a, b):
     """Set union, re-canonicalized (touching closed intervals merge)."""
     _, xs, ys = _common(a, b)

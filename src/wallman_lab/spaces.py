@@ -36,7 +36,7 @@ def mask_of(points):
 
 
 def points_of(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return list(_bits(mask))
 
 
 def _is_lattice_family(fam):

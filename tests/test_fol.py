@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallman_lab.errors import (
-    DuplicateName,
     FormulaSyntaxError,
     MissingConstant,
     PreconditionViolated,
@@ -713,17 +712,11 @@ class TestDiagram:
         # collapsing m to bottom breaks distinctness
         assert not theory_holds(L, th, {"z": 0, "m": 0, "o": 0b11})
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(DuplicateName):
-            diagram(chain(2), [("z", 0), ("z", 1)])
-
     def test_a_value_that_is_not_an_element_is_refused(self):
         L = chain(3)
         for bad in (-1, L.n, True):
             with pytest.raises(PreconditionViolated):
                 diagram(L, {"x": bad})
-            with pytest.raises(PreconditionViolated):
-                diagram(L, [("x", 0), ("y", bad)])
         assert diagram(L, {"x": 2}).sentences == (
             Eq(Meet(Const("x"), Const("x")), Const("x")),
             Eq(Join(Const("x"), Const("x")), Const("x")),

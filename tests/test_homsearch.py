@@ -210,6 +210,17 @@ class TestLMorphism:
         with pytest.raises(NotABase):
             find_L_morphism(Y, [0, Y.full], Y)
 
+    def test_a_base_must_hold_the_empty_and_full_sets(self):
+        Y = discrete_space(2)
+        for bad in ([0b01, 0b10, 0b11], [0, 0b01, 0b10]):
+            with pytest.raises(NotABase, match="^base must contain the empty and full sets$"):
+                find_L_morphism(Y, bad, Y)
+
+    def test_a_base_must_be_closed_under_union_and_intersection(self):
+        Y = discrete_space(3)
+        with pytest.raises(NotABase, match="^base must be closed under union and intersection$"):
+            find_L_morphism(Y, [0, 0b001, 0b010, 0b111], Y)
+
     def test_a_refused_base_is_refused_on_every_call(self):
         Y = space_from_sets(2, [[], [1], [0, 1]])
         for bad, message in (([0, 1, 3], r"\[0\] is not closed"), ([0, 3], "does not generate")):

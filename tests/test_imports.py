@@ -1,8 +1,9 @@
 """Every module of the package, every test module and every script uses each
 name it imports and imports inside a function only from modules it does not
 import at top level, every private module-level function or class of the
-package is referenced somewhere in the package, and every attribute a
-package class sets on `self` is read somewhere.
+package is referenced somewhere in the package, every attribute a
+package class sets on `self` is read somewhere, and no module of the package
+and no script holds an `assert` statement, which `python -O` strips.
 
 No linter ships with the test dependencies, so these checks read each
 module's syntax tree: a name bound by an import must appear somewhere as a
@@ -22,7 +23,8 @@ import wallman_lab
 
 MODULES = sorted(Path(wallman_lab.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
-TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
+TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + SCRIPTS
 EVERY_FILE = pytest.mark.parametrize(
     "path",
     MODULES + TESTS_AND_SCRIPTS,
@@ -188,3 +190,19 @@ def test_attribute_checker_finds_unread_attributes():
 def test_no_unread_instance_attributes():
     readers = [path.read_text() for path in MODULES + TESTS_AND_SCRIPTS]
     assert unread_attributes([path.read_text() for path in MODULES], readers) == []
+
+
+def assert_statements(source):
+    """Line numbers of the `assert` statements in a source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_checker_finds_assert_statements():
+    source = "def f(x):\n    assert x, 'x'\n    if x:\n        assert not x\n    return AssertionError\n"
+    assert assert_statements(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_assert_statements_in_the_package_or_the_scripts(path):
+    # a self-check must not vanish under python -O: raise, or report and exit 1
+    assert assert_statements(path.read_text()) == []

@@ -14,7 +14,6 @@ from wallman_lab.intervals import (
     RationalIntervalSet,
     difference_pieces,
     disjunctive_witness,
-    is_bottom,
     join,
     meet,
     normality_witness,
@@ -82,7 +81,7 @@ class TestLatticeOperations:
         )
 
     def test_bottom_and_top(self):
-        assert is_bottom(EMPTY)
+        assert EMPTY.is_empty()
         assert meet(TOP, EMPTY) == EMPTY
         assert join(TOP, EMPTY) == TOP
 

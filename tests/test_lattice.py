@@ -503,6 +503,11 @@ class TestEnumeration:
         # searches return the first model in this order, so a change here moves their answers
         assert enumeration_digest(lattices_of_size(n)) == digest
 
+    def test_there_are_no_lattices_of_fewer_than_two_elements(self):
+        for n in (0, 1):
+            assert lattices_of_size(n) == []
+            assert list(iter_lattices(n)) == []
+
     def test_enumeration_matches_naive_oracle(self):
         for n in range(2, 5):
             naive = all_labeled_lattices(n)

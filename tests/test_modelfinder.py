@@ -493,6 +493,10 @@ class TestKappaConstants:
         assert theory.constants == ("a1", "b1")
         assert len(theory.sentences) == 3
 
+    def test_t_must_be_at_least_1(self):
+        with pytest.raises(ValueError, match="^t must be at least 1$"):
+            kappa_constants_theory(0)
+
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_the_parsed_texts_are_the_constructor_built_theory(self, t):
         assert kappa_constants_theory(t) == built_kappa_constants_theory(t)
@@ -639,6 +643,11 @@ class TestSubsetConsistency:
         theory = Theory((), (builtin_conn(),))
         (result,) = check_finite_subset_consistency(theory, [()], SearchBudget(max_size=2))
         assert isinstance(result, Model) and result.lattice.n == 2
+
+    def test_a_part_outside_the_theory_is_refused(self):
+        theory = Theory((), (builtin_conn(),))
+        with pytest.raises(PreconditionViolated, match="^a part holds a sentence that is not in the theory$"):
+            check_finite_subset_consistency(theory, [(builtin_HI(),)])
 
 
 class TestSelfChecksUnderOptimization:

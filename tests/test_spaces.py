@@ -11,6 +11,7 @@ from wallman_lab.errors import (
     NotABase,
     NotClosed,
     NotContinuous,
+    NotSurjective,
     PreconditionViolated,
 )
 from wallman_lab.lattice import chain, conn, lattice_isomorphism, powerset_lattice
@@ -26,6 +27,7 @@ from wallman_lab.spaces import (
     is_connected,
     is_continuous,
     is_crooked_between,
+    is_base,
     is_discrete,
     is_hereditarily_indecomposable,
     is_surjective,
@@ -43,6 +45,10 @@ class TestConstruction:
     def test_family_must_contain_empty_and_full(self):
         with pytest.raises(MalformedTables):
             make_space(2, {0b01, 0b11})
+
+    def test_a_closed_set_must_name_known_points(self):
+        with pytest.raises(MalformedTables, match="^closed set 100 mentions unknown points$"):
+            make_space(2, {0, 0b100, 0b11})
 
     def test_family_must_be_union_closed(self):
         with pytest.raises(MalformedTables):
@@ -124,6 +130,11 @@ class TestCrookedness:
         with pytest.raises(PreconditionViolated):
             is_crooked_between(discrete_space(2), 0b01, 0b01)
 
+    def test_rejects_a_set_that_is_not_closed(self):
+        sierp = space_from_sets(2, [[], [1], [0, 1]])
+        with pytest.raises(PreconditionViolated, match="^c and d must be closed$"):
+            is_crooked_between(sierp, 0b01, 0b10)
+
     def test_chicane_condition_on_discrete(self):
         for n in range(1, 4):
             assert chicane_condition(discrete_space(n))[0]
@@ -144,6 +155,16 @@ class TestBaseRestrictedHI:
         X = discrete_space(2)
         with pytest.raises(NotABase):
             base_restricted_HI(X, [0, X.full])
+
+    def test_rejects_a_family_not_closed_under_intersection(self):
+        X = discrete_space(3)
+        with pytest.raises(NotABase, match="^base must be closed under intersection$"):
+            base_restricted_HI(X, [0, 0b011, 0b110, 0b111])
+
+    def test_a_family_with_a_set_that_is_not_closed_is_no_base(self):
+        sierp = space_from_sets(2, [[], [1], [0, 1]])
+        assert is_base(sierp, [0, 0b10, 0b11])
+        assert not is_base(sierp, [0, 0b01, 0b10, 0b11])
 
 
 class TestSeparationAndMaps:
@@ -182,8 +203,13 @@ class TestSeparationAndMaps:
 
     def test_weak_confluence_requires_continuity(self):
         sierp = space_from_sets(2, [[], [1], [0, 1]])
-        with pytest.raises(NotContinuous):
+        with pytest.raises(NotContinuous, match="^map is not continuous$"):
             is_weakly_confluent([1, 0], sierp, sierp)
+
+    def test_weak_confluence_requires_a_map_onto(self):
+        X = discrete_space(2)
+        with pytest.raises(NotSurjective, match="^map is not onto$"):
+            is_weakly_confluent([0, 0], X, X)
 
     def test_image_mask(self):
         assert image_mask([1, 1, 0], 0b011) == 0b010

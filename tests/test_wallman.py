@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,3 +240,32 @@ class TestAlexandroffPreimage:
         X = generate_space(3, [0b011, 0b110])
         with pytest.raises(NonSingletonFiber):
             alexandroff_preimage(X, [0b011, 0b110])
+
+
+DUALITY_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "duality_sweep.py"
+
+
+def load_duality_sweep():
+    spec = importlib.util.spec_from_file_location("duality_sweep", DUALITY_SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_the_duality_sweep_exits_1_when_a_self_check_fails(monkeypatch, capsys):
+    sweep = load_duality_sweep()
+    monkeypatch.setattr(sweep, "canonical_hom_report", lambda L: {"is_injective": L.n == 2, "agree": L.n != 3})
+    monkeypatch.setattr(sys, "argv", ["duality_sweep.py", "--max-size", "4"])
+    assert sweep.main() == 1
+    out = capsys.readouterr().out
+    assert out.count("check failed") == 1
+    assert "check failed: canonical map injective iff disjunctive, on lattice 1" in out
+
+
+def test_the_duality_sweep_exits_0_when_every_self_check_holds(monkeypatch, capsys):
+    sweep = load_duality_sweep()
+    monkeypatch.setattr(sys, "argv", ["duality_sweep.py", "--max-size", "4"])
+    assert sweep.main() == 0
+    out = capsys.readouterr().out
+    assert out.startswith("distributive lattices up to size 4: 4\n")
+    assert "check failed" not in out
