@@ -6,7 +6,9 @@ atomic formulas: for pebbled x, y the meet (join) of x and y is pebbled
 exactly when the meet (join) of f(x), f(y) is, and f maps the one to the
 other.  The start is live, as 0 != 1 on both sides and the meets and joins
 of bounds are bounds.  When the challenger wins, the winning move tree
-converts to a sentence separating the lattices.
+converts to a sentence separating the lattices, node by node: one scan per
+node gives the atoms of all its dead replies, and equal atoms are one object
+across every sentence.
 
 The game is forward-checked: once per position, each challenger move gets a
 mask of the replies that leave the position live, read off per-lattice
@@ -21,8 +23,9 @@ sentence rests on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
-from .errors import PostconditionFailed
+from .errors import PostconditionFailed, PreconditionViolated
 from .fol import (
     And,
     BOT,
@@ -213,65 +216,110 @@ def _extract(game, code, k):
     )
 
 
+@lru_cache(maxsize=64)
 def _term(i):
     """Term i of the separator scan: 0, 1, then the pebble variables."""
     return BOT if i == 0 else TOP if i == 1 else Var(f"p{i - 2}")
 
 
-def _atomic_separator(A, B, pebbles_a, pebbles_b):
-    """An atomic sentence over the pebble variables true in A, false in B.
+@lru_cache(maxsize=4096)
+def _atom(op, i, j, k, positive):
+    """op(t_i, t_j) = t_k, or its negation.  Equal atoms are one object
+    across every sentence, so comparing them stops at identity and each
+    keeps one hash."""
+    if not positive:
+        return Not(_atom(op, i, j, k, True))
+    return Eq(op(_term(i), _term(j)), _term(k))
 
-    Pebble i is the variable p{i}; the bounds enter as the constants 0, 1.
-    The atom is the first in the order of a scan over term triples (t1, t2,
-    t3), meet before join at each t3.  at_A[e] is the mask of the terms with
-    value e in A, so the t3 at which the meet of t1, t2 tells A from B is the
-    lowest bit of at_A[m_A] ^ at_B[m_B].  No equality t_i = t_j needs a scan
-    of its own: if it holds in one structure only, the earlier pair (k, k),
+
+def _dead_atoms(L, M, on_L, on_M, x, dead, in_A):
+    """{y: atom} for each reply y in the mask dead: the first atom, in the
+    scan order, whose truth tells L with the new pebble on x from M with it
+    on y, stated to hold in A (L is A when in_A, else M is).
+
+    Terms are 0, 1, then the pebbles, with values on_L in L and on_M in M,
+    and the new pebble last.  The scan runs over term pairs (t1, t2), then
+    t3, meet before join at each t3; at_L[e] is the mask of the terms with
+    value e in L, so the t3 at which the meet of t1, t2 tells L from M is the
+    lowest bit of at_L[meet in L] ^ at_M[meet in M].  The old position is
+    live, so an old pair's meet (join) can only differ on the new term: for
+    all replies at once that is one mask, the replies y for which exactly
+    one of meet_L == x, meet_M == y holds.  The pairs with the new term are
+    worked out per reply.  As meets and joins commute, (t2, t1) repeats
+    (t1, t2), so only t2 >= t1 is scanned.  No equality t_i = t_j needs a
+    scan of its own: if it holds in one structure only, the pair (k, k),
     k = min(i, j), already shows it, as t_k ^ t_k = t_k is read against
     every term.
     """
-    values = list(zip([A.bottom, A.top, *pebbles_a], [B.bottom, B.top, *pebbles_b]))
-    at_A, at_B = [0] * A.n, [0] * B.n
-    for i, (a, b) in enumerate(values):
-        at_A[a] |= 1 << i
-        at_B[b] |= 1 << i
-    for i, (a1, b1) in enumerate(values):
-        meet_a, meet_b, join_a, join_b = A.meet[a1], B.meet[b1], A.join[a1], B.join[b1]
-        for j, (a2, b2) in enumerate(values):
-            off_meet = at_A[meet_a[a2]] ^ at_B[meet_b[b2]]
-            off = off_meet | at_A[join_a[a2]] ^ at_B[join_b[b2]]
+    new = len(on_L)
+    bit = 1 << new
+    at_L, at_M = [0] * L.n, [0] * M.n
+    for i, (a, b) in enumerate(zip(on_L, on_M)):
+        at_L[a] |= 1 << i
+        at_M[b] |= 1 << i
+    at_L[x] |= bit
+    atoms = {}
+    for i, (a1, b1) in enumerate(zip(on_L, on_M)):
+        meet_L, join_L, meet_M, join_M = L.meet[a1], L.join[a1], M.meet[b1], M.join[b1]
+        rows = ((Meet, meet_L, meet_M), (Join, join_L, join_M))
+        for j in range(i, new):
+            a2, b2 = on_L[j], on_M[j]
+            for op, row_L, row_M in rows:
+                on_x = row_L[a2] == x
+                hits = dead & ~(1 << row_M[b2]) if on_x else dead & 1 << row_M[b2]
+                if hits:
+                    atom = _atom(op, i, j, new, on_x == in_A)
+                    for y in _bits(hits):
+                        atoms[y] = atom
+                    dead ^= hits
+        meet_x, join_x = meet_L[x], join_L[x]
+        for y in _bits(dead):
+            meet_y, join_y = meet_M[y], join_M[y]
+            off_meet = at_L[meet_x] ^ at_M[meet_y] ^ (bit if meet_y == y else 0)
+            off = off_meet | at_L[join_x] ^ at_M[join_y] ^ (bit if join_y == y else 0)
             if off:
                 low = off & -off
-                t3 = _term(low.bit_length() - 1)
-                if off_meet & low:
-                    phi, in_A = Eq(Meet(_term(i), _term(j)), t3), at_A[meet_a[a2]]
-                else:
-                    phi, in_A = Eq(Join(_term(i), _term(j)), t3), at_A[join_a[a2]]
-                return phi if in_A & low else Not(phi)
-    raise AssertionError("pebbled tuples are atomically equivalent")
+                op, e = (Meet, meet_x) if off_meet & low else (Join, join_x)
+                atoms[y] = _atom(op, i, new, low.bit_length() - 1, bool(at_L[e] & low) == in_A)
+                dead ^= 1 << y
+        if not dead:
+            return atoms
+    # the pair (new, new), whose meet is the new pebble itself
+    for y in _bits(dead):
+        off = at_L[x] ^ at_M[y] ^ bit
+        if not off:
+            raise PreconditionViolated(f"no atom tells reply {y} apart: the strategy does not win")
+        low = off & -off
+        atoms[y] = _atom(Meet, new, new, low.bit_length() - 1, bool(at_L[x] & low) == in_A)
+    return atoms
 
 
-def _sentence(A, B, strat, pebbles_a, pebbles_b):
-    if strat is None:
-        return _atomic_separator(A, B, pebbles_a, pebbles_b)
-    subs = []
+def _sentence(A, B, strat, on_A, on_B):
+    """The sentence of strategy node strat at the live position whose terms
+    (0, 1, then the pebbles) take the values on_A in A and on_B in B."""
+    dead = sum(1 << reply for reply, sub in enumerate(strat.responses) if sub is None)
+    if strat.side == "A":
+        atoms = _dead_atoms(A, B, on_A, on_B, strat.element, dead, True)
+    else:
+        atoms = _dead_atoms(B, A, on_B, on_A, strat.element, dead, False)
+    subs = {}  # a set kept in first-seen order: each sentence's hash is kept on it, for eval_formula's cache too
     for reply, sub in enumerate(strat.responses):
-        if strat.side == "A":
-            s = _sentence(A, B, sub, pebbles_a + [strat.element], pebbles_b + [reply])
+        if sub is None:
+            s = atoms[reply]
+        elif strat.side == "A":
+            s = _sentence(A, B, sub, on_A + [strat.element], on_B + [reply])
         else:
-            s = _sentence(A, B, sub, pebbles_a + [reply], pebbles_b + [strat.element])
-        if s not in subs:
-            subs.append(s)
+            s = _sentence(A, B, sub, on_A + [reply], on_B + [strat.element])
+        subs[s] = None
     connective, quantifier = (And, Exists) if strat.side == "A" else (Or, Forall)
-    body = subs[0]
-    for s in subs[1:]:
-        body = connective(body, s)
-    return quantifier(f"p{len(pebbles_a)}", body)
+    return quantifier(f"p{len(on_A) - 2}", reduce(connective, subs))
 
 
 def strategy_to_sentence(A, B, strategy):
     """A sentence of quantifier rank <= rounds, true in A and false in B."""
-    sentence = _sentence(A, B, strategy, [], [])
+    if strategy is None:
+        raise PreconditionViolated("no strategy: the matcher survived, so no sentence separates the lattices")
+    sentence = _sentence(A, B, strategy, [A.bottom, A.top], [B.bottom, B.top])
     if eval_formula(A, sentence) is not True:
         raise PostconditionFailed("separating sentence is false in A")
     if eval_formula(B, sentence) is not False:

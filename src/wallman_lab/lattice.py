@@ -520,12 +520,14 @@ def satisfies_HI(L):
     return (True, None) if first is None else (False, PliandFoursome(*first))
 
 
-def _dim_le1_scan(L):
+def _dim_le1_scan(L, keep_rows=True):
     """The scan behind `satisfies_dim_le1`, stopped before the witness map.
 
     Returns (False, (x0,y0,x1,y1)), the first failing quadruple, or (True,
     (disjoint, key_of, rows)): the disjoint pairs in order, each pair's key
-    number, and each key's row of witnesses by partner key number.
+    number, and each key's row of witnesses by partner key number.  Without
+    keep_rows, rows is left empty: the rows hold keys^2 witnesses, 43 M on
+    2^8, and the verdict needs only one row at a time.
     """
     meet = L.meet
     perp, cotop, _, _ = _masks(L)
@@ -544,7 +546,7 @@ def _dim_le1_scan(L):
     ]
     hits = {}  # hits[w][k]: key k's first (u, v) with u^v^w = 0, or None
     rows = []
-    for parts in partitions:
+    for k0, parts in enumerate(partitions):
         # partner key k1 takes the first (u0, v0) of k0 whose meet w some
         # (u1, v1) of k1 clears, with the first such (u1, v1)
         row = [None] * len(partitions)
@@ -556,14 +558,15 @@ def _dim_le1_scan(L):
             if None not in row:
                 break
         if None in row:
-            return False, first_pair[len(rows)] + first_pair[row.index(None)]
-        rows.append(row)
+            return False, first_pair[k0] + first_pair[row.index(None)]
+        if keep_rows:
+            rows.append(row)
     return True, (disjoint, key_of, rows)
 
 
 def dim_le1_holds(L):
     """The verdict of `satisfies_dim_le1`, without building the witness map."""
-    return _dim_le1_scan(L)[0]
+    return _dim_le1_scan(L, keep_rows=False)[0]
 
 
 def satisfies_dim_le1(L):

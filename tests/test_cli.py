@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -140,6 +141,61 @@ class TestCheck:
     def test_non_distributive_input_still_checks(self, fixtures):
         report = report_of(run_cli("check", fixtures["m3"], "--predicates", "distributive"))
         assert report["outcome"]["distributive"]["holds"] is False
+
+
+def boolean_tables(k):
+    n = 1 << k
+    names = ["{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in range(n)]
+    meet = [[a & b for b in range(n)] for a in range(n)]
+    join = [[a | b for b in range(n)] for a in range(n)]
+    return {"elements": names, "meet": meet, "join": join, "bottom": 0, "top": n - 1}
+
+
+class TestDimLe1WitnessBound:
+    """A dim_le1 witness map past MAX_WITNESS_ENTRIES is reported by its size."""
+
+    def test_a_holding_map_past_the_bound_gives_its_entry_count(self, tmp_path):
+        # 6 incomparable points: 2^6, 9^6 = 531,441 entries (49.7 MB of JSON when written out)
+        path = tmp_path / "antichain6.json"
+        path.write_text(json.dumps({"poset": {"size": 6, "le": []}}))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert report_of(proc)["outcome"]["dim_le1"] == {"holds": True, "witness": None, "witness_entries": 531441}
+
+    # the reports as written before the bound, elapsed_ms masked
+    @pytest.mark.parametrize(
+        "name, payload, digest",
+        [
+            ("ba16.json", boolean_tables(4), "44d5d49c004a2fcd07ca9067dbf987fc4f9ccff5ab75e9fd2b49bd27336174f6"),
+            (
+                "antichain5.json",
+                {"poset": {"size": 5, "le": []}},
+                "899644cd8fd158676aba4c940ff0911daecea0f904a273e79e26a856a43d2dbf",
+            ),
+        ],
+    )
+    def test_maps_within_the_bound_are_written_out_unchanged(self, tmp_path, name, payload, digest):
+        (tmp_path / name).write_text(json.dumps(payload))
+        proc = run_cli("check", name, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        report = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout)
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+    def test_a_failure_past_the_bound_gives_its_quadruple(self, tmp_path, monkeypatch, capsys):
+        # 2^2 with a new top: dim_le1 fails at (0, 0, 1, 2), whatever the bound
+        tables = {
+            "elements": ["0", "a", "b", "c", "1"],
+            "meet": [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 2, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 4]],
+            "join": [[0, 1, 2, 3, 4], [1, 1, 3, 3, 4], [2, 3, 2, 3, 4], [3, 3, 3, 3, 4], [4, 4, 4, 4, 4]],
+            "bottom": 0,
+            "top": 4,
+        }
+        path = tmp_path / "topped.json"
+        path.write_text(json.dumps(tables))
+        monkeypatch.setattr(cli, "MAX_WITNESS_ENTRIES", 0)
+        assert cli.main(["check", str(path), "--predicates", "dim_le1"]) == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert outcome == {"dim_le1": {"holds": False, "witness": [0, 0, 1, 2]}}
 
 
 class TestInputHandling:

@@ -5,14 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_consistent, reference_ef_equivalent, reference_sentence
+from oracles import reference_atomic_separator, reference_consistent, reference_ef_equivalent, reference_sentence
 from wallman_lab import ef
 from wallman_lab.ef import (
+    SpoilerStrategy,
     ef_equivalent,
     elementarily_equivalent_finite,
     strategy_to_sentence,
 )
 from wallman_lab.enumeration import lattices_of_size
+from wallman_lab.errors import PreconditionViolated
 from wallman_lab.fol import eval_formula, print_formula
 from wallman_lab.lattice import chain, lattice_isomorphism, powerset_lattice, validate
 
@@ -100,6 +102,18 @@ class TestStrategySentences:
             sentence = strategy_to_sentence(A, B, strategy)
             assert eval_formula(A, sentence) is True
             assert eval_formula(B, sentence) is False
+
+    def test_no_strategy_is_refused(self):
+        # the matcher survives chain(3) against itself, so there is no strategy to convert
+        assert ef_equivalent(chain(3), chain(3), 3) == (True, None)
+        with pytest.raises(PreconditionViolated, match="no strategy: the matcher survived"):
+            strategy_to_sentence(chain(3), chain(3), None)
+
+    def test_a_strategy_that_marks_a_live_reply_dead_is_refused(self):
+        # pebbling the middle of chain(3) on both sides leaves the position live
+        dead_everywhere = SpoilerStrategy("A", 1, (None, None, None))
+        with pytest.raises(PreconditionViolated, match="no atom tells reply 1 apart: the strategy does not win"):
+            strategy_to_sentence(chain(3), chain(3), dead_everywhere)
 
     def test_all_small_pairs_yield_checked_sentences(self):
         small = lattices_of_size(2) + lattices_of_size(3) + lattices_of_size(4)
@@ -278,15 +292,71 @@ class TestIsomorphismOnlyOrdersReplies:
             assert elementarily_equivalent_finite(L, P)
 
 
-def test_the_size_6_sweep_is_pinned():
-    # the digest the plain game of tests/oracles.py gives for these 225 pairs
+class TestDeadReplyAtoms:
+    """Every dead reply's atom, worked out for all of a node's dead replies
+    at once, is the one the plain separator of tests/oracles.py finds."""
+
+    def test_every_dead_reply_against_the_plain_separator(self, monkeypatch):
+        calls = []
+        dead_atoms = ef._dead_atoms
+
+        def recorded(*args):
+            atoms = dead_atoms(*args)
+            calls.append((args, atoms))
+            return atoms
+
+        monkeypatch.setattr(ef, "_dead_atoms", recorded)
+        six = lattices_of_size(6)
+        cases = [(A, B, 5) for A in up_to(5) for B in up_to(5)] + [(A, B, 4) for A in six for B in six]
+        for A, B, rounds in cases:
+            ok, strategy = ef_equivalent(A, B, rounds)
+            if not ok:
+                strategy_to_sentence(A, B, strategy)
+        checked = 0
+        for (L, M, on_L, on_M, x, dead, in_A), atoms in calls:
+            assert sorted(atoms) == [y for y in range(M.n) if dead >> y & 1]
+            for y, atom in atoms.items():
+                if in_A:
+                    want = reference_atomic_separator(L, M, on_L[2:] + [x], on_M[2:] + [y])
+                else:
+                    want = reference_atomic_separator(M, L, on_M[2:] + [y], on_L[2:] + [x])
+                assert atom == want, (L.meet, M.meet, on_L, on_M, x, y, in_A)
+                checked += 1
+        assert checked == 8946
+
+
+def sweep_head(size, rounds):
+    """The verdict counts and digest lines of scripts/ef_sweep.py."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "ef_sweep.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--size", "6", "--rounds", "4"], capture_output=True, text=True, timeout=300
+        [sys.executable, str(script), "--size", str(size), "--rounds", str(rounds)],
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[:3] == [
+    return proc.stdout.splitlines()[:3]
+
+
+def test_the_size_6_sweep_is_pinned():
+    # the digest the plain game of tests/oracles.py gives for these 225 pairs
+    assert sweep_head(6, 4) == [
         "equivalent 15",
         "separated 210",
         "sentences sha256 01cbd2ff47b1ae3ac1ee50aa4550218e026db4c0b32f953e402a7b782fea5e38",
+    ]
+
+
+@pytest.mark.parametrize(
+    "size, rounds, equivalent, separated, digest",
+    [
+        (5, 5, 5, 20, "3d351190d89958a3ae685488bcaacf86c92bdc347c12ab3a27d6a9cf2a53feb5"),
+        (7, 3, 53, 2756, "1af2ccf1d92ecc4fa9f4309ba018e78d4b4bd5b0f1111603fb493fe779b18c35"),
+    ],
+)
+def test_the_size_5_and_7_sweeps_are_pinned(size, rounds, equivalent, separated, digest):
+    assert sweep_head(size, rounds) == [
+        f"equivalent {equivalent}",
+        f"separated {separated}",
+        f"sentences sha256 {digest}",
     ]

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,18 @@ def test_the_dim_le1_verdict_alone_agrees_with_the_full_decision():
     for n in range(2, 10):
         for L in lattices_of_size(n):
             assert dim_le1_holds(L) is satisfies_dim_le1(L)[0], (n, L.meet)
+
+
+def test_the_dim_le1_verdict_alone_keeps_no_witness_rows():
+    # on 2^6 the 729 rows of 729 witnesses take about 44 MB; one row at a time, about 1.5 MB
+    L = powerset_lattice(6)
+    tracemalloc.start()
+    try:
+        assert dim_le1_holds(L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_dim_le1_matches_the_tuple_keyed_search():
