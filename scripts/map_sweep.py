@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run both `homsearch` searches over fixed families of small inputs.
 
-    PYTHONPATH=src python scripts/map_sweep.py [--discrete K]
+    PYTHONPATH=src python scripts/map_sweep.py [--discrete N [K]]
 
 Embeddings: every lattice of size 2..7 into 2^3, 2^4 and each lattice of
 size 8 (17,248 pairs).  Base morphisms: `find_L_morphism(Y, closed sets of
@@ -13,7 +13,9 @@ and the time spent in each search.  The digests depend only on the answers,
 so two versions of `homsearch` that print the same digests returned the
 same first embeddings and morphisms.  The tests pin both digests.
 
-With --discrete K it also times the discrete K-point space onto itself.
+With --discrete N K it also times the search for a base morphism from the
+discrete K-point space into the discrete N-point space, which gives a
+continuous surjection of N points onto K; K defaults to N.
 """
 
 import argparse
@@ -50,9 +52,13 @@ def sweep(answer, pairs):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--discrete", type=int, metavar="K", help="also time discrete K points onto itself")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], usage="%(prog)s [-h] [--discrete N [K]]")
+    parser.add_argument(
+        "--discrete", type=int, nargs="+", metavar=("N", "K"), help="also time discrete N points onto K (default N)"
+    )
     args = parser.parse_args()
+    if args.discrete is not None and len(args.discrete) > 2:
+        parser.error("--discrete takes N and at most one K")
     # every input is built before the clocks start
     sources = [B for n in range(2, 8) for B in lattices_of_size(n)]
     targets = [powerset_lattice(3), powerset_lattice(4), *lattices_of_size(8)]
@@ -66,10 +72,11 @@ def main():
     print(f"morphisms sha256 {morphisms[2]}")
     print(f"embeddings {embeddings[3]:.3f} s, morphisms {morphisms[3]:.3f} s")
     if args.discrete is not None:
-        D = discrete_space(args.discrete)
+        n, k = (args.discrete * 2)[:2]
+        X, Y = discrete_space(n), discrete_space(k)
         started = time.perf_counter()
-        found = morphism_line(D, D) != "-"
-        print(f"discrete {args.discrete} -> {args.discrete} found {found} in {time.perf_counter() - started:.4f} s")
+        found = morphism_line(Y, X) != "-"
+        print(f"discrete {n} -> {k} found {found} in {time.perf_counter() - started:.4f} s")
 
 
 if __name__ == "__main__":

@@ -520,15 +520,12 @@ def satisfies_HI(L):
     return (True, None) if first is None else (False, PliandFoursome(*first))
 
 
-def _dim_le1_scan(L, keep_rows=True):
-    """The scan behind `satisfies_dim_le1`, stopped before the witness map.
-
-    Returns (False, (x0,y0,x1,y1)), the first failing quadruple, or (True,
-    (disjoint, key_of, rows)): the disjoint pairs in order, each pair's key
-    number, and each key's row of witnesses by partner key number.  Without
-    keep_rows, rows is left empty: the rows hold keys^2 witnesses, 43 M on
-    2^8, and the verdict needs only one row at a time.
-    """
+def _dim_le1_keys(L):
+    """(perp, disjoint, first_pair, key_of, partitions) for the dim<=1 scans:
+    L's disjointness masks; the disjoint pairs (x, y) in order; the first
+    pair of each key (perp[x], perp[y]), the keys numbered in order of first
+    appearance; each pair's key number; and each key's partitions (u, v,
+    u^v), u ^ x = v ^ y = 0 and u v v = 1, in lexicographic order."""
     meet = L.meet
     perp, cotop, _, _ = _masks(L)
     perp_bits = [list(_bits(m)) for m in perp]
@@ -540,10 +537,20 @@ def _dim_le1_scan(L, keep_rows=True):
         if k == len(first_pair):
             first_pair.append((x, y))
         key_of.append(k)
-    # partitions[k]: the (u, v, u^v) of key k, in lexicographic order
     partitions = [
         [(u, v, meet[u][v]) for u in perp_bits[x] for v in cotop_bits[u] if perp[y] >> v & 1] for x, y in first_pair
     ]
+    return perp, disjoint, first_pair, key_of, partitions
+
+
+def _dim_le1_scan(L):
+    """The scan behind `satisfies_dim_le1`, stopped before the witness map.
+
+    Returns (False, (x0,y0,x1,y1)), the first failing quadruple, or (True,
+    (disjoint, key_of, rows)): the disjoint pairs in order, each pair's key
+    number, and each key's row of witnesses by partner key number.
+    """
+    perp, disjoint, first_pair, key_of, partitions = _dim_le1_keys(L)
     hits = {}  # hits[w][k]: key k's first (u, v) with u^v^w = 0, or None
     rows = []
     for k0, parts in enumerate(partitions):
@@ -559,14 +566,38 @@ def _dim_le1_scan(L, keep_rows=True):
                 break
         if None in row:
             return False, first_pair[k0] + first_pair[row.index(None)]
-        if keep_rows:
-            rows.append(row)
+        rows.append(row)
     return True, (disjoint, key_of, rows)
+
+
+def _dim_le1_first_failure(L):
+    """The first failing quadruple of `satisfies_dim_le1`, or None, with no
+    witness built: the rows hold keys^2 witnesses, 43 M on 2^8, and the
+    verdict needs only the partner keys each row leaves empty.  Key k0
+    covers partner k1 when a meet of k0's partitions and one of k1's meet
+    in 0; the covered partners are kept as a bitmask, and the first key
+    with a gap, with its lowest uncovered partner, is the row scan's first
+    failure."""
+    perp, _, first_pair, _, partitions = _dim_le1_keys(L)
+    meets = [sum(1 << w for w in {m for _, _, m in ps}) for ps in partitions]
+    all_keys = (1 << len(partitions)) - 1
+    covers = {}  # covers[w]: the mask of the keys with a meet in perp[w]
+    for k0, parts in enumerate(partitions):
+        gap = all_keys
+        for _, _, w in parts:
+            if w not in covers:
+                covers[w] = sum(1 << k for k, m in enumerate(meets) if m & perp[w])
+            gap &= ~covers[w]
+            if not gap:
+                break
+        else:
+            return first_pair[k0] + first_pair[(gap & -gap).bit_length() - 1]
+    return None
 
 
 def dim_le1_holds(L):
     """The verdict of `satisfies_dim_le1`, without building the witness map."""
-    return _dim_le1_scan(L, keep_rows=False)[0]
+    return _dim_le1_first_failure(L) is None
 
 
 def satisfies_dim_le1(L):

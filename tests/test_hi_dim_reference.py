@@ -21,6 +21,7 @@ from wallman_lab.errors import NotPliand, PreconditionViolated
 from wallman_lab.lattice import (
     Chicane,
     PliandFoursome,
+    _dim_le1_first_failure,
     _first_without_chicane,
     _least_chicane,
     _masks,
@@ -177,9 +178,13 @@ def test_dim_le1_matches_reference_on_small_lattices():
 
 
 def test_the_dim_le1_verdict_alone_agrees_with_the_full_decision():
+    # the verdict and the first failing quadruple of the scan that keeps a
+    # bitmask of covered partner keys in place of witness rows
     for n in range(2, 10):
         for L in lattices_of_size(n):
-            assert dim_le1_holds(L) is satisfies_dim_le1(L)[0], (n, L.meet)
+            ok, found = satisfies_dim_le1(L)
+            assert dim_le1_holds(L) is ok, (n, L.meet)
+            assert _dim_le1_first_failure(L) == (None if ok else found), (n, L.meet)
 
 
 def test_the_dim_le1_verdict_alone_keeps_no_witness_rows():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from wallman_lab import homsearch
 from wallman_lab.errors import NonSingletonFiber, NotABase, PreconditionViolated
 from wallman_lab.homsearch import (
     LMorphism,
@@ -17,7 +19,7 @@ from wallman_lab.homsearch import (
     surjection_from_morphism,
 )
 from wallman_lab.enumeration import lattices_of_size
-from wallman_lab.lattice import chain, is_distributive, powerset_lattice
+from wallman_lab.lattice import _first_assignment, chain, diamond_m3, is_distributive, powerset_lattice
 from wallman_lab.spaces import (
     all_spaces,
     closed_set_lattice,
@@ -62,6 +64,14 @@ class TestEmbedding:
 
     def test_boolean_four_into_three_chain_absent(self):
         assert find_lattice_embedding(powerset_lattice(2), chain(3)) is None
+
+    def test_a_source_no_target_element_can_hold_is_refused_before_the_search(self, monkeypatch):
+        monkeypatch.setattr(homsearch, "_first_assignment", lambda *args: pytest.fail("the search ran"))
+        # more elements than the target
+        assert find_lattice_embedding(powerset_lattice(3), chain(7)) is None
+        # 2 in the chain 0 < 1 < 2 < 3 has three elements below it, and of the
+        # elements of 2^2 only the top has as many, though it has one above it
+        assert find_lattice_embedding(chain(4), powerset_lattice(2)) is None
 
     def test_deterministic_first_solution(self):
         a = find_lattice_embedding(chain(3), powerset_lattice(2))
@@ -141,6 +151,16 @@ def test_embedding_matches_plain_search(make_target):
     target = make_target()
     for B in (B for n in range(2, 8) for B in lattices_of_size(n)):
         assert find_lattice_embedding(B, target) == plain_lattice_embedding(B, target), B
+
+
+def test_embedding_matches_plain_search_on_random_pairs(rng):
+    # sizes 2..8 on both sides, from the enumeration, 2^1..2^3 and M3
+    by_size = {n: list(lattices_of_size(n)) for n in range(2, 9)}
+    for L in (powerset_lattice(1), powerset_lattice(2), powerset_lattice(3), diamond_m3()):
+        by_size[L.n].append(L)
+    for _ in range(300):
+        B, L = (rng.choice(by_size[rng.randint(2, 8)]) for _ in range(2))
+        assert find_lattice_embedding(B, L) == plain_lattice_embedding(B, L), (B.meet, L.meet)
 
 
 class TestSurjectionFromEmbedding:
@@ -229,8 +249,6 @@ class TestLMorphism:
                     find_L_morphism(Y, bad, Y)
 
     def test_a_base_is_validated_once(self, monkeypatch):
-        from wallman_lab import homsearch
-
         Y, X = discrete_space(3), discrete_space(4)
         base = Y.closed_sorted()
         find_L_morphism(Y, base, X)
@@ -246,6 +264,18 @@ class TestLMorphism:
         started = time.perf_counter()
         assert find_L_morphism(Y, Y.closed_sorted(), discrete_space(8)) is None
         assert time.perf_counter() - started < 1
+
+    def test_discrete_twelve_onto_six_sees_its_forced_points(self):
+        # without the forced-point check this ran past 20 s: a branch that leaves
+        # points outside every atom's image lives until the co-atoms, which must
+        # all hold them and meet in the empty set
+        Y, X = discrete_space(6), discrete_space(12)
+        started = time.perf_counter()
+        phi = find_L_morphism(Y, Y.closed_sorted(), X)
+        assert time.perf_counter() - started < 2
+        # the first morphism keeps the pattern of 8 onto 5 and 9 onto 5, where
+        # the search without the check finishes: the last atom takes the rest
+        assert phi == preimage_morphism([0, 1, 2, 3, 4] + [5] * 7, X, Y)
 
     def test_non_singleton_intersection_diagnosed(self):
         # a deliberately bad morphism on the Sierpinski-type space
@@ -360,6 +390,42 @@ def test_L_morphism_matches_plain_search(points):
     base = Y.closed_sorted()
     for X in (X for n in range(5) for X in all_spaces(n)):
         assert find_L_morphism(Y, base, X) == plain_L_morphism(Y, base, X), X
+
+
+class _PastBudget(Exception):
+    pass
+
+
+def test_L_morphism_matches_plain_search_on_random_spaces(rng, monkeypatch):
+    # spaces on 5..8 points from random generators, onto the discrete space on
+    # 3..5 points; the plain search gets 20,000 steps an instance, as some
+    # "yes" instances take it minutes, and one past them is not compared
+    def capped(domains, step, state):
+        steps = iter(range(20_000))
+
+        def counted(*args):
+            if next(steps, None) is None:
+                raise _PastBudget
+            return step(*args)
+
+        return _first_assignment(domains, counted, state)
+
+    monkeypatch.setattr(oracles, "_first_assignment", capped)
+    compared = 0
+    for _ in range(40):
+        n, k = rng.randint(5, 8), rng.randint(3, 5)
+        X = generate_space(n, [rng.randrange(1, 1 << n) for _ in range(rng.randint(3, 9))])
+        Y = discrete_space(k)
+        base = Y.closed_sorted()
+        started = time.perf_counter()
+        phi = find_L_morphism(Y, base, X)
+        assert time.perf_counter() - started < 1, (n, X.closed, k)
+        try:
+            assert phi == plain_L_morphism(Y, base, X), (n, X.closed, k)
+        except _PastBudget:
+            continue
+        compared += 1
+    assert compared >= 20, compared
 
 
 def test_discrete_five_onto_itself_matches_plain_search():

@@ -40,7 +40,7 @@ def cold(make_args):
 
     def make():
         args = make_args()
-        for cache in (homsearch._embedding_plan, homsearch._closed_rows, lattice._preimages):
+        for cache in (homsearch._embedding_plan, homsearch._shared, homsearch._at_least, homsearch._closed_rows, lattice._preimages):
             cache.cache_clear()
         return args
 
