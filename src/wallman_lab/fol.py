@@ -6,7 +6,7 @@ list, puts the sentence in negation normal form, pushes each quantifier as
 far in as it goes (miniscoping, so an atom is tested at the outermost
 quantifier that binds all its variables), and returns a `Compiled` whose
 `bind(L)` gives nested closures over L's tables.  `eval_formula` and the
-model finder share `_compiled`, a cache of the last 256 compiled (sentence,
+model finder share `_compiled`, an LRU cache of 4096 compiled (sentence,
 names) pairs; the model finder binds each once per lattice.
 
 A quantifier node keeps a memo when a variable bound by a quantifier above
@@ -786,7 +786,7 @@ def compile_sentence(sentence, names):
 
 
 # a raising compile is not cached, so every call with a bad name raises
-_compiled = lru_cache(maxsize=256)(compile_sentence)
+_compiled = lru_cache(maxsize=4096)(compile_sentence)
 
 
 def eval_formula(L, sentence, constant_interpretation=None):

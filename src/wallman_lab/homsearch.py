@@ -9,14 +9,13 @@ isomorphism searches.
 Both are forward-checked.  A variable's candidates are a bitmask from which
 the values placed before it have already removed every value that would
 break a condition, walked in ascending order: an embedding reads its mask
-off the target's preimage rows (`lattice._preimages`), and a base morphism
-keeps one mask per later base set and drops a branch as soon as one is
-empty.  Two bounds look further ahead: an embedding's candidates for e
-have at least as many elements below and above them as e has, and a base
-morphism drops a branch once the base sets that hold a point in every
-completion meet in the empty set.  Each removes only values, or branches,
-that lie in no solution, so the first answer is the one the unfiltered
-search finds.
+off the target's preimage rows (`lattice._preimages`), and its candidates
+for e have at least as many elements below and above them as e has.  A
+base morphism keeps one mask per later base set and one forced meet per
+point, the meet of the base sets that hold it in every completion, both
+kept by one propagation loop, and drops a branch once a mask or a meet is
+empty.  Each removes only values, or branches, that lie in no solution, so
+the first answer is the one the unfiltered search finds.
 """
 
 from __future__ import annotations
@@ -232,7 +231,7 @@ def _closed_rows(X):
 
 
 def _candidates(i, values, state):
-    return _bits(state[1][i])
+    return _bits(state[0][i])
 
 
 def find_L_morphism(Y, base, X):
@@ -243,21 +242,18 @@ def find_L_morphism(Y, base, X):
     intersection keeps an empty intersection.  Assignments are explored in
     lexicographic target order and the first solution wins.
 
-    The last condition is checked point by point: for each point x of X the
-    base sets whose image holds x must still meet.  A subfamily with empty
-    intersection whose images share a point x lies inside that point's
-    family, so the two checks prune the same partial assignments.
-
-    Each later base set keeps a mask of its candidates over the closed sets
-    of X.  After each assignment t, a cover partner keeps only the u with
-    t | u = X, and a base set B_j loses every u holding a point x whose
-    running meet no longer meets B_j; an emptied mask prunes the branch.
-
-    A later base set all of whose candidates hold x holds x in every
-    completion, so the running meet at x and every such set must meet.  The
-    search keeps that meet per point, updated only for the sets whose
-    candidates shrank at a step, and prunes a branch where it is empty.
-    Such a branch holds no solution, so the first morphism is unchanged.
+    The last condition is checked point by point: the base sets whose images
+    hold a point x must meet, as a subfamily with empty intersection whose
+    images share x lies inside that point's family.  Each later base set
+    keeps a mask of its candidates over the closed sets of X, and each point
+    x its forced meet sure[x]: the meet of the base sets that hold x in
+    every completion, those assigned a set holding x and those all of whose
+    candidates hold it.  After each assignment t, a cover partner keeps only
+    the u with t | u = X; then one loop over the sets whose candidates
+    shrank meets sure[x] with each set forced to hold x, and where sure[x]
+    shrinks, every set that misses it loses the u holding x.  An empty meet
+    or mask prunes a branch that holds no solution, so the first morphism is
+    unchanged.
 
     No search is made when the base has more atoms than X has minimal
     nonempty closed sets.  Two distinct atoms of the base meet in a smaller
@@ -272,16 +268,15 @@ def find_L_morphism(Y, base, X):
     # partners[i]: the j > i with base[j] | base[i] = Y; a pair j <= i was
     # checked when base[i] got its candidates, and base[i] | base[i] = Y only for Y
     partners = [[j for j in range(i + 1, len(base)) if b | base[j] == full_y] for i, b in enumerate(base)]
-    # disjoint[m]: the base positions j with base[j] & m == 0, for each running
+    # disjoint[m]: the base positions j with base[j] & m == 0, for each forced
     # meet m met so far; the base is closed under meets, so m is a base set
     disjoint = {full_y: 1}
     avoid = [~h for h in holds]  # avoid[x]: the closed sets of X not holding x
 
     def step(i, k, values, state):
-        # meet_at[x]: the meet of the base sets assigned so far whose image holds x;
-        # sure[x]: the meet of those and of the later base sets all of whose candidates hold x
-        meet_at, doms, sure = state
-        doms, shrunk = list(doms), [i]  # the sets whose candidates shrank here
+        # sure[x]: the meet of the base sets that hold x in every completion
+        doms, sure = state
+        doms, work = list(doms), [i]  # work: the sets whose candidates shrank here
         doms[i] = 1 << k
         cover = covers[k]
         for j in partners[i]:
@@ -290,44 +285,38 @@ def find_L_morphism(Y, base, X):
                 if not d:
                     return None
                 doms[j] = d
-                shrunk.append(j)
-        if points[k]:
-            b, later = base[i], -2 << i
-            meet_at = list(meet_at)
-            for x in points[k]:
-                old = meet_at[x]
-                m = meet_at[x] = old & b
-                if m != old:
-                    dead = disjoint.get(m)
-                    if dead is None:
-                        dead = disjoint[m] = sum(1 << j for j, c in enumerate(base) if not c & m)
-                    for j in _bits(dead & ~disjoint[old] & later):
-                        d = doms[j] & avoid[x]
-                        if d != doms[j]:
-                            if not d:
-                                return None
-                            doms[j] = d
-                            shrunk.append(j)
-        # a set's forced points grow only where its candidates shrank, and
-        # they lie in its first candidate
+                work.append(j)
         new = sure
-        for j in shrunk:
+        for j in work:
+            # a set's forced points lie in its first candidate
             d, b = doms[j], base[j]
             for x in points[(d & -d).bit_length() - 1]:
-                m = new[x] & b
-                if m != new[x] and not d & avoid[x]:
-                    if not m:
-                        return None
-                    if new is sure:
-                        new = list(sure)
-                    new[x] = m
-        return meet_at, doms, new
+                old = new[x]
+                m = old & b
+                if m == old or d & avoid[x]:
+                    continue
+                if not m:
+                    return None
+                if new is sure:
+                    new = list(sure)
+                new[x] = m
+                dead = disjoint.get(m)
+                if dead is None:
+                    dead = disjoint[m] = sum(1 << j for j, c in enumerate(base) if not c & m)
+                for h in _bits(dead & ~disjoint[old]):
+                    e = doms[h] & avoid[x]
+                    if e != doms[h]:
+                        if not e:
+                            return None
+                        doms[h] = e
+                        work.append(h)
+        return doms, new
 
     nonzero = (1 << len(closed)) - 2  # closed[0] is the empty set
     whole = 1 << len(closed) - 1 if X.full else 0  # X, unless X has no points
     doms = [1 if b == 0 else whole if b == full_y else nonzero for b in base]
     domains = [partial(_candidates, i) for i in range(len(base))]
-    values = _first_assignment(domains, step, ([full_y] * X.point_count, doms, [full_y] * X.point_count))
+    values = _first_assignment(domains, step, (doms, [full_y] * X.point_count))
     return None if values is None else LMorphism(tuple(base), {b: closed[k] for b, k in zip(base, values)})
 
 

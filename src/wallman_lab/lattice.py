@@ -744,8 +744,9 @@ def enumerate_distributive(max_size):
     found = []
     for m in range(1, max_size):
         for P in posets_up_to_iso(m):
-            L = downset_lattice(P)
-            if L.n <= max_size:
-                found.append(L)
+            try:
+                found.append(downset_lattice(P, max_size))
+            except PreconditionViolated:  # more than max_size down-sets
+                pass
     found.sort(key=lambda L: L.n)
     yield from found

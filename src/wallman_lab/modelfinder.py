@@ -4,15 +4,16 @@ Candidate lattices come from the isomorph-free enumeration (one per
 isomorphism class, deterministic order), sizes from STREAM_FROM_SIZE on
 built only as far as the search reads them.  Constants are interpreted in
 order on the shared backtracking core, `lattice._first_assignment`.  Each
-sentence is planned once per constant list, from the compiled sentence that
-`eval_formula` reads too (`fol._compiled`).  A ground literal on its newest
-constant c of a few shapes (c = 0, x ^ c = 0, x v c = 1, c = x, c <= x,
-c = x ^ y, their negations; see `fol._literal_filter`) becomes a bitmask
-filter on the domain of c, as in SEM and Mace4; every other sentence is
-checked as soon as the constants it mentions are assigned.  A closed
-sentence is decided at most once per lattice (`_closed_plan`), a builtin
-one by its direct decider in `lattice`, and the other tests are bound to a
-lattice only once every closed sentence holds there.  Each lattice and each
+sentence is planned from its compiled form, made once per constant list in
+the cache that `eval_formula` reads too (`fol._compiled`).  A ground literal
+on its newest constant c of a few shapes (c = 0, x ^ c = 0, x v c = 1,
+c = x, c <= x, c = x ^ y, their negations; see `fol._literal_filter`)
+becomes a bitmask filter on the domain of c, as in SEM and Mace4; every
+other sentence is checked as soon as the constants it mentions are
+assigned.  A closed sentence is decided at most once per lattice
+(`_closed_plan`), a builtin one by its direct decider in `lattice`, and the
+other tests are bound to a lattice only once every closed sentence holds
+there.  Each lattice and each
 value tried at a reached prefix is one budget node, filtered or not, so
 neither the filters nor the verdicts change the node count or the first
 model.  Outcomes are values, never exceptions.
@@ -128,10 +129,6 @@ def _deciders():
     }
 
 
-# Room for the plans of several large theories: the diagram of a 16-element
-# lattice alone has 640 sentences, and the preimage theories of all spaces on
-# 4 points have 2,663 distinct (sentence, constants) pairs.
-@lru_cache(maxsize=4096)
 def _plan(sentence, consts):
     """(depth, plan) of a sentence against the constants: the _Filter the
     sentence is, or (cost, width, test), the cost being its quantifier count
@@ -150,11 +147,11 @@ def _plan(sentence, consts):
 @lru_cache(maxsize=256)
 def _closed_plan(sentence):
     """The plan of a closed sentence, made once whatever the constants and
-    kept apart from `_plan`, whose entries the many sentences of a large
-    theory's diagram push out.  Its test is (verdicts, decide): decide(L) is
-    the sentence's truth in L, and verdicts, shared by every search that
-    runs it, maps each size n to (decided, holds), bitmasks over the
-    positions of `iter_lattices(n)`.  A pair is replaced whole, never
+    kept apart from `fol._compiled`, whose entries the many sentences of a
+    large theory's diagram push out.  Its test is (verdicts, decide):
+    decide(L) is the sentence's truth in L, and verdicts, shared by every
+    search that runs it, maps each size n to (decided, holds), bitmasks over
+    the positions of `iter_lattices(n)`.  A pair is replaced whole, never
     updated in place, so two threads can at worst decide a lattice twice."""
     compiled = _compiled(sentence, ())
     decide = _deciders().get(sentence) or (lambda L: compiled.bind(L)([0] * compiled.width))

@@ -16,7 +16,7 @@ from wallman_lab.ef import (
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.errors import PreconditionViolated
 from wallman_lab.fol import eval_formula, print_formula
-from wallman_lab.lattice import chain, lattice_isomorphism, powerset_lattice, validate
+from wallman_lab.lattice import _preimages, chain, lattice_isomorphism, powerset_lattice, validate
 
 
 def permuted_copy(L, perm):
@@ -248,6 +248,39 @@ class TestReplyMasks:
                     assert masks_B[b] == live, (A.meet, B.meet, pairs, "B", b)
                 checked += 1
         assert checked > 900
+
+    def test_pairs_that_land_on_one_element_apart_leave_it_no_reply(self):
+        # A: 0 < e < x < 1 and e < y < z < 1.  B: 0 < e1 < e2 < fx < 1,
+        # e1 < fy < fz < 1 and e2 < fz.  The position x, y, z -> fx, fy, fz is
+        # live, as x ^ y = e and x ^ z = e land on the unpebbled e1 and e2, and
+        # so e has no reply: pebbling e1 makes x ^ z = e while fx ^ fz = e2.
+        # No game reaches it (the challenger wins at 2 rounds), so the masks
+        # are read directly.
+        A = order_lattice(6, [(0, 1), (1, 2), (2, 5), (1, 3), (3, 4), (4, 5)])
+        B = order_lattice(7, [(0, 1), (1, 2), (2, 3), (3, 6), (1, 4), (4, 5), (5, 6), (2, 5)])
+        f = {0: 0, 5: 6, 2: 3, 3: 4, 4: 5}
+        assert A.meet[2][3] == A.meet[2][4] == 1 and (B.meet[3][4], B.meet[3][5]) == (1, 2)
+        pairs = frozenset(f.items())
+        assert reference_consistent(A, B, pairs)
+        masks = ef._reply_masks(A, B, _preimages(B), f)
+        assert masks[1] == 0
+        for a in range(A.n):
+            assert masks[a] == sum(1 << b for b in range(B.n) if reference_consistent(A, B, pairs | {(a, b)})), a
+
+
+def order_lattice(n, covers):
+    """The lattice on 0..n-1 whose order is generated by the pairs (lower,
+    upper) of covers, 0 being the bottom and n - 1 the top."""
+    up = [{a} for a in range(n)]
+    for _ in range(n):
+        for a, b in covers:
+            for u in up:
+                if a in u:
+                    u |= up[b]
+    size = lambda c: len(up[c])  # the fewer elements above c, the higher c is
+    meet = tuple(tuple(min((c for c in range(n) if {a, b} <= up[c]), key=size) for b in range(n)) for a in range(n))
+    join = tuple(tuple(max(up[a] & up[b], key=size) for b in range(n)) for a in range(n))
+    return validate(tuple(map(str, range(n))), meet, join, 0, n - 1)
 
 
 class TestIsomorphismOnlyOrdersReplies:

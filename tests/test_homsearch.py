@@ -428,6 +428,85 @@ def test_L_morphism_matches_plain_search_on_random_spaces(rng, monkeypatch):
     assert compared >= 20, compared
 
 
+def test_a_set_that_misses_a_forced_meet_keeps_no_candidate_holding_its_point(monkeypatch):
+    # after every step that does not prune, sure[x] is the forced meet at x:
+    # a later base set that misses it cannot hold x, so none of its
+    # candidates may hold x
+    checked = []
+
+    def checking(domains, step, state):
+        def checked_step(i, k, values, state):
+            out = step(i, k, values, state)
+            if out is not None:
+                doms, sure = out
+                for j in range(i + 1, len(base)):
+                    for x, meet in enumerate(sure):
+                        assert not (doms[j] & holds[x] and base[j] & meet == 0), (Y, X, values, i, k, j, x)
+                checked.append(i)
+            return out
+
+        return _first_assignment(domains, checked_step, state)
+
+    monkeypatch.setattr(homsearch, "_first_assignment", checking)
+    spaces = [X for n in range(5) for X in all_spaces(n)]
+    for Y in (Y for n in range(4) for Y in all_spaces(n)):
+        base = homsearch._valid_base(Y, tuple(Y.closed_sorted()))[0]
+        for X in spaces:
+            holds = homsearch._closed_rows(X)[3]
+            find_L_morphism(Y, base, X)
+    assert len(checked) > 30_000, len(checked)
+
+
+def _components(X):
+    """The number of components of X: its minimal nonempty clopen sets."""
+    atoms = []
+    for c in X.closed_sorted():
+        if c and X.full & ~c in X.closed and all(a & ~c for a in atoms):
+            atoms.append(c)
+    return len(atoms)
+
+
+def test_L_morphism_onto_discrete_k_exists_exactly_with_k_components(rng, monkeypatch):
+    # X on 8..9 points is K-1, K or K+1 clopen blocks, each with random closed
+    # subsets, so it has at least as many components as blocks; X maps onto
+    # discrete K exactly when it has at least K components.  The plain search
+    # gets 20,000 steps an instance and one past them is not compared.
+    def capped(domains, step, state):
+        steps = iter(range(20_000))
+
+        def counted(*args):
+            if next(steps, None) is None:
+                raise _PastBudget
+            return step(*args)
+
+        return _first_assignment(domains, counted, state)
+
+    monkeypatch.setattr(oracles, "_first_assignment", capped)
+    found = compared = 0
+    for _ in range(60):
+        k, n = rng.randint(3, 5), rng.randint(8, 9)
+        blocks = rng.randint(k - 1, k + 1)
+        owner = list(range(blocks)) + [rng.randrange(blocks) for _ in range(n - blocks)]
+        rng.shuffle(owner)
+        generators = []
+        for b in range(blocks):
+            points = [x for x in range(n) if owner[x] == b]
+            generators.append(sum(1 << x for x in points))
+            for _ in range(rng.randint(0, 3)):
+                generators.append(sum(1 << x for x in rng.sample(points, rng.randint(1, len(points)))))
+        X, Y = generate_space(n, generators), discrete_space(k)
+        base = Y.closed_sorted()
+        phi = find_L_morphism(Y, base, X)
+        assert (phi is not None) == (_components(X) >= k), (n, X.closed, k)
+        found += phi is not None
+        try:
+            assert phi == plain_L_morphism(Y, base, X), (n, X.closed, k)
+        except _PastBudget:
+            continue
+        compared += 1
+    assert 10 <= found <= 50 and compared >= 30, (found, compared)
+
+
 def test_discrete_five_onto_itself_matches_plain_search():
     D = discrete_space(5)
     assert find_L_morphism(D, D.closed_sorted(), D) == plain_L_morphism(D, D.closed_sorted(), D)

@@ -387,6 +387,15 @@ class TestBirkhoff:
             M = downset_lattice(P)
             assert lattice_isomorphism(L, M) is not None
 
+    @pytest.mark.parametrize("max_size", range(1, 8))
+    def test_distributive_enumeration_keeps_what_the_unbounded_one_keeps(self, max_size):
+        # every down-set lattice of the posets on fewer than max_size points,
+        # built whole, then those of at most max_size elements, by size
+        unbounded = [downset_lattice(P) for m in range(1, max_size) for P in enumeration.posets_up_to_iso(m)]
+        kept = sorted((L for L in unbounded if L.n <= max_size), key=lambda L: L.n)
+        tables = lambda Ls: [(L.names, L.meet, L.join, L.bottom, L.top) for L in Ls]
+        assert tables(enumerate_distributive(max_size)) == tables(kept)
+
     def test_birkhoff_rejects_m3(self):
         with pytest.raises(NotDistributive):
             birkhoff_poset(diamond_m3())

@@ -255,7 +255,6 @@ def compiles_in_fol(monkeypatch):
 
 def forget_verdicts():
     """Empty the verdict stores, and the plans that hold them."""
-    _plan.cache_clear()
     _closed_plan.cache_clear()
 
 
