@@ -25,18 +25,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import Poset, _downsets, _first_assignment, _table, validate
+from .lattice import Poset, _bits, _downsets, _first_assignment, _table, validate
 
 
 def _up_masks(down):
     """up[a] is the bitmask of {b : a <= b}, read off the down-masks bit by bit."""
     up = [0] * len(down)
     for b, d in enumerate(down):
-        bit = 1 << b
-        while d:
-            low = d & -d
-            up[low.bit_length() - 1] |= bit
-            d ^= low
+        for a in _bits(d):
+            up[a] |= 1 << b
     return up
 
 
@@ -66,9 +63,9 @@ def _poset_isomorphic(down_a, prof_a, down_b, prof_b):
 
     The two profiles are equal as multisets, as within one dedupe bucket.
     """
-    by_profile = {}
+    by_profile = {}  # the mask of b's elements with each profile
     for j, p in enumerate(prof_b):
-        by_profile.setdefault(p, []).append(j)
+        by_profile[p] = by_profile.get(p, 0) | 1 << j
 
     def step(i, j, values, used):
         if used >> j & 1:
@@ -80,7 +77,7 @@ def _poset_isomorphic(down_a, prof_a, down_b, prof_b):
                 return None
         return used | 1 << j
 
-    return _first_assignment([by_profile.get(p, ()) for p in prof_a], step, 0)
+    return _first_assignment([by_profile.get(p, 0) for p in prof_a], step, 0)
 
 
 def _dedupe(candidates):

@@ -6,9 +6,9 @@ continuous surjections).  Both are lexicographic-first and deterministic and
 run on the backtracking core `lattice._first_assignment`, as do the
 isomorphism searches.
 
-Both are forward-checked.  A variable's candidates are a bitmask from which
-the values placed before it have already removed every value that would
-break a condition, walked in ascending order: an embedding reads its mask
+Both are forward-checked.  A variable's domain is a bitmask from which the
+values placed before it have already removed every value that would break
+a condition, and the core walks it lowest bit first: an embedding reads its mask
 off the target's preimage rows (`lattice._preimages`), and its candidates
 for e have at least as many elements below and above them as e has.  A
 base morphism keeps one mask per later base set and one forced meet per
@@ -110,8 +110,8 @@ def _at_least(L):
 
 
 def _embedding_domain(start, fixes, rows, tables, pres):
-    """The candidates of one position: the unused elements of start that
-    every fix and row of the position allows, in ascending order."""
+    """The candidates of one position: the mask of the unused elements of
+    start that every fix and row of the position allows."""
 
     def domain(values, used):
         mask = start & ~used
@@ -121,7 +121,7 @@ def _embedding_domain(start, fixes, rows, tables, pres):
             if not mask:
                 break
             mask &= pres[t][values[a]][values[b]]
-        return _bits(mask)
+        return mask
 
     return domain
 
@@ -231,7 +231,7 @@ def _closed_rows(X):
 
 
 def _candidates(i, values, state):
-    return _bits(state[0][i])
+    return state[0][i]
 
 
 def find_L_morphism(Y, base, X):

@@ -2,6 +2,26 @@
 
 All semantics run on dense element indices; display names are metadata.
 Every search returns the lexicographically least witness in index order.
+
+On a finite distributive lattice L, normality, HI and dim<=1 each hold
+exactly when each connected component of the order on L's
+join-irreducibles J holds one minimal element, that is, one atom.  L is the
+lattice of down-sets of J (Birkhoff), and a component is a down-set of J.
+- One atom per component: let x ^ y = 0, q the join of the components that
+  meet x, p that of the others.  Then p ^ q = 0, p v q = 1 and p ^ x = 0.
+  Each j in J lies above its component's atom, so a component meeting x
+  and y would put its atom below x ^ y = 0; hence q ^ y = 0.  So p, q
+  witness normality; z1 = q, z2 = 0, z3 = p is a chicane of a pliand
+  (x, y, f, g), which gives HI; and such pairs for (x0, y0) and (x1, y1)
+  have u0 ^ v0 = 0, which gives dim<=1.
+- Two atoms in one component: were each element above one atom only,
+  comparable elements would share it and, the component being connected,
+  all of it would.  So some m in J lies above two atoms r and s.  If
+  u ^ r = v ^ s = 0 and u v v = 1, then m <= u v v, and m, join-prime in a
+  distributive lattice, lies below u or v, which then meets r or s; so
+  normality fails at (r, s).  HI and dim<=1 each imply normality, on every
+  lattice: for disjoint x, y put u = y, v = x in HI, whose z1, z2, z3 give
+  z2 v z3 and z1 v z2; in dim<=1 put (x1, y1) = (x0, y0).
 """
 
 from __future__ import annotations
@@ -688,30 +708,44 @@ def birkhoff_poset(L):
     return Poset(len(irr), le).validate()
 
 
-def _first_assignment(domains, step, state):
+def _first_assignment(domains, step, state, charge=None):
     """The first assignment of values to the variables 0..k-1, or None.
 
-    Variables are assigned in order, each trying the values of domains[i] in
-    order; a callable domains[i] is a domain that depends on the values
-    before it, domains[i](values, state) giving the values to try.
+    Variables are assigned in order, each trying the set bits of the mask
+    domains[i], lowest first; a callable domains[i] is a domain that depends
+    on the values before it, domains[i](values, state) giving the mask.
     step(i, value, values, state) sees values[0..i] assigned, value
     included, and returns the state for variable i + 1, or None to prune.
+
+    charge, when given, is (tick, n), and each value 0..n-1 of a walked
+    domain is charged, masked out or not: tick(value - last) before each
+    value tried, tick(n - 1 - last) after a walk that runs out.
     """
     values = [None] * len(domains)
-    return values if _assign(0, domains, step, state, values) else None
+    return values if _assign(0, domains, step, state, values, charge) else None
 
 
-def _assign(i, domains, step, state, values):
+def _assign(i, domains, step, state, values, charge):
     # a module-level recursion, not a closure that calls itself: such a
     # closure is a reference cycle that lives until the garbage collector runs
     if i == len(domains):
         return True
-    domain = domains[i]
-    for value in domain(values, state) if callable(domain) else domain:
-        values[i] = value
+    mask = domains[i]
+    if callable(mask):
+        mask = mask(values, state)
+    last = -1
+    while mask:
+        low = mask & -mask
+        value = low.bit_length() - 1
+        if charge:
+            charge[0](value - last)
+        values[i] = last = value
         nxt = step(i, value, values, state)
-        if nxt is not None and _assign(i + 1, domains, step, nxt, values):
+        if nxt is not None and _assign(i + 1, domains, step, nxt, values, charge):
             return True
+        mask ^= low
+    if charge and last < charge[1] - 1:
+        charge[0](charge[1] - 1 - last)
     return False
 
 

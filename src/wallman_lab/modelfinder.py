@@ -14,9 +14,9 @@ assigned.  A closed sentence is decided at most once per lattice
 (`_closed_plan`), a builtin one by its direct decider in `lattice`, and the
 other tests are bound to a lattice only once every closed sentence holds
 there.  Each lattice and each
-value tried at a reached prefix is one budget node, filtered or not, so
-neither the filters nor the verdicts change the node count or the first
-model.  Outcomes are values, never exceptions.
+value at a reached prefix is one budget node, masked out or not (the core
+charges them, `tracker.tick` in hand), so neither the filters nor the
+verdicts change the node count or the first model.  Outcomes are values.
 """
 
 from __future__ import annotations
@@ -197,16 +197,11 @@ def _rows(L, table, holds, cache):
     return cache[key]
 
 
-def _domain(L, filters, cache, tracker):
-    """domain(values, state): the values of one constant that pass its
-    filters at the values of the constants before it, in index order.
-
-    Every value 0..n-1 is one budget node, filtered or not: a survivor is
-    charged with the filtered values before it, and an exhausted domain with
-    those after its last survivor.
-    """
-    n, tick = L.n, tracker.tick
-    base = (1 << n) - 1
+def _domain(L, filters, cache):
+    """The values of one constant that pass its filters, as a mask when no
+    filter reads another constant, else as domain(values, state), the mask
+    at the values of the constants before it."""
+    base = (1 << L.n) - 1
     rows, fixed = [], []
     for f in filters:
         if f.x is None:
@@ -216,6 +211,8 @@ def _domain(L, filters, cache, tracker):
             rows.append((_rows(L, f.table, f.holds, cache), f.x))
         else:
             fixed.append((getattr(L, f.table), f.x, f.y, f.holds))
+    if not rows and not fixed:
+        return base
 
     def domain(values, state):
         mask = base
@@ -224,16 +221,7 @@ def _domain(L, filters, cache, tracker):
         for T, x, y, holds in fixed:
             bit = 1 << T[values[x]][values[y]]
             mask &= bit if holds else ~bit
-        last = -1
-        while mask:
-            low = mask & -mask
-            value = low.bit_length() - 1
-            tick(value - last)
-            yield value
-            last = value
-            mask ^= low
-        if last < n - 1:
-            tick(n - 1 - last)
+        return mask
 
     return domain
 
@@ -265,8 +253,8 @@ def _satisfying_interpretation(L, position, schedule, tracker):
     tests = [[bind(L) for bind in stage] for stage in stages]
     slots = [0] * width
     cache = {}
-    domains = [_domain(L, fs, cache, tracker) for fs in filters]
-    found = _first_assignment(domains, _step, (tests, slots))
+    domains = [_domain(L, fs, cache) for fs in filters]
+    found = _first_assignment(domains, _step, (tests, slots), (tracker.tick, n))
     return None if found is None else dict(zip(consts, slots))
 
 

@@ -1,7 +1,9 @@
 """Brute-force oracles for the tests, meant only for very small inputs:
 every labeled lattice on n elements, an exhaustive search over point maps
 set against `find_L_morphism`, the plain pebble game that `ef` refines,
-the two `homsearch` searches without forward checking, and the `intervals`
+the backtracking core as it was when its domains were lists, and on it the
+two `homsearch` searches without forward checking and the poset-isomorphism
+search with one index list per profile, the `intervals`
 operations and `satisfies_dim_le1` as they were before integer keys,
 `all_spaces` as it was before the pruned search, the `fol` builtins and
 `kappa_constants_theory` as they were built before they were written as
@@ -47,7 +49,7 @@ from wallman_lab.fol import (
     _tokenize,
 )
 from wallman_lab.homsearch import LMorphism, _valid_base, find_L_morphism
-from wallman_lab.enumeration import _poset_isomorphic, _profile, _up_masks
+from wallman_lab.enumeration import _profile, _up_masks
 from wallman_lab.errors import (
     FormulaSyntaxError,
     NonCanonicalInput,
@@ -59,7 +61,7 @@ from wallman_lab.errors import (
     NotDistributive,
     PostconditionFailed,
 )
-from wallman_lab.lattice import Poset, _bits, _by_size, _first_assignment, _masks, is_distributive, validate
+from wallman_lab.lattice import Poset, _bits, _by_size, _masks, is_distributive, validate
 from wallman_lab.spaces import (
     FiniteSpace,
     _fiber_point,
@@ -251,6 +253,31 @@ def reference_sentence(A, B, strat, pebbles_a=(), pebbles_b=()):
     return quantifier(f"p{len(pebbles_a)}", body)
 
 
+# ---------------------------------------------------------------- backtracking
+# The shared core as it ran when its domains were lists.  The reference
+# searches below and in `unfiltered_search` run on this loop, so they share
+# no search code with the package searches they are checked against.
+
+
+def plain_first_assignment(domains, step, state):
+    """The first assignment of values to the variables 0..k-1, each trying
+    the values of the list domains[i] in order, or None.  step is as for
+    `lattice._first_assignment`."""
+    values = [None] * len(domains)
+    return values if _plain_assign(0, domains, step, state, values) else None
+
+
+def _plain_assign(i, domains, step, state, values):
+    if i == len(domains):
+        return True
+    for value in domains[i]:
+        values[i] = value
+        nxt = step(i, value, values, state)
+        if nxt is not None and _plain_assign(i + 1, domains, step, nxt, values):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------- homsearch
 # The two searches as they ran on the shared core before forward checking:
 # every candidate is tried, and each condition is checked once the last of
@@ -277,7 +304,7 @@ def plain_lattice_embedding(B, L):
         return used | 1 << t
 
     domains = [[L.bottom], [L.top]] + [L.elements()] * (len(order) - 2)
-    values = _first_assignment(domains, step, 0)
+    values = plain_first_assignment(domains, step, 0)
     return None if values is None else dict(zip(order, values))
 
 
@@ -300,7 +327,7 @@ def plain_L_morphism(Y, base, X):
         meet_at = [m & b if t >> x & 1 else m for x, m in enumerate(meet_at)]
         return None if t and 0 in meet_at else meet_at
 
-    values = _first_assignment(domains, step, [full_y] * X.point_count)
+    values = plain_first_assignment(domains, step, [full_y] * X.point_count)
     return None if values is None else LMorphism(tuple(base), dict(zip(base, values)))
 
 
@@ -686,6 +713,28 @@ def frozen_join_irreducibles(L):
     return out
 
 
+def one_atom_per_component(L):
+    """On a finite distributive lattice: does each connected component of
+    the order on the join-irreducibles hold one minimal element, that is,
+    one atom?  Components are joined over comparable pairs, read off the
+    meet table; every component holds at least one minimal element, so the
+    answer is whether no two minimal elements share a component."""
+    irr = frozen_join_irreducibles(L)
+    parent = {j: j for j in irr}
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for a in irr:
+        for b in irr:
+            if L.leq(a, b):
+                parent[root(a)] = root(b)
+    roots = [root(j) for j in irr if not any(k != j and L.leq(k, j) for k in irr)]
+    return len(roots) == len(set(roots))
+
+
 def frozen_birkhoff_poset(L):
     ok, witness = is_distributive(L)
     if not ok:
@@ -703,8 +752,28 @@ def frozen_lattice_isomorphism(A, B):
     prof_a, prof_b = (_profile(down, _up_masks(down)) for down in (down_a, down_b))
     if sorted(prof_a) != sorted(prof_b):
         return None
-    mapping = _poset_isomorphic(down_a, prof_a, down_b, prof_b)
+    mapping = frozen_poset_isomorphic(down_a, prof_a, down_b, prof_b)
     return None if mapping is None else dict(enumerate(mapping))
+
+
+def frozen_poset_isomorphic(down_a, prof_a, down_b, prof_b):
+    """`enumeration._poset_isomorphic` as it was with one index list per
+    profile, on the plain loop."""
+    by_profile = {}
+    for j, p in enumerate(prof_b):
+        by_profile.setdefault(p, []).append(j)
+
+    def step(i, j, values, used):
+        if used >> j & 1:
+            return None
+        da, db = down_a[i], down_b[j]
+        for k in range(i):
+            mk = values[k]
+            if down_a[k] >> i & 1 != down_b[mk] >> j & 1 or da >> k & 1 != db >> mk & 1:
+                return None
+        return used | 1 << j
+
+    return plain_first_assignment([by_profile.get(p, ()) for p in prof_a], step, 0)
 
 
 def frozen_filters(L):

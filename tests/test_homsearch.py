@@ -38,6 +38,7 @@ from oracles import (
     frozen_surjection_from_morphism,
     frozen_wallman_base,
     oracle_surjection_equivalence,
+    plain_first_assignment,
     plain_L_morphism,
     plain_lattice_embedding,
 )
@@ -408,9 +409,9 @@ def test_L_morphism_matches_plain_search_on_random_spaces(rng, monkeypatch):
                 raise _PastBudget
             return step(*args)
 
-        return _first_assignment(domains, counted, state)
+        return plain_first_assignment(domains, counted, state)
 
-    monkeypatch.setattr(oracles, "_first_assignment", capped)
+    monkeypatch.setattr(oracles, "plain_first_assignment", capped)
     compared = 0
     for _ in range(40):
         n, k = rng.randint(5, 8), rng.randint(3, 5)
@@ -479,9 +480,9 @@ def test_L_morphism_onto_discrete_k_exists_exactly_with_k_components(rng, monkey
                 raise _PastBudget
             return step(*args)
 
-        return _first_assignment(domains, counted, state)
+        return plain_first_assignment(domains, counted, state)
 
-    monkeypatch.setattr(oracles, "_first_assignment", capped)
+    monkeypatch.setattr(oracles, "plain_first_assignment", capped)
     found = compared = 0
     for _ in range(60):
         k, n = rng.randint(3, 5), rng.randint(8, 9)

@@ -35,6 +35,7 @@ from wallman_lab.lattice import (
     chicane_identities_hold,
     conn,
     diamond_m3,
+    dim_le1_holds,
     downset_lattice,
     enumerate_distributive,
     find_chicane,
@@ -50,7 +51,7 @@ from wallman_lab.lattice import (
     table_violations,
     validate,
 )
-from wallman_lab.spaces import all_spaces
+from wallman_lab.spaces import all_spaces, closed_set_lattice
 
 from oracles import (
     all_labeled_lattices,
@@ -58,6 +59,7 @@ from oracles import (
     frozen_diamond_m3,
     frozen_mask_lattice,
     frozen_powerset_lattice,
+    one_atom_per_component,
 )
 
 
@@ -294,6 +296,34 @@ class TestNormality:
     def test_every_chain_is_normal(self):
         for k in range(2, 6):
             assert is_normal(chain(k))[0]
+
+
+def _three_verdicts(L):
+    return is_normal(L)[0], satisfies_HI(L)[0], dim_le1_holds(L)
+
+
+class TestDistributiveNormality:
+    # the module docstring's proof: on a finite distributive lattice,
+    # normality, HI and dim<=1 each hold exactly when each component of the
+    # join-irreducibles' order holds one atom
+
+    def test_on_every_distributive_lattice_of_sizes_2_to_10(self):
+        lattices = [L for n in range(2, 11) for L in lattices_of_size(n) if is_distributive(L)[0]]
+        assert len(lattices) == 108  # OEIS A006982 for n = 2..10
+        verdicts = [_three_verdicts(L) for L in lattices]
+        assert verdicts == [(one_atom_per_component(L),) * 3 for L in lattices]
+        assert 0 < sum(v[0] for v in verdicts) < 108
+
+    def test_on_the_closed_sets_of_every_space_on_1_to_5_points(self):
+        spaces = [X for n in range(1, 6) for X in all_spaces(n)]
+        assert len(spaces) == 7331
+        held = 0
+        for X in spaces:
+            L = closed_set_lattice(X)
+            expected = one_atom_per_component(L)
+            assert _three_verdicts(L) == (expected,) * 3, X.closed
+            held += expected
+        assert 0 < held < len(spaces)
 
 
 class TestConn:

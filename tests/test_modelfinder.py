@@ -29,6 +29,7 @@ from wallman_lab.fol import (
     parse,
 )
 from wallman_lab.lattice import (
+    _first_assignment,
     chain,
     conn,
     is_disjunctive,
@@ -144,6 +145,28 @@ class TestBudget:
             tracker.tick(k)
         assert tracker.deadline.reads == checks
         assert tracker.nodes_left == limit - sum(charges)
+
+    @pytest.mark.parametrize(
+        "domains, ticks",
+        [
+            # 1: charge 2 (0, 1); under it 0: 1, 3: 3, then 2 (4, 5) after
+            # the exhausted walk; 4: 3 (2..4); under it 0: 1 and 3: 3, which
+            # succeeds, so nothing after it is charged at either level
+            ([0b010010, 0b001001], [2, 1, 3, 2, 3, 1, 3]),
+            # a callable domain is charged alike; an empty one charges all
+            # six values, and the first walk, which ends at 5, nothing more
+            ([0b100001, lambda values, state: 0], [1, 6, 5, 6]),
+        ],
+    )
+    def test_the_core_charges_every_value_of_a_walked_domain_until_a_success(self, domains, ticks):
+        seen = []
+
+        def step(i, value, values, state):
+            return None if i == 1 and values != [4, 3] else state
+
+        found = _first_assignment(domains, step, 0, (seen.append, 6))
+        assert found == ([4, 3] if domains[0] >> 4 & 1 else None)
+        assert seen == ticks
 
 
 class TestFindModel:
@@ -406,9 +429,10 @@ class TestDomainFilters:
         for n in range(2, 7):
             for L in lattices_of_size(n):
                 holds = test(L)
-                domain = _domain(L, [plan], {}, _Budget(SearchBudget()))
+                domain = _domain(L, [plan], {})
                 for x, y in itertools.product(range(n), repeat=2):
-                    kept = list(domain([x, y], None))
+                    mask = domain([x, y], None) if callable(domain) else domain
+                    kept = [v for v in range(n) if mask >> v & 1]
                     assert kept == [v for v in range(n) if holds([x, y, v])], (text, L.meet, x, y)
 
     @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ its domain filters, and a brute-force satisfiability oracle.
 Both run every sentence as a compiled test and charge one budget node per
 value tried, so they share no filter with `modelfinder.find_model`, which
 must return exactly what `find_model_unfiltered` returns.  They compile with
-the frozen closure makers of `oracles`, so they share no quantifier memo
-with the package either.
+the frozen closure makers of `oracles` and backtrack on its plain loop, so
+they share no quantifier memo and no search code with the package either.
 """
 
 import time
@@ -13,7 +13,6 @@ import time
 from wallman_lab.enumeration import iter_lattices, lattices_of_size
 from wallman_lab.errors import PostconditionFailed
 from wallman_lab.fol import eval_formula
-from wallman_lab.lattice import _first_assignment
 from wallman_lab.modelfinder import (
     STREAM_FROM_SIZE,
     BudgetExceeded,
@@ -22,7 +21,7 @@ from wallman_lab.modelfinder import (
     SearchBudget,
 )
 
-from oracles import all_labeled_lattices, frozen_compile_sentence
+from oracles import all_labeled_lattices, frozen_compile_sentence, plain_first_assignment
 
 
 class OutOfBudget(Exception):
@@ -69,7 +68,7 @@ def satisfying_interpretation(L, plan, tracker):
     slots = [0] * width
     if not all(test(slots) for test in tests[0]):
         return None
-    found = _first_assignment([range(L.n)] * len(consts), step, (tests, slots, tracker))
+    found = plain_first_assignment([range(L.n)] * len(consts), step, (tests, slots, tracker))
     return None if found is None else dict(zip(consts, slots))
 
 
