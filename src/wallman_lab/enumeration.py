@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import PreconditionViolated
 from .lattice import Poset, _bits, _downsets, _first_assignment, _table, validate
 
 
@@ -106,6 +107,29 @@ def _posets_raw(m):
     for parent in _posets_raw(m - 1):
         candidates += _children(parent, _downsets(parent))
     return tuple(down for down, _ in _dedupe(candidates))
+
+
+def _posets_with_few_downsets(limit):
+    """(down, down-sets) of each poset on at least one point with at most
+    limit down-sets, one per isomorphism class, in `_posets_raw` order
+    level by level.
+
+    Only posets with fewer than limit down-sets are grown: a child has more
+    down-sets than its parent, so every class kept still meets its first
+    candidate of `_posets_raw` in `_dedupe`."""
+    level = [((), [0])]
+    while level:
+        candidates = []
+        for parent, dsets in level:
+            if len(dsets) < limit:
+                candidates += _children(parent, dsets)
+        level = []
+        for down, _ in _dedupe(candidates):
+            try:
+                level.append((down, _downsets(down, limit)))
+            except PreconditionViolated:  # more than limit down-sets
+                pass
+        yield from level
 
 
 def posets_up_to_iso(m):
@@ -214,11 +238,26 @@ def iter_lattices(n):
     first read; readers that interleave see the same sequence."""
     if n < 2:
         return
+    for _, L in iter_lattices_at(n, -1):
+        yield L
+
+
+def iter_lattices_at(n, positions):
+    """(position, lattice) for the positions of `iter_lattices(n)` (n >= 2)
+    in the bitmask positions, in order, each built when it is first read.
+    A negative mask, such as ~skipped, runs on to the end of the level; the
+    positions between two that are read are built, never visited."""
     level = _level(n)
-    i = 0
-    while i < len(level.lattices) or level.grow():
-        yield level.lattices[i]
-        i += 1
+    position = -1
+    while True:
+        rest = positions >> position + 1
+        if not rest:
+            return
+        position += (rest & -rest).bit_length()
+        while position >= len(level.lattices):
+            if not level.grow():
+                return
+        yield position, level.lattices[position]
 
 
 def lattices_of_size(n):

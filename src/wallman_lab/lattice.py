@@ -708,7 +708,7 @@ def birkhoff_poset(L):
     return Poset(len(irr), le).validate()
 
 
-def _first_assignment(domains, step, state, charge=None):
+def _first_assignment(domains, step, state, charge=None, live=None):
     """The first assignment of values to the variables 0..k-1, or None.
 
     Variables are assigned in order, each trying the set bits of the mask
@@ -720,12 +720,22 @@ def _first_assignment(domains, step, state, charge=None):
     charge, when given, is (tick, n), and each value 0..n-1 of a walked
     domain is charged, masked out or not: tick(value - last) before each
     value tried, tick(n - 1 - last) after a walk that runs out.
+
+    live, when given, holds for each variable None or a mask, callable as
+    a domain may be: the values of variable i that leave the domain of
+    variable i + 1 a value (the model finder's supports, found from
+    transposed filter rows).  Only those are tried.  The caller vouches
+    that step accepts every value of such a variable, so a dead value, one
+    of the domain outside live, is charged as the walk it would have been:
+    its gap, then n for the next variable's empty walk.  Each dead value
+    passed adds n to the tick before the next value tried, or to the tick
+    at the end of a walk that runs out; none past a success is charged.
     """
     values = [None] * len(domains)
-    return values if _assign(0, domains, step, state, values, charge) else None
+    return values if _assign(0, domains, step, state, values, charge, live) else None
 
 
-def _assign(i, domains, step, state, values, charge):
+def _assign(i, domains, step, state, values, charge, live):
     # a module-level recursion, not a closure that calls itself: such a
     # closure is a reference cycle that lives until the garbage collector runs
     if i == len(domains):
@@ -733,19 +743,31 @@ def _assign(i, domains, step, state, values, charge):
     mask = domains[i]
     if callable(mask):
         mask = mask(values, state)
+    dead = 0
+    keep = live[i] if live else None
+    if keep is not None:
+        if callable(keep):
+            keep = keep(values, state)
+        dead = mask & ~keep
+        mask ^= dead
     last = -1
     while mask:
         low = mask & -mask
         value = low.bit_length() - 1
         if charge:
-            charge[0](value - last)
+            k = value - last
+            if dead:
+                passed = dead & low - 1
+                dead ^= passed
+                k += charge[1] * passed.bit_count()
+            charge[0](k)
         values[i] = last = value
         nxt = step(i, value, values, state)
-        if nxt is not None and _assign(i + 1, domains, step, nxt, values, charge):
+        if nxt is not None and _assign(i + 1, domains, step, nxt, values, charge, live):
             return True
         mask ^= low
     if charge and last < charge[1] - 1:
-        charge[0](charge[1] - 1 - last)
+        charge[0](charge[1] - 1 - last + charge[1] * dead.bit_count())
     return False
 
 
@@ -771,16 +793,11 @@ def enumerate_distributive(max_size):
     """One representative per isomorphism class of distributive lattices, size <= max_size.
 
     Generated through downset lattices of posets of join-irreducibles; poset
-    isomorphism classes give exactly one lattice per class.
+    isomorphism classes give exactly one lattice per class.  Only posets with
+    at most max_size down-sets are built (`_posets_with_few_downsets`).
     """
-    from .enumeration import posets_up_to_iso
+    from .enumeration import _posets_with_few_downsets
 
-    found = []
-    for m in range(1, max_size):
-        for P in posets_up_to_iso(m):
-            try:
-                found.append(downset_lattice(P, max_size))
-            except PreconditionViolated:  # more than max_size down-sets
-                pass
+    found = [_mask_lattice(dsets, "p")[0] for _, dsets in _posets_with_few_downsets(max_size)]
     found.sort(key=lambda L: L.n)
     yield from found

@@ -13,10 +13,26 @@ other sentence is checked as soon as the constants it mentions are
 assigned.  A closed sentence is decided at most once per lattice
 (`_closed_plan`), a builtin one by its direct decider in `lattice`, and the
 other tests are bound to a lattice only once every closed sentence holds
-there.  Each lattice and each
-value at a reached prefix is one budget node, masked out or not (the core
-charges them, `tracker.tick` in hand), so neither the filters nor the
-verdicts change the node count or the first model.  Outcomes are values.
+there.
+
+A constant with no tests of its own, whose next constant's filters read it
+in at most one row filter and otherwise only earlier constants, gets a
+support at each prefix (`_support_plan`): the values that leave the next
+constant a value.  It is the union, over the values y that the next
+constant's other filters allow, of the row at y of the filter's table
+transposed; perp and cotop are symmetric, down and up each other's
+transpose, and a negated filter's transpose is the complement.  The core
+tries only the supported values.
+
+Each lattice and each value at a reached prefix is one budget node, masked
+out, unsupported or not (the core charges them, `tracker.tick` in hand), so
+neither the filters, the supports nor the verdicts change the node count,
+the first model or where a search runs out of nodes.  Some are charged in
+bulk, unvisited: a value outside the support as the walk it would have
+been, its gap plus the lattice size, before the next value tried or at the
+end of the walk and never past a success; and a run of the lattices of a
+size that a stored verdict refuses, in one tick of its length.  Outcomes
+are values.
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .enumeration import iter_lattices, lattices_of_size
+from .enumeration import iter_lattices_at, lattices_of_size
 from .errors import NotDistributive, PostconditionFailed, PreconditionViolated
 from .fol import (
     Theory,
@@ -164,7 +180,8 @@ def _schedule(theory):
     Returns the constants; for each constant the filters on its domain; the
     closed sentences as (verdicts, decide) and, for each constant, the
     compiled tests that become checkable once it is assigned, each list
-    cheapest first; and the slot-list width the tests need.
+    cheapest first; the slot-list width the tests need; and for each
+    constant its `_support_plan`, or False when no constant has one.
     """
     consts = tuple(theory.constants)
     repeated = next((name for i, name in enumerate(consts) if name in consts[:i]), None)
@@ -182,7 +199,33 @@ def _schedule(theory):
             stages[depth].append((cost, pos, test))
             width = max(width, sentence_width)
     closed, *stages = [[test for _, _, test in sorted(stage)] for stage in stages]
-    return consts, filters, closed, stages, width
+    supports = [_support_plan(i, filters, stages) for i in range(len(consts))]
+    return consts, filters, closed, stages, width, any(supports) and supports
+
+
+# the table whose row at y holds the x whose row holds y
+_TRANSPOSE = {"perp": "perp", "cotop": "cotop", "down": "up", "up": "down"}
+
+
+def _support_plan(i, filters, stages):
+    """(others, row) when the values of constant i that leave constant
+    i + 1 a value can be found from the constants before i, else None.
+
+    Constant i must have no tests, so that each of its values walks
+    constant i + 1.  Of the filters of constant i + 1, at most one may read
+    i, and only as a row filter: row is its (table, holds) transposed, or
+    None.  The others must read some constant before i; else the support
+    is one mask per lattice, which spares a walk or two at most.  A value
+    v of i leaves i + 1 the values y that pass others with v in the
+    transposed row at y.
+    """
+    if not 0 < i < len(filters) - 1 or stages[i]:
+        return None
+    others = [f for f in filters[i + 1] if i not in (f.x, f.y)]
+    on_i = [f for f in filters[i + 1] if i in (f.x, f.y)]
+    if len(on_i) > 1 or on_i and on_i[0].y is not None or all(f.x is None for f in others):
+        return None
+    return others, (_TRANSPOSE[on_i[0].table], on_i[0].holds) if on_i else None
 
 
 def _rows(L, table, holds, cache):
@@ -226,6 +269,32 @@ def _domain(L, filters, cache):
     return domain
 
 
+def _support(L, plan, cache):
+    """support(values, state), the values of a constant that leave the next
+    one a value, from its `_support_plan`, or None.  It is the union, over
+    the values y that the next constant's other filters allow, of the
+    transposed row at y; with no row filter on the constant, every value or
+    none."""
+    if plan is None:
+        return None
+    others, row = plan
+    allowed = _domain(L, others, cache)  # a mask function, as others read a constant
+    if row is None:
+        full = (1 << L.n) - 1
+        return lambda values, state: full if allowed(values, state) else 0
+    rows = _rows(L, *row, cache)
+
+    def support(values, state):
+        mask, out = allowed(values, state), 0
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    return support
+
+
 def _step(i, value, values, state):
     """Constant i takes value; the tests whose last constant is i are run."""
     tests, slots = state
@@ -240,7 +309,7 @@ def _satisfying_interpretation(L, position, schedule, tracker):
     """The first interpretation of the constants in L, the lattice at
     `position` of its size, or None.  Each closed sentence is decided once
     per lattice; the other tests are bound only once all of them hold."""
-    consts, filters, closed, stages, width = schedule
+    consts, filters, closed, stages, width, supports = schedule
     n, bit = L.n, 1 << position
     for verdicts, decide in closed:
         decided, holds = verdicts.get(n, (0, 0))
@@ -254,7 +323,8 @@ def _satisfying_interpretation(L, position, schedule, tracker):
     slots = [0] * width
     cache = {}
     domains = [_domain(L, fs, cache) for fs in filters]
-    found = _first_assignment(domains, _step, (tests, slots), (tracker.tick, n))
+    live = supports and [_support(L, plan, cache) for plan in supports]
+    found = _first_assignment(domains, _step, (tests, slots), (tracker.tick, n), live)
     return None if found is None else dict(zip(consts, slots))
 
 
@@ -266,14 +336,23 @@ def find_model(theory, budget=SearchBudget()):
     tracker = _Budget(budget)
     try:
         for n in range(2, budget.max_size + 1):
-            lattices = iter_lattices(n) if n >= STREAM_FROM_SIZE else lattices_of_size(n)
-            for position, L in enumerate(lattices):
-                tracker.tick()
+            dead = 0  # the positions that a stored verdict refuses
+            for verdicts, _ in schedule[2]:
+                decided, holds = verdicts.get(n, (0, 0))
+                dead |= decided & ~holds
+            if n < STREAM_FROM_SIZE:
+                lattices_of_size(n)  # built whole
+            last = -1
+            for position, L in iter_lattices_at(n, ~dead):
+                tracker.tick(position - last)
+                last = position
                 interp = _satisfying_interpretation(L, position, schedule, tracker)
                 if interp is not None:
                     if not all(eval_formula(L, s, interp) for s in theory.sentences):
                         raise PostconditionFailed(f"model {interp} on {L.n} elements fails a sentence")
                     return Model(L, interp)
+            if dead >> last + 1:
+                tracker.tick(dead.bit_length() - 1 - last)
     except _OutOfBudget as stop:
         return BudgetExceeded(str(stop))
     return ExhaustedNoModel(budget.max_size)

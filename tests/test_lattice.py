@@ -426,6 +426,11 @@ class TestBirkhoff:
         tables = lambda Ls: [(L.names, L.meet, L.join, L.bottom, L.top) for L in Ls]
         assert tables(enumerate_distributive(max_size)) == tables(kept)
 
+    def test_distributive_lattices_are_counted_to_size_14(self):
+        # OEIS A006982; only posets with at most 14 down-sets are built
+        sizes = [L.n for L in enumerate_distributive(14)]
+        assert [sizes.count(n) for n in range(2, 15)] == [1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151, 269, 494]
+
     def test_birkhoff_rejects_m3(self):
         with pytest.raises(NotDistributive):
             birkhoff_poset(diamond_m3())

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -99,12 +101,20 @@ class TestBudget:
                 16520,
                 ExhaustedNoModel,
             ),
+            # most of these nodes are values that leave the next constant
+            # none, skipped and charged in bulk
+            (kappa_constants_theory(2), 7, 20866, ExhaustedNoModel),
+            (kappa_constants_theory(2), 10, 2027773, (10, {"a1": 5, "a2": 6, "b1": 8, "b2": 7})),
         ],
     )
     def test_search_tree_size_is_pinned(self, theory, max_size, nodes, outcome):
-        # a search of k nodes finishes with node_limit k + 1 and runs out at k
+        # a search of k nodes finishes with node_limit k + 1 and runs out at k;
+        # outcome is the outcome's class, or the size and interpretation of the model
         enough = find_model(theory, SearchBudget(max_size=max_size, node_limit=nodes + 1))
-        assert isinstance(enough, outcome)
+        if isinstance(outcome, type):
+            assert isinstance(enough, outcome)
+        else:
+            assert (enough.lattice.n, enough.interpretation) == outcome
         short = find_model(theory, SearchBudget(max_size=max_size, node_limit=nodes))
         assert short == BudgetExceeded("node limit reached")
 
@@ -167,6 +177,36 @@ class TestBudget:
         found = _first_assignment(domains, step, 0, (seen.append, 6))
         assert found == ([4, 3] if domains[0] >> 4 & 1 else None)
         assert seen == ticks
+
+
+    @pytest.mark.parametrize("accept", [[4, 4, 2], None], ids=["success", "exhausted"])
+    def test_a_walk_past_dead_values_charges_what_the_plain_walk_does(self, accept):
+        # over six values: variable 1 has no value after 2 or 5 at variable 0,
+        # and variable 2 none after 1 or 3 at variable 1; live says so, as a
+        # callable mask and as a mask
+        dead = {(0, 2), (0, 5), (1, 1), (1, 3)}
+        domains = [
+            0b110111,
+            lambda values, state: 0 if values[0] in (2, 5) else 0b011010 if values[0] in (1, 4) else 0b100101,
+            lambda values, state: 0 if values[1] in (1, 3) else 0b000110,
+        ]
+        live = [lambda values, state: 0b011011, 0b110101, None]
+
+        def walk(live):
+            ticks, tried = [], []
+
+            def step(i, value, values, state):
+                tried.append((i, value, sum(ticks)))
+                return None if i == 2 and values != accept else state
+
+            found = _first_assignment(domains, step, 0, (ticks.append, 6), live)
+            return found, tried, sum(ticks)
+
+        found, tried, charged = walk(None)
+        assert found == accept
+        assert any((i, v) in dead for i, v, _ in tried)
+        # each value it tries, at the same running charge, and the same charge at the end
+        assert walk(live) == (found, [t for t in tried if t[:2] not in dead], charged)
 
 
 class TestFindModel:
@@ -268,6 +308,28 @@ def preimage_theories():
     return [hi_preimage_theory(closed_set_lattice(X)) for n in range(1, 4) for X in all_spaces(n)]
 
 
+def stage_shuffled(theory, seed):
+    """The theory with its sentences shuffled, but those checked at the same
+    constant kept in their order, as the benchmark shuffles kappa(2)."""
+    index = {c: i for i, c in enumerate(theory.constants)}
+    stage = [max((index[c] + 1 for c in constant_names(s)), default=0) for s in theory.sentences]
+    queues = {k: [s for s, sk in zip(theory.sentences, stage) if sk == k] for k in set(stage)}
+    slots = list(stage)
+    random.Random(seed).shuffle(slots)
+    return Theory(theory.constants, tuple(queues[k].pop(0) for k in slots))
+
+
+def filter_only_theories():
+    """(theory, nodes it charges to size 6): every sentence a filter, so
+    most constants' values are walked past by their supports."""
+    kappa2 = kappa_constants_theory(2)
+    return [
+        (kappa_constants_theory(1), 21),
+        (stage_shuffled(kappa2, 5077), 3600),
+        (Theory(kappa2.constants, kappa2.sentences + (Eq(Const("a1"), Const("b1")),)), 3006),
+    ]
+
+
 def compiles_in_fol(monkeypatch):
     """The list of the sentences that `fol` compiles from now on, in order."""
     normal_forms = []
@@ -299,6 +361,36 @@ class TestDomainFilters:
         # warm: each theory reads the verdicts the others recorded
         for theory, want in zip(cases, expected):
             assert outcome(find_model(theory, budget)) == want, theory
+
+    @pytest.mark.parametrize("case", range(3), ids=["kappa1", "kappa2-shuffled", "kappa2-a1=b1"])
+    def test_filter_only_theories_return_what_the_unfiltered_search_does(self, case):
+        theory, nodes = filter_only_theories()[case]
+        runs_out = BudgetExceeded("node limit reached")
+        assert find_model_unfiltered(theory, SearchBudget(max_size=6, node_limit=nodes)) == runs_out
+        assert find_model_unfiltered(theory, SearchBudget(max_size=6, node_limit=nodes + 1)) != runs_out
+        for node_limit in [3, 17, 60, 10**6, *range(nodes - 2, nodes + 3)]:
+            budget = SearchBudget(max_size=6, node_limit=node_limit)
+            assert outcome(find_model(theory, budget)) == outcome(find_model_unfiltered(theory, budget)), node_limit
+
+    def test_a_warm_search_runs_out_where_a_cold_one_does(self, monkeypatch):
+        # a warm search charges each run of lattices that a stored verdict
+        # refuses in one tick, without visiting them; a cold one visits all 83
+        theory = preimage_theories()[2]
+
+        def search(node_limit):
+            return outcome(find_model(theory, SearchBudget(max_size=7, node_limit=node_limit)))
+
+        cold = []
+        for node_limit in range(1, 85):
+            forget_verdicts()
+            cold.append(search(node_limit))
+        assert cold[-2:] == [BudgetExceeded("node limit reached"), ExhaustedNoModel(7)]
+        ticks = []
+        tick = _Budget.tick
+        monkeypatch.setattr(_Budget, "tick", lambda self, k=1: ticks.append(k) or tick(self, k))
+        assert search(10**6) == ExhaustedNoModel(7)
+        assert len(ticks) < sum(ticks) == 83
+        assert [search(node_limit) for node_limit in range(1, 85)] == cold
 
     def test_verdicts_hold_for_a_level_built_again(self, cold_levels, monkeypatch):
         budget = SearchBudget(max_size=6)
@@ -703,3 +795,32 @@ class TestSelfChecksUnderOptimization:
             "    print('rejected')\n"
         )
         assert proc.stdout.strip() == "rejected", proc.stderr
+
+
+MODEL_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "model_sweep.py"
+
+
+def test_the_size_7_model_sweep_is_pinned():
+    proc = subprocess.run(
+        [sys.executable, str(MODEL_SWEEP), "--max-size", "7"], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split(";")[0] for line in proc.stdout.splitlines()] == [
+        "kappa1: 1 theories, 21 nodes, sha256 3882ff9fea4114df4664e0241152d9c0c86e3b1b4783cd94f7100c46f6f078f9",
+        "kappa2: 1 theories, 20866 nodes, sha256 67306bcff56be3e90c71f7d67677f003940a28a802be39f563ab379c2ce788d4",
+        "preimage2: 1 theories, 83 nodes, sha256 67306bcff56be3e90c71f7d67677f003940a28a802be39f563ab379c2ce788d4",
+        "small: 793 theories, 3978 nodes, sha256 b626fdac228462f2c3adb8e148e776e5094d973668c48b706ab195bc3412011a",
+    ]
+
+
+def test_the_model_sweep_exits_1_when_a_digest_differs(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("model_sweep", MODEL_SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setitem(sweep.PINNED[7], "kappa2", "0" * 64)
+    monkeypatch.setattr(sys, "argv", ["model_sweep.py", "--max-size", "7"])
+    tick = _Budget.tick
+    assert sweep.main() == 1
+    assert _Budget.tick is tick
+    out = capsys.readouterr().out
+    assert out.count("differs") == 1 and f"kappa2 differs from its pinned digest {'0' * 64}" in out
