@@ -101,16 +101,16 @@ def load_lattice(path):
         if "poset" in data:
             p = data["poset"]
             size = _index(p["size"], MAX_DOWNSETS, "poset size")
-            up = [1 << i for i in range(size)]  # up[i] has bit j when i <= j
+            down = [1 << j for j in range(size)]  # down[j] has bit i when i <= j
             for i, j in p["le"]:
-                up[_index(i, size, "poset index")] |= 1 << _index(j, size, "poset index")
+                i, j = _index(i, size, "poset index"), _index(j, size, "poset index")
+                down[j] |= 1 << i
             # reflexive-transitive closure of the listed relations
             for k in range(size):
-                for i in range(size):
-                    if up[i] >> k & 1:
-                        up[i] |= up[k]
-            le = tuple(tuple(bool(up[i] >> j & 1) for j in range(size)) for i in range(size))
-            return downset_lattice(Poset(size, le), MAX_DOWNSETS)
+                for j in range(size):
+                    if down[j] >> k & 1:
+                        down[j] |= down[k]
+            return downset_lattice(Poset(tuple(down)), MAX_DOWNSETS)
         return validate(
             _names(data["elements"], "elements"),
             tuple(tuple(r) for r in data["meet"]),
@@ -235,9 +235,7 @@ def _witness_json(w):
         return {str(k): list(v) if isinstance(v, tuple) else v for k, v in w.items()}
     if isinstance(w, tuple):
         return list(w)
-    if hasattr(w, "__dict__"):
-        return dict(w.__dict__)
-    return w
+    return dict(w.__dict__)  # a PliandFoursome, the one other witness the six predicates return
 
 
 def cmd_check(args):

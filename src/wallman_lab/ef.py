@@ -207,7 +207,7 @@ def ef_equivalent(A, B, rounds):
 def _extract(game, code, k):
     move = game.spoiler_move(code, k)
     if move is None:
-        raise AssertionError("no winning move from a lost position")
+        raise PostconditionFailed("no winning move from a lost position")
     side, e, replies = move
     pebble = (game.pebbles_A if side == "A" else game.pebbles_B)[e]
     # a reply outside the mask is dead already and needs no further moves
@@ -284,14 +284,9 @@ def _dead_atoms(L, M, on_L, on_M, x, dead, in_A):
                 dead ^= 1 << y
         if not dead:
             return atoms
-    # the pair (new, new), whose meet is the new pebble itself
-    for y in _bits(dead):
-        off = at_L[x] ^ at_M[y] ^ bit
-        if not off:
-            raise PreconditionViolated(f"no atom tells reply {y} apart: the strategy does not win")
-        low = off & -off
-        atoms[y] = _atom(Meet, new, new, low.bit_length() - 1, bool(at_L[x] & low) == in_A)
-    return atoms
+    # (new, new) would tell L from M only at an i with (a_i == x) != (b_i == y),
+    # and the pairs (i, i) struck every such reply y: no atom is left to find
+    raise PreconditionViolated(f"no atom tells reply {next(_bits(dead))} apart: the strategy does not win")
 
 
 def _sentence(A, B, strat, on_A, on_B):

@@ -26,16 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import PreconditionViolated
-from .lattice import Poset, _bits, _downsets, _first_assignment, _table, validate
-
-
-def _up_masks(down):
-    """up[a] is the bitmask of {b : a <= b}, read off the down-masks bit by bit."""
-    up = [0] * len(down)
-    for b, d in enumerate(down):
-        for a in _bits(d):
-            up[a] |= 1 << b
-    return up
+from .lattice import Poset, _downsets, _first_assignment, _table, _up_masks, validate
 
 
 def _children(parent, dsets):
@@ -101,8 +92,6 @@ def _posets_raw(m):
     """All posets on m elements, one per isomorphism class, as down-mask tuples."""
     if m == 0:
         return ((),)
-    if m == 1:
-        return ((1,),)
     candidates = []
     for parent in _posets_raw(m - 1):
         candidates += _children(parent, _downsets(parent))
@@ -134,11 +123,7 @@ def _posets_with_few_downsets(limit):
 
 def posets_up_to_iso(m):
     """Posets on m elements up to isomorphism, as validated Poset values."""
-    out = []
-    for down in _posets_raw(m):
-        le = tuple(tuple(bool(down[b] >> a & 1) for b in range(m)) for a in range(m))
-        out.append(Poset(m, le).validate())
-    return out
+    return [Poset(down).validate() for down in _posets_raw(m)]
 
 
 def _semilattice_candidates(parents):

@@ -295,8 +295,7 @@ def find_L_morphism(Y, base, X):
                 m = old & b
                 if m == old or d & avoid[x]:
                     continue
-                if not m:
-                    return None
+                # m != 0: a base set disjoint from sure[x] has lost every candidate holding x
                 if new is sure:
                     new = list(sure)
                 new[x] = m

@@ -200,10 +200,8 @@ def disjunctive_witness(a, b):
     if meet(a, b) == a:
         raise NotApplicable("a <= b")
     d, xs, ys = _common(a, b)
-    pieces = _pieces(xs, ys)
-    if not pieces:  # pragma: no cover - nonempty difference always yields a piece
-        raise NotApplicable("no nonempty difference piece found")
-    klo, khi, lo, lo_open, hi, hi_open = pieces[0]
+    # a point of a outside the closed set b lies in a piece that `_pieces` keeps
+    klo, khi, lo, lo_open, hi, hi_open = _pieces(xs, ys)[0]
     # an open end moves in by a quarter of the piece: (3 lo + hi) / 4 and (lo + 3 hi) / 4
     clo = Fraction(3 * klo + khi, 4 * d) if lo_open else lo
     chi = Fraction(klo + 3 * khi, 4 * d) if hi_open else hi
@@ -230,4 +228,4 @@ def refute_partition(x, y):
         return "x-empty", x
     if y.is_empty():
         return "y-empty", y
-    raise RuntimeError("unreachable: [0,1] cannot be split by closed sets")
+    raise PostconditionFailed("unreachable: [0,1] cannot be split by closed sets")

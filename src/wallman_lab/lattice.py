@@ -35,6 +35,7 @@ from .errors import (
     MalformedTables,
     NotDistributive,
     NotPliand,
+    PostconditionFailed,
     PreconditionViolated,
 )
 
@@ -89,15 +90,18 @@ class FiniteLattice:
 
 @dataclass(frozen=True)
 class Poset:
-    size: int
-    le: tuple  # size x size tuple-of-tuples of bools
+    down: tuple  # down[a] is the mask of the b <= a
+
+    @property
+    def size(self):
+        return len(self.down)
 
     def validate(self):
         n = self.size
         for a in range(n):
-            if not self.le[a][a]:
+            if not self.down[a] >> a & 1:
                 raise MalformedTables(f"le not reflexive at {a}")
-        up = [sum(1 << b for b in range(n) if self.le[a][b]) for a in range(n)]
+        up = _up_masks(self.down)
         for a in range(n):
             for b in _bits(up[a]):
                 if a != b and up[b] >> a & 1:
@@ -388,6 +392,15 @@ def _bits(mask):
         mask ^= low
 
 
+def _up_masks(down):
+    """up[a] is the bitmask of {b : a <= b}, read off the down-masks bit by bit."""
+    up = [0] * len(down)
+    for b, d in enumerate(down):
+        for a in _bits(d):
+            up[a] |= 1 << b
+    return up
+
+
 @lru_cache(maxsize=256)
 def _preimages(L):
     """(meet_pre, join_pre): meet_pre[y][e] is the mask of the x with
@@ -510,10 +523,7 @@ def _first_without_chicane(perp, above, has_chicane):
         passed.append(q)
     else:
         return None
-    below = [1 << x for x in range(len(perp))]
-    for x, up in enumerate(above):
-        for y in _bits(up):
-            below[y] |= 1 << x
+    below = [m | 1 << x for x, m in enumerate(_up_masks(above))]
     cover = [[0] * len(perp) for _ in range(4)]
     for k, q in enumerate(passed):
         for i, m in enumerate(q):
@@ -528,7 +538,7 @@ def _first_without_chicane(perp, above, has_chicane):
                 for g in _bits(pd >> f << f if d == c else pd):
                     if not k_cdf & c3[g] and not has_chicane((c, d, f, g)):
                         return c, d, f, g
-    raise AssertionError("the scan passed the maximal foursome that failed")
+    raise PostconditionFailed("the scan passed the maximal foursome that failed")
 
 
 def satisfies_HI(L):
@@ -674,9 +684,7 @@ def downset_lattice(P, max_elements=None):
     PreconditionViolated, found before any table is built.
     """
     P.validate()
-    n = P.size
-    down = [sum(1 << b for b in range(n) if P.le[b][a]) for a in range(n)]
-    return _mask_lattice(_downsets(down, max_elements), "p")[0]
+    return _mask_lattice(_downsets(P.down, max_elements), "p")[0]
 
 
 def join_irreducibles(L):
@@ -704,8 +712,7 @@ def birkhoff_poset(L):
         raise NotDistributive(f"witness triple {witness}")
     down = _masks(L)[2]
     irr = _join_irreducibles(L, down)
-    le = tuple(tuple(bool(down[b] >> a & 1) for b in irr) for a in irr)
-    return Poset(len(irr), le).validate()
+    return Poset(tuple(sum(1 << i for i, a in enumerate(irr) if down[b] >> a & 1) for b in irr)).validate()
 
 
 def _first_assignment(domains, step, state, charge=None, live=None):

@@ -168,7 +168,7 @@ def _closed_plan(sentence):
     decide(L) is the sentence's truth in L, and verdicts, shared by every
     search that runs it, maps each size n to (decided, holds), bitmasks over
     the positions of `iter_lattices(n)`.  A pair is replaced whole, never
-    updated in place, so two threads can at worst decide a lattice twice."""
+    updated in place."""
     compiled = _compiled(sentence, ())
     decide = _deciders().get(sentence) or (lambda L: compiled.bind(L)([0] * compiled.width))
     return 0, (compiled.width, compiled.width, ({}, decide))

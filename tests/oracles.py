@@ -740,9 +740,7 @@ def frozen_birkhoff_poset(L):
     if not ok:
         raise NotDistributive(f"witness triple {witness}")
     irr = frozen_join_irreducibles(L)
-    m = len(irr)
-    le = tuple(tuple(L.leq(irr[a], irr[b]) for b in range(m)) for a in range(m))
-    return Poset(m, le).validate()
+    return Poset(tuple(sum(L.leq(a, b) << i for i, a in enumerate(irr)) for b in irr)).validate()
 
 
 def frozen_lattice_isomorphism(A, B):

@@ -229,6 +229,14 @@ class TestInputHandling:
         report = report_of(run_cli("wallman", fixtures["chain3"]))
         assert len(report["outcome"]["base"]) == 4
 
+    def test_a_poset_with_a_cycle_is_input_error(self, fixtures):
+        # the closure of 0 <= 1 <= 2 <= 0 relates every pair both ways
+        path = fixtures["tmp"] / "cycle.json"
+        path.write_text(json.dumps({"poset": {"size": 3, "le": [[0, 1], [1, 2], [2, 0]]}}))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"input error: {path}: le not antisymmetric at (0,1)\n"
+
     def test_bad_formula_is_input_error(self, fixtures):
         proc = run_cli("eval", fixtures["ba4"], "x ^ = 0")
         assert proc.returncode == 2

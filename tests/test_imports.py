@@ -3,7 +3,8 @@ name it imports and imports inside a function only from modules it does not
 import at top level, every private module-level function or class of the
 package is referenced somewhere in the package, every attribute a
 package class sets on `self` is read somewhere, and no module of the package
-and no script holds an `assert` statement, which `python -O` strips.
+and no script holds an `assert` statement, which `python -O` strips, or
+raises `AssertionError` for a failed self-check.
 
 No linter ships with the test dependencies, so these checks read each
 module's syntax tree: a name bound by an import must appear somewhere as a
@@ -192,14 +193,31 @@ def test_no_unread_instance_attributes():
     assert unread_attributes([path.read_text() for path in MODULES], readers) == []
 
 
+def _is_assertion(node):
+    """An `assert` statement or a `raise AssertionError`."""
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return isinstance(node, ast.Assert)
+
+
 def assert_statements(source):
-    """Line numbers of the `assert` statements in a source."""
-    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+    """Line numbers of the `assert` statements and the `raise AssertionError`s
+    in a source, ascending: a failed self-check raises `PostconditionFailed`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if _is_assertion(node))
 
 
 def test_assert_checker_finds_assert_statements():
     source = "def f(x):\n    assert x, 'x'\n    if x:\n        assert not x\n    return AssertionError\n"
     assert assert_statements(source) == [2, 4]
+
+
+def test_assert_checker_finds_raised_assertion_errors():
+    source = (
+        "def f(x):\n    if x:\n        raise AssertionError('x')\n"
+        "    raise AssertionError\n    raise ValueError\n    raise\n"
+    )
+    assert assert_statements(source) == [3, 4]
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -403,7 +403,7 @@ class TestChicane:
 
 class TestBirkhoff:
     def test_downset_of_antichain_is_powerset(self):
-        P = Poset(3, tuple(tuple(i == j for j in range(3)) for i in range(3)))
+        P = Poset((0b001, 0b010, 0b100))
         L = downset_lattice(P)
         assert lattice_isomorphism(L, powerset_lattice(3)) is not None
 
@@ -459,7 +459,7 @@ class TestBirkhoff:
         return [
             m
             for m in range(1 << n)
-            if all(not m >> a & 1 or all(m >> b & 1 for b in range(n) if P.le[b][a]) for a in range(n))
+            if all(not m >> a & 1 or all(m >> b & 1 for b in range(n) if P.down[a] >> b & 1) for a in range(n))
         ]
 
     def test_poset_validate_names_the_first_failure_of_the_pointwise_scan(self):
@@ -468,7 +468,7 @@ class TestBirkhoff:
         ]
         for le in relations:
             try:
-                Poset(3, le).validate()
+                Poset(tuple(sum(le[a][b] << a for a in range(3)) for b in range(3))).validate()
                 got = None
             except MalformedTables as err:
                 got = str(err)

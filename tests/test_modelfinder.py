@@ -699,6 +699,15 @@ class TestBuildPreimage:
         assert report["wallman"]["points"] == 1
         assert report["surjection"]["onto"]
 
+    def test_a_model_that_is_not_distributive_stops_at_the_wallman_stage(self):
+        from wallman_lab.spaces import discrete_space
+
+        theory = Theory((), (Not(builtin_distributive()),))
+        report = build_preimage(discrete_space(1), SearchBudget(max_size=5), theory=theory)
+        assert isinstance(report["model"], Model) and report["model"].lattice.n == 5
+        assert report["wallman"] == {"error": "Wallman construction needs a distributive lattice"}
+        assert "surjection" not in report
+
     def test_two_point_pipeline_stalls_at_model_stage(self):
         from wallman_lab.spaces import discrete_space
 

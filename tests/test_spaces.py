@@ -201,6 +201,10 @@ class TestSeparationAndMaps:
         ok, _ = is_weakly_confluent([0, 0], X, discrete_space(1))
         assert ok
 
+    def test_weak_confluence_fails_on_a_continuum_no_continuum_maps_onto(self):
+        # the Sierpinski space is connected, the discrete X has no two-point continuum
+        assert is_weakly_confluent([0, 1], discrete_space(2), make_space(2, [0, 0b01, 0b11])) == (False, 0b11)
+
     def test_weak_confluence_requires_continuity(self):
         sierp = space_from_sets(2, [[], [1], [0, 1]])
         with pytest.raises(NotContinuous, match="^map is not continuous$"):
