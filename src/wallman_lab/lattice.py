@@ -101,6 +101,9 @@ class Poset:
         for a in range(n):
             if not self.down[a] >> a & 1:
                 raise MalformedTables(f"le not reflexive at {a}")
+        for a, d in enumerate(self.down):
+            if not 0 <= d < 1 << n:
+                raise MalformedTables(f"down-mask out of range at {a}")
         up = _up_masks(self.down)
         for a in range(n):
             for b in _bits(up[a]):
@@ -417,13 +420,14 @@ def _preimages(L):
     return tuple(rows)
 
 
+@lru_cache(maxsize=8)
 def _masks(L):
     """(perp, cotop, down, up): for each element x the bitmasks of
-    {y : x^y = 0}, {y : x v y = 1}, {y : y <= x} and {y : x <= y}.  Built
-    per call, in one pass over the meet table and one over the join table;
-    nothing is kept on the lattice."""
+    {y : x^y = 0}, {y : x v y = 1}, {y : y <= x} and {y : x <= y}, as
+    tuples, built in one pass over each table and kept for the last eight
+    lattices, so the readers of one lattice in turn share one build."""
     bot, top, n = L.bottom, L.top, L.n
-    perp, down, up = [0] * n, [0] * n, [0] * n
+    perp, cotop, down, up = [0] * n, [0] * n, [0] * n, [0] * n
     for x, row in enumerate(L.meet):
         bit, p, u = 1 << x, 0, 0
         for y, m in enumerate(row):
@@ -433,8 +437,13 @@ def _masks(L):
                 u |= 1 << y
                 down[y] |= bit
         perp[x], up[x] = p, u
-    cotop = [sum(1 << y for y, j in enumerate(row) if j == top) for row in L.join]
-    return perp, cotop, down, up
+    for x, row in enumerate(L.join):
+        c = 0
+        for y, j in enumerate(row):
+            if j == top:
+                c |= 1 << y
+        cotop[x] = c
+    return tuple(perp), tuple(cotop), tuple(down), tuple(up)
 
 
 def _maximal_foursomes(perp, above):
@@ -457,7 +466,7 @@ def _maximal_foursomes(perp, above):
                         yield c, d, f, g
 
 
-def _least_chicane(L, masks, c, d, f, g):
+def _least_chicane(L, c, d, f, g):
     """The lexicographically least chicane of a pliand foursome, or None.
 
     Each of the six identities is decided exactly by a mask test: z1 v z2
@@ -465,7 +474,7 @@ def _least_chicane(L, masks, c, d, f, g):
     z1 ^ z3 = 0, and z3 must join z1 v z2 to the top.
     """
     meet, join = L.meet, L.join
-    perp, cotop, _, _ = masks
+    perp, cotop, _, _ = _masks(L)
     pc, pd, pf, pg = perp[c], perp[d], perp[f], perp[g]
     pcd = pc & pd
     for z1 in _bits(pd):
@@ -485,7 +494,7 @@ def find_chicane(L, fs):
     """Lexicographically least chicane for a pliand foursome, or None."""
     if not is_pliand(L, fs):
         raise NotPliand(f"foursome {fs} violates the pliand identities")
-    return _least_chicane(L, _masks(L), fs.c, fs.d, fs.f, fs.g)
+    return _least_chicane(L, fs.c, fs.d, fs.f, fs.g)
 
 
 def _first_without_chicane(perp, above, has_chicane):
@@ -543,19 +552,18 @@ def _first_without_chicane(perp, above, has_chicane):
 
 def satisfies_HI(L):
     """Every pliand foursome admits a chicane; else the least offending foursome."""
-    masks = _masks(L)
-    perp, _, _, up = masks
+    perp, _, _, up = _masks(L)
     above = [u ^ 1 << x for x, u in enumerate(up)]
-    first = _first_without_chicane(perp, above, lambda q: _least_chicane(L, masks, *q) is not None)
+    first = _first_without_chicane(perp, above, lambda q: _least_chicane(L, *q) is not None)
     return (True, None) if first is None else (False, PliandFoursome(*first))
 
 
 def _dim_le1_keys(L):
-    """(perp, disjoint, first_pair, key_of, partitions) for the dim<=1 scans:
-    L's disjointness masks; the disjoint pairs (x, y) in order; the first
-    pair of each key (perp[x], perp[y]), the keys numbered in order of first
-    appearance; each pair's key number; and each key's partitions (u, v,
-    u^v), u ^ x = v ^ y = 0 and u v v = 1, in lexicographic order."""
+    """(disjoint, first_pair, key_of, partitions) for the dim<=1 scans: the
+    disjoint pairs (x, y) in order; the first pair of each key (perp[x],
+    perp[y]), the keys numbered in order of first appearance; each pair's
+    key number; and each key's partitions (u, v, u^v), u ^ x = v ^ y = 0
+    and u v v = 1, in lexicographic order."""
     meet = L.meet
     perp, cotop, _, _ = _masks(L)
     perp_bits = [list(_bits(m)) for m in perp]
@@ -570,7 +578,7 @@ def _dim_le1_keys(L):
     partitions = [
         [(u, v, meet[u][v]) for u in perp_bits[x] for v in cotop_bits[u] if perp[y] >> v & 1] for x, y in first_pair
     ]
-    return perp, disjoint, first_pair, key_of, partitions
+    return disjoint, first_pair, key_of, partitions
 
 
 def _dim_le1_scan(L):
@@ -580,7 +588,8 @@ def _dim_le1_scan(L):
     (disjoint, key_of, rows)): the disjoint pairs in order, each pair's key
     number, and each key's row of witnesses by partner key number.
     """
-    perp, disjoint, first_pair, key_of, partitions = _dim_le1_keys(L)
+    disjoint, first_pair, key_of, partitions = _dim_le1_keys(L)
+    perp = _masks(L)[0]
     hits = {}  # hits[w][k]: key k's first (u, v) with u^v^w = 0, or None
     rows = []
     for k0, parts in enumerate(partitions):
@@ -608,7 +617,8 @@ def _dim_le1_first_failure(L):
     in 0; the covered partners are kept as a bitmask, and the first key
     with a gap, with its lowest uncovered partner, is the row scan's first
     failure."""
-    perp, _, first_pair, _, partitions = _dim_le1_keys(L)
+    _, first_pair, _, partitions = _dim_le1_keys(L)
+    perp = _masks(L)[0]
     meets = [sum(1 << w for w in {m for _, _, m in ps}) for ps in partitions]
     all_keys = (1 << len(partitions)) - 1
     covers = {}  # covers[w]: the mask of the keys with a meet in perp[w]
@@ -688,12 +698,8 @@ def downset_lattice(P, max_elements=None):
 
 
 def join_irreducibles(L):
-    return _join_irreducibles(L, _masks(L)[2])
-
-
-def _join_irreducibles(L, down):
     out = []
-    for e, d in enumerate(down):
+    for e, d in enumerate(_masks(L)[2]):
         if e == L.bottom:
             continue
         # e is join-irreducible iff the join of everything strictly below stays below e
@@ -710,8 +716,7 @@ def birkhoff_poset(L):
     ok, witness = is_distributive(L)
     if not ok:
         raise NotDistributive(f"witness triple {witness}")
-    down = _masks(L)[2]
-    irr = _join_irreducibles(L, down)
+    down, irr = _masks(L)[2], join_irreducibles(L)
     return Poset(tuple(sum(1 << i for i, a in enumerate(irr) if down[b] >> a & 1) for b in irr)).validate()
 
 

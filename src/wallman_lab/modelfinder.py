@@ -228,19 +228,15 @@ def _support_plan(i, filters, stages):
     return others, (_TRANSPOSE[on_i[0].table], on_i[0].holds) if on_i else None
 
 
-def _rows(L, table, holds, cache):
-    """The rows of a filter table on L, complemented when not holds."""
-    key = table, holds
-    if key not in cache:
-        if not holds:
-            full = (1 << L.n) - 1
-            cache[key] = [full ^ row for row in _rows(L, table, True, cache)]
-        else:
-            cache.update(zip((("perp", True), ("cotop", True), ("down", True), ("up", True)), _masks(L)))
-    return cache[key]
+def _rows(L, table, holds):
+    """The rows of a filter table on L, read from `lattice._masks`,
+    complemented when not holds."""
+    rows = _masks(L)[("perp", "cotop", "down", "up").index(table)]
+    full = (1 << L.n) - 1
+    return rows if holds else [full ^ row for row in rows]
 
 
-def _domain(L, filters, cache):
+def _domain(L, filters):
     """The values of one constant that pass its filters, as a mask when no
     filter reads another constant, else as domain(values, state), the mask
     at the values of the constants before it."""
@@ -251,7 +247,7 @@ def _domain(L, filters, cache):
             bit = 1 << getattr(L, f.table)
             base &= bit if f.holds else ~bit
         elif f.y is None:
-            rows.append((_rows(L, f.table, f.holds, cache), f.x))
+            rows.append((_rows(L, f.table, f.holds), f.x))
         else:
             fixed.append((getattr(L, f.table), f.x, f.y, f.holds))
     if not rows and not fixed:
@@ -269,7 +265,7 @@ def _domain(L, filters, cache):
     return domain
 
 
-def _support(L, plan, cache):
+def _support(L, plan):
     """support(values, state), the values of a constant that leave the next
     one a value, from its `_support_plan`, or None.  It is the union, over
     the values y that the next constant's other filters allow, of the
@@ -278,11 +274,11 @@ def _support(L, plan, cache):
     if plan is None:
         return None
     others, row = plan
-    allowed = _domain(L, others, cache)  # a mask function, as others read a constant
+    allowed = _domain(L, others)  # a mask function, as others read a constant
     if row is None:
         full = (1 << L.n) - 1
         return lambda values, state: full if allowed(values, state) else 0
-    rows = _rows(L, *row, cache)
+    rows = _rows(L, *row)
 
     def support(values, state):
         mask, out = allowed(values, state), 0
@@ -321,9 +317,8 @@ def _satisfying_interpretation(L, position, schedule, tracker):
             return None
     tests = [[bind(L) for bind in stage] for stage in stages]
     slots = [0] * width
-    cache = {}
-    domains = [_domain(L, fs, cache) for fs in filters]
-    live = supports and [_support(L, plan, cache) for plan in supports]
+    domains = [_domain(L, fs) for fs in filters]
+    live = supports and [_support(L, plan) for plan in supports]
     found = _first_assignment(domains, _step, (tests, slots), (tracker.tick, n), live)
     return None if found is None else dict(zip(consts, slots))
 

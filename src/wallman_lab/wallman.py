@@ -144,43 +144,31 @@ def self_representation_check(X):
     return True, None
 
 
-def _boolean_masks(L):
-    """The four masks of L if it is a Boolean algebra, else None; they are
-    built only once L is known to be distributive."""
-    ok, _ = is_distributive(L)
-    if not ok:
-        return None
-    masks = _masks(L)
-    perp, cotop, _, _ = masks
-    return masks if all(p & c for p, c in zip(perp, cotop)) else None  # every element has a complement
-
-
 def is_boolean(L):
-    return _boolean_masks(L) is not None
-
-
-def _atoms(down):
-    # down[a] always holds the bottom and a, so it is {bottom, a} iff it has two members
-    return [a for a, d in enumerate(down) if d.bit_count() == 2]
+    """Distributive and complemented; the masks are read only once L is distributive."""
+    if not is_distributive(L)[0]:
+        return False
+    perp, cotop, _, _ = _masks(L)
+    return all(p & c for p, c in zip(perp, cotop))  # every element has a complement
 
 
 def atoms(L):
-    return _atoms(_masks(L)[2])
+    # down[a] always holds the bottom and a, so it is {bottom, a} iff it has two members
+    return [a for a, d in enumerate(_masks(L)[2]) if d.bit_count() == 2]
 
 
 def stone_space(B):
     """Wallman space of a Boolean algebra; verifies clopenness and atom count."""
-    masks = _boolean_masks(B)
-    if masks is None:
+    if not is_boolean(B):
         raise NotBoolean("input is not a finite Boolean algebra")
-    perp, cotop, down, _ = masks
+    perp, cotop, _, _ = _masks(B)
     W = wallman_space(B)
     npts = len(W.points)
     full = (1 << npts) - 1
     for a, (p, c) in enumerate(zip(perp, cotop)):
         if W.base[next(_bits(p & c))] != full & ~W.base[a]:
             raise PostconditionFailed(f"Stone base set of {a} is not clopen")
-    if npts != len(_atoms(down)):
+    if npts != len(atoms(B)):
         raise PostconditionFailed("Stone space has not one point per atom")
     return W
 

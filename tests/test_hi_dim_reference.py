@@ -291,15 +291,14 @@ def test_a_foursome_has_a_chicane_iff_its_mirror_has():
 
 def count_chicane_tests(L):
     """(first foursome without a chicane, chicane tests made) of satisfies_HI's scan."""
-    masks = _masks(L)
     above = [sum(1 << y for y in L.elements() if y != x and L.leq(x, y)) for x in L.elements()]
     tested = []
 
     def has_chicane(q):
         tested.append(q)
-        return _least_chicane(L, masks, *q) is not None
+        return _least_chicane(L, *q) is not None
 
-    return _first_without_chicane(masks[0], above, has_chicane), len(tested)
+    return _first_without_chicane(_masks(L)[0], above, has_chicane), len(tested)
 
 
 def test_the_scan_skips_mirrors_and_covered_foursomes():

@@ -474,6 +474,19 @@ class TestBirkhoff:
                 got = str(err)
             assert got == self.reference_poset_error(le)
 
+    @pytest.mark.parametrize(
+        "down, message",
+        [
+            ((0b11,), "down-mask out of range at 0"),
+            ((1, 0b110), "down-mask out of range at 1"),
+            ((-1,), "down-mask out of range at 0"),
+            ((0b10,), "le not reflexive at 0"),  # reflexivity is checked first
+        ],
+    )
+    def test_poset_validate_refuses_a_mask_outside_the_poset(self, down, message):
+        with pytest.raises(MalformedTables, match=f"^{message}$"):
+            Poset(down).validate()
+
     def test_downset_lattice_matches_the_scan_of_all_masks(self):
         for m in range(1, 6):
             for P in posets_up_to_iso(m):

@@ -4,14 +4,15 @@ own masks or walked `leq` element by element."""
 
 import pytest
 
-from wallman_lab import lattice, wallman
-from wallman_lab.cli import hasse_dot
+from wallman_lab import lattice
+from wallman_lab.cli import _PREDICATES, hasse_dot
 from wallman_lab.enumeration import lattices_of_size
 from wallman_lab.errors import NotDistributive, WallmanLabError
 from wallman_lab.lattice import (
     _bits,
     _masks,
     birkhoff_poset,
+    diamond_m3,
     is_disjunctive,
     is_distributive,
     is_normal,
@@ -73,7 +74,7 @@ def _reversed_copy(L):
 def test_masks_match_their_definitions(n):
     for L in lattices_of_size(n):
         perp, cotop, down, up = _masks(L)
-        assert (perp, cotop) == frozen_two_masks(L)
+        assert (list(perp), list(cotop)) == frozen_two_masks(L)  # the copy builds lists
         for x in L.elements():
             for y in L.elements():
                 assert bool(perp[x] >> y & 1) == (L.meet[x][y] == L.bottom)
@@ -121,34 +122,34 @@ def test_lattice_isomorphism_matches_on_every_pair():
             assert lattice_isomorphism(A, B) == frozen_lattice_isomorphism(A, B)
 
 
-def _counted_masks(monkeypatch):
-    """A list that gets each lattice the package builds the masks of."""
-    built = []
-
-    def counted(L):
-        built.append(L)
-        return _masks(L)
-
-    for module in (lattice, wallman):
-        monkeypatch.setattr(module, "_masks", counted)
-    return built
+def _builds(fn, L):
+    """How many times fn(L) builds masks: the cache misses of `_masks`, with
+    the kept masks dropped first."""
+    lattice._masks.cache_clear()
+    fn(L)
+    return lattice._masks.cache_info().misses
 
 
-@pytest.mark.parametrize("fn, builds", [(stone_space, 2), (birkhoff_poset, 1)], ids=["stone_space", "birkhoff_poset"])
+@pytest.mark.parametrize("fn", [stone_space, birkhoff_poset], ids=["stone_space", "birkhoff_poset"])
 @pytest.mark.parametrize("k", [1, 3])
-def test_a_call_builds_the_masks_once(fn, builds, k, monkeypatch):
-    # stone_space builds them once for itself and once in wallman_space
-    built = _counted_masks(monkeypatch)
-    fn(powerset_lattice(k))
-    assert len(built) == builds
+def test_a_call_builds_the_masks_once(fn, k):
+    # stone_space reads them in is_boolean, filters (through wallman_space), atoms and itself
+    assert _builds(fn, powerset_lattice(k)) == 1
 
 
-def test_is_boolean_builds_the_masks_only_for_a_distributive_lattice(monkeypatch):
-    built = _counted_masks(monkeypatch)
+@pytest.mark.parametrize("L", [powerset_lattice(3), diamond_m3(), lattices_of_size(6)[7]], ids=["2^3", "M3", "size 6"])
+def test_the_check_predicates_build_the_masks_once(L):
+    assert _builds(lambda L: [decide(L) for decide in _PREDICATES.values()], L) == 1
+
+
+def test_the_kept_tables_are_tuples():
     for L in lattices_of_size(5):
-        before = len(built)
-        is_boolean(L)
-        assert len(built) - before == (1 if is_distributive(L)[0] else 0), L.meet
+        assert [type(t) for t in _masks(L)] == [tuple] * 4
+
+
+def test_is_boolean_builds_the_masks_only_for_a_distributive_lattice():
+    for L in lattices_of_size(5):
+        assert _builds(is_boolean, L) == (1 if is_distributive(L)[0] else 0), L.meet
 
 
 @pytest.mark.parametrize("n", range(2, 9))

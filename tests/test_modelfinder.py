@@ -521,7 +521,7 @@ class TestDomainFilters:
         for n in range(2, 7):
             for L in lattices_of_size(n):
                 holds = test(L)
-                domain = _domain(L, [plan], {})
+                domain = _domain(L, [plan])
                 for x, y in itertools.product(range(n), repeat=2):
                     mask = domain([x, y], None) if callable(domain) else domain
                     kept = [v for v in range(n) if mask >> v & 1]
