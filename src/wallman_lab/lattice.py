@@ -138,6 +138,12 @@ def _is_index(v, n):
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
+def _check_count(k, message, least=None):
+    """Raise PreconditionViolated unless k is an int, not a bool, and at least `least` when given."""
+    if not isinstance(k, int) or isinstance(k, bool) or least is not None and k < least:
+        raise PreconditionViolated(f"{message}, not {k!r}")
+
+
 def _check_elements(L, values):
     """Raise PreconditionViolated unless every value is an element index of L."""
     for v in values:
@@ -289,8 +295,7 @@ def _mask_lattice(family, prefix=""):
 
 def chain(k):
     """The k-element chain 0 < 1 < ... < k-1."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise PreconditionViolated(f"chain takes an int number of elements, not {k!r}")
+    _check_count(k, "chain takes an int number of elements")
     names = tuple(f"c{i}" for i in range(k))
     down, up = [(2 << i) - 1 for i in range(k)], [-1 << i for i in range(k)]
     return validate(names, _table(down, {}), _table(up, {}), 0, k - 1)
@@ -298,8 +303,7 @@ def chain(k):
 
 def powerset_lattice(k):
     """2^{0..k-1}; element index == subset bitmask."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise PreconditionViolated(f"powerset_lattice takes an int number of points, not {k!r}")
+    _check_count(k, "powerset_lattice takes an int number of points")
     n = int(2**k)  # 0 for k < 0: no elements, which validate refuses
     names = tuple("{" + ",".join(str(i) for i in range(k) if m >> i & 1) + "}" for m in range(n))
     return validate(names, _table(range(n), {}), _table([~m for m in range(n)], {}), 0, n - 1)
@@ -559,7 +563,7 @@ def satisfies_HI(L):
 
 
 def _dim_le1_keys(L):
-    """(disjoint, first_pair, key_of, partitions) for the dim<=1 scans: the
+    """(disjoint, first_pair, key_of, partitions) for the dim<=1 scan: the
     disjoint pairs (x, y) in order; the first pair of each key (perp[x],
     perp[y]), the keys numbered in order of first appearance; each pair's
     key number; and each key's partitions (u, v, u^v), u ^ x = v ^ y = 0
@@ -581,63 +585,47 @@ def _dim_le1_keys(L):
     return disjoint, first_pair, key_of, partitions
 
 
-def _dim_le1_scan(L):
-    """The scan behind `satisfies_dim_le1`, stopped before the witness map.
+def _dim_le1_scan(L, keys, rows=None):
+    """The first failing quadruple (x0,y0,x1,y1) of `satisfies_dim_le1`, or None.
 
-    Returns (False, (x0,y0,x1,y1)), the first failing quadruple, or (True,
-    (disjoint, key_of, rows)): the disjoint pairs in order, each pair's key
-    number, and each key's row of witnesses by partner key number.
+    keys is `_dim_le1_keys(L)`.  Key k0 covers partner k1 when a meet of
+    k0's partitions and one of k1's meet in 0; the first key with a partner
+    it leaves uncovered, with its lowest such partner, fails first.  Only
+    when given rows (keys^2 witnesses, 43 M on 2^8) does it append each
+    key's row of witnesses by partner key: partner k1 takes the first (u0,
+    v0) of k0 whose meet w some (u1, v1) of k1 clears, with the first such.
     """
-    disjoint, first_pair, key_of, partitions = _dim_le1_keys(L)
-    perp = _masks(L)[0]
-    hits = {}  # hits[w][k]: key k's first (u, v) with u^v^w = 0, or None
-    rows = []
-    for k0, parts in enumerate(partitions):
-        # partner key k1 takes the first (u0, v0) of k0 whose meet w some
-        # (u1, v1) of k1 clears, with the first such (u1, v1)
-        row = [None] * len(partitions)
-        for u0, v0, w in parts:
-            if w not in hits:
-                pw = perp[w]
-                hits[w] = [next(((u, v) for u, v, m in ps if pw >> m & 1), None) for ps in partitions]
-            row = [(u0, v0) + h if r is None and h is not None else r for r, h in zip(row, hits[w])]
-            if None not in row:
-                break
-        if None in row:
-            return False, first_pair[k0] + first_pair[row.index(None)]
-        rows.append(row)
-    return True, (disjoint, key_of, rows)
-
-
-def _dim_le1_first_failure(L):
-    """The first failing quadruple of `satisfies_dim_le1`, or None, with no
-    witness built: the rows hold keys^2 witnesses, 43 M on 2^8, and the
-    verdict needs only the partner keys each row leaves empty.  Key k0
-    covers partner k1 when a meet of k0's partitions and one of k1's meet
-    in 0; the covered partners are kept as a bitmask, and the first key
-    with a gap, with its lowest uncovered partner, is the row scan's first
-    failure."""
-    _, first_pair, _, partitions = _dim_le1_keys(L)
+    _, first_pair, _, partitions = keys
     perp = _masks(L)[0]
     meets = [sum(1 << w for w in {m for _, _, m in ps}) for ps in partitions]
     all_keys = (1 << len(partitions)) - 1
     covers = {}  # covers[w]: the mask of the keys with a meet in perp[w]
+    hits = {}  # hits[w][k]: key k's first (u, v) with u^v^w = 0, or None
     for k0, parts in enumerate(partitions):
-        gap = all_keys
-        for _, _, w in parts:
+        gap, row = all_keys, None if rows is None else [None] * len(partitions)
+        for u0, v0, w in parts:
             if w not in covers:
                 covers[w] = sum(1 << k for k, m in enumerate(meets) if m & perp[w])
-            gap &= ~covers[w]
-            if not gap:
-                break
+            new = gap & covers[w]  # the partners w covers first
+            if new:
+                gap ^= new
+                if row is not None:
+                    if w not in hits:
+                        pw = perp[w]
+                        hits[w] = [next(((u, v) for u, v, m in ps if pw >> m & 1), None) for ps in partitions]
+                    row = [(u0, v0) + h if r is None and h is not None else r for r, h in zip(row, hits[w])]
+                if not gap:
+                    break
         else:
             return first_pair[k0] + first_pair[(gap & -gap).bit_length() - 1]
+        if row is not None:
+            rows.append(row)
     return None
 
 
 def dim_le1_holds(L):
-    """The verdict of `satisfies_dim_le1`, without building the witness map."""
-    return _dim_le1_first_failure(L) is None
+    """The verdict of `satisfies_dim_le1`: its scan, with no witness row kept."""
+    return _dim_le1_scan(L, _dim_le1_keys(L)) is None
 
 
 def satisfies_dim_le1(L):
@@ -648,19 +636,16 @@ def satisfies_dim_le1(L):
     vi ^ yi = 0, ui v vi = 1 and u0 ^ v0 ^ u1 ^ v1 = 0.
 
     A witness depends on the pairs only through their keys (perp[xi],
-    perp[yi]), numbered in order of first appearance.  The first pair with
-    key k0 fills k0's row, a list of the witnesses by partner key number.  A
-    row with a gap fails at the gap's first pair, which is the first failing
-    partner in the map's order, since the keys are numbered in that order;
-    and the rows are filled in key order, so the first row with a gap gives
-    the first failing quadruple.  Each pair then copies its row into the
-    map, partner by partner, so the map's items and their order are those
-    of a search pair by pair.
+    perp[yi]), numbered in order of first appearance.  `_dim_le1_scan`
+    fills a row of witnesses per key; each pair copies its row into the
+    map, so the map's items and their order are those of a search pair by
+    pair.
     """
-    ok, found = _dim_le1_scan(L)
-    if not ok:
+    keys, rows = _dim_le1_keys(L), []
+    found = _dim_le1_scan(L, keys, rows)
+    if found is not None:
         return False, found
-    disjoint, key_of, rows = found
+    disjoint, _, key_of, _ = keys
     xs, ys = [x for x, _ in disjoint], [y for _, y in disjoint]
     witnesses = {}
     for (x0, y0), k0 in zip(disjoint, key_of):

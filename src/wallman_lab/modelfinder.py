@@ -229,11 +229,8 @@ def _support_plan(i, filters, stages):
 
 
 def _rows(L, table, holds):
-    """The rows of a filter table on L, read from `lattice._masks`,
-    complemented when not holds."""
-    rows = _masks(L)[("perp", "cotop", "down", "up").index(table)]
-    full = (1 << L.n) - 1
-    return rows if holds else [full ^ row for row in rows]
+    """(rows, flip): a filter table's rows on L (`lattice._masks`) and the mask to XOR them with, -1 if not holds."""
+    return _masks(L)[("perp", "cotop", "down", "up").index(table)], 0 if holds else -1
 
 
 def _domain(L, filters):
@@ -247,7 +244,7 @@ def _domain(L, filters):
             bit = 1 << getattr(L, f.table)
             base &= bit if f.holds else ~bit
         elif f.y is None:
-            rows.append((_rows(L, f.table, f.holds), f.x))
+            rows.append((*_rows(L, f.table, f.holds), f.x))
         else:
             fixed.append((getattr(L, f.table), f.x, f.y, f.holds))
     if not rows and not fixed:
@@ -255,8 +252,8 @@ def _domain(L, filters):
 
     def domain(values, state):
         mask = base
-        for row, x in rows:
-            mask &= row[values[x]]
+        for row, flip, x in rows:
+            mask &= row[values[x]] ^ flip
         for T, x, y, holds in fixed:
             bit = 1 << T[values[x]][values[y]]
             mask &= bit if holds else ~bit
@@ -275,18 +272,18 @@ def _support(L, plan):
         return None
     others, row = plan
     allowed = _domain(L, others)  # a mask function, as others read a constant
+    full = (1 << L.n) - 1
     if row is None:
-        full = (1 << L.n) - 1
         return lambda values, state: full if allowed(values, state) else 0
-    rows = _rows(L, *row)
+    rows, flip = _rows(L, *row)
 
     def support(values, state):
         mask, out = allowed(values, state), 0
         while mask:
             low = mask & -mask
-            out |= rows[low.bit_length() - 1]
+            out |= rows[low.bit_length() - 1] ^ flip
             mask ^= low
-        return out
+        return out & full
 
     return support
 

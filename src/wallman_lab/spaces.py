@@ -11,6 +11,7 @@ SPACE_POINT_CAP = 6 points: 209,527 spaces there, 9.5 M on 7.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +24,7 @@ from .errors import (
     NotSurjective,
     PreconditionViolated,
 )
-from .lattice import _bits, _by_size, _first_without_chicane, _is_index, _mask_lattice
+from .lattice import _bits, _by_size, _check_count, _first_without_chicane, _is_index, _mask_lattice
 
 CONTINUA_POINT_CAP = 12
 
@@ -129,6 +130,7 @@ _NO_EMPTY_OR_FULL = "closed family must contain the empty and full sets"
 
 def make_space(point_count, closed_masks):
     """Validate a closed-set family and build the space."""
+    _check_count(point_count, "make_space takes a non-negative int number of points", 0)
     full = (1 << point_count) - 1
     fam = frozenset(closed_masks)
     for c in fam:
@@ -143,6 +145,7 @@ def make_space(point_count, closed_masks):
 
 def space_from_sets(point_count, sets_of_points):
     """make_space of closed sets given as lists of points."""
+    _check_count(point_count, "space_from_sets takes a non-negative int number of points", 0)
     if all(len(set(s)) < point_count for s in sets_of_points):
         # no listed full set: decided before any mask is built, so a huge
         # point count never asks for a huge mask
@@ -151,11 +154,13 @@ def space_from_sets(point_count, sets_of_points):
 
 
 def discrete_space(n):
+    _check_count(n, "discrete_space takes a non-negative int number of points", 0)
     return FiniteSpace(n, frozenset(range(1 << n)))
 
 
 def generate_space(point_count, generators):
     """Smallest closed-set family containing the generators."""
+    _check_count(point_count, "generate_space takes a non-negative int number of points", 0)
     return FiniteSpace(point_count, _lattice_closure((1 << point_count) - 1, generators))
 
 
@@ -289,8 +294,16 @@ def is_discrete(X):
     return len(X.closed) == 1 << X.point_count
 
 
+def _check_map(f, X, Y):
+    """Raise PreconditionViolated unless f is a sequence of X.point_count point indices of Y."""
+    n = Y.point_count
+    if not isinstance(f, Sequence) or len(f) != X.point_count or not all(_is_index(y, n) for y in f):
+        raise PreconditionViolated(f"{f!r} is not a sequence of {X.point_count} point indices in 0..{n - 1}")
+
+
 def is_continuous(f, X, Y):
     """Preimage of every closed set of Y is closed in X."""
+    _check_map(f, X, Y)
     for c in Y.closed:
         if _preimage_mask(f, c) not in X.closed:
             return False
@@ -298,6 +311,7 @@ def is_continuous(f, X, Y):
 
 
 def is_surjective(f, X, Y):
+    _check_map(f, X, Y)
     return set(f) == set(range(Y.point_count))
 
 

@@ -21,7 +21,8 @@ from wallman_lab.errors import NotPliand, PreconditionViolated
 from wallman_lab.lattice import (
     Chicane,
     PliandFoursome,
-    _dim_le1_first_failure,
+    _dim_le1_keys,
+    _dim_le1_scan,
     _first_without_chicane,
     _least_chicane,
     _masks,
@@ -184,7 +185,7 @@ def test_the_dim_le1_verdict_alone_agrees_with_the_full_decision():
         for L in lattices_of_size(n):
             ok, found = satisfies_dim_le1(L)
             assert dim_le1_holds(L) is ok, (n, L.meet)
-            assert _dim_le1_first_failure(L) == (None if ok else found), (n, L.meet)
+            assert _dim_le1_scan(L, _dim_le1_keys(L)) == (None if ok else found), (n, L.meet)
 
 
 def test_the_dim_le1_verdict_alone_keeps_no_witness_rows():

@@ -1,10 +1,12 @@
 """Every module of the package, every test module and every script uses each
 name it imports and imports inside a function only from modules it does not
 import at top level, every private module-level function or class of the
-package is referenced somewhere in the package, every attribute a
-package class sets on `self` is read somewhere, and no module of the package
-and no script holds an `assert` statement, which `python -O` strips, or
-raises `AssertionError` for a failed self-check.
+package is referenced somewhere in the package, every function, class and
+non-dunder method of the package is named somewhere in the package, the
+scripts, the benchmark or the tests, every attribute a package class sets
+on `self` is read somewhere, and no module of the package and no script
+holds an `assert` statement, which `python -O` strips, or raises
+`AssertionError` for a failed self-check.
 
 No linter ships with the test dependencies, so these checks read each
 module's syntax tree: a name bound by an import must appear somewhere as a
@@ -142,6 +144,62 @@ def test_orphan_checker_finds_unreferenced_helpers():
 
 def test_no_orphaned_private_helpers():
     assert orphaned_helpers({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def _definitions(source):
+    """The module-level functions and classes of a source, and the methods
+    of its classes that are not dunders."""
+    names = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        if isinstance(stmt, ast.ClassDef):
+            names.extend(
+                node.name
+                for node in stmt.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            )
+    return names
+
+
+def _referenced_names(source):
+    """The names a source mentions as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def unreferenced_definitions(package, readers):
+    """The functions, classes and non-dunder methods defined in the
+    `package` sources (module name to source text) that no source in
+    `readers` names, as "module.name"."""
+    referenced = set().union(*map(_referenced_names, readers))
+    return sorted(f"{module}.{name}" for module, source in package.items() for name in _definitions(source) if name not in referenced)
+
+
+def test_definition_checker_finds_unreferenced_definitions():
+    package = {
+        "a": "def used():\n    pass\n\ndef lost():\n    pass\n\nclass K:\n    def __init__(self):\n        pass\n\n"
+        "    def read(self):\n        pass\n\n    def never(self):\n        pass\n",
+        "b": "from a import used\n\nclass Gone:\n    pass\n",
+    }
+    readers = list(package.values()) + ["import c.K\n\ndef f(k):\n    return k.read()\n"]
+    assert unreferenced_definitions(package, readers) == ["a.lost", "a.never", "b.Gone"]
+
+
+def test_every_definition_in_the_package_is_referenced():
+    # a function, class or method that nothing in the package, the scripts,
+    # the benchmark or the tests names is surface that nothing uses
+    readers = MODULES + TESTS_AND_SCRIPTS + sorted(ROOT.glob("bench/*.py"))
+    package = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_definitions(package, [path.read_text() for path in readers]) == []
 
 
 def _attribute_reads(source):

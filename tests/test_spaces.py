@@ -54,6 +54,29 @@ class TestConstruction:
         with pytest.raises(MalformedTables):
             make_space(3, {0, 0b001, 0b010, 0b111})  # missing {0,1}
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (discrete_space, (-1,)),
+            (make_space, (-1, [0])),
+            (generate_space, (-1, [])),
+            (space_from_sets, (-1, [[]])),
+            (discrete_space, (2.0,)),
+            (discrete_space, (True,)),
+            (make_space, (True, [0, 1])),
+        ],
+    )
+    def test_a_point_count_must_be_a_non_negative_int(self, build, args):
+        message = f"^{build.__name__} takes a non-negative int number of points, not {args[0]!r}$"
+        with pytest.raises(PreconditionViolated, match=message):
+            build(*args)
+
+    def test_the_lattice_constructors_keep_their_messages(self):
+        with pytest.raises(PreconditionViolated, match="^chain takes an int number of elements, not 2.0$"):
+            chain(2.0)
+        with pytest.raises(PreconditionViolated, match="^powerset_lattice takes an int number of points, not True$"):
+            powerset_lattice(True)
+
     def test_generate_space_closes_family(self):
         X = generate_space(3, [0b011, 0b110])
         assert 0b010 in X.closed  # the intersection
@@ -214,6 +237,13 @@ class TestSeparationAndMaps:
         X = discrete_space(2)
         with pytest.raises(NotSurjective, match="^map is not onto$"):
             is_weakly_confluent([0, 0], X, X)
+
+    @pytest.mark.parametrize("check", [is_continuous, is_surjective, is_weakly_confluent])
+    @pytest.mark.parametrize("f", [[0], [0, 5], [0, -1], (0, True)])
+    def test_a_map_must_send_each_point_to_a_point(self, check, f):
+        # too short, a point past Y, a negative index and a bool: none sends each point of X to one of Y
+        with pytest.raises(PreconditionViolated, match=r" is not a sequence of 2 point indices in 0\.\.0$"):
+            check(f, discrete_space(2), discrete_space(1))
 
     def test_image_mask(self):
         assert image_mask([1, 1, 0], 0b011) == 0b010
